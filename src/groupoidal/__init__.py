@@ -19,8 +19,8 @@ from .bundle import (CechBase, Cocycle, PrincipaloidBundle, PPoint, FPoint,
                      bundle_to_json, bundle_from_json, MomentMismatch,
                      DivisionError)
 from .atiyah import (AtiyahGroupoid, AdjointBundle, AtElement, AdElement,
-                     build_atiyah, build_adjoint, verify_atiyah_sequence,
-                     verify_trident, enumerate_projectable_bisections)
+                     verify_atiyah_sequence, verify_trident,
+                     enumerate_projectable_bisections)
 from .automorphism import (BundleAutomorphism, identity_automorphism,
                            validate_automorphism, automorphism_to_bisection,
                            bisection_to_automorphism,

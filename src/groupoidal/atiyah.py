@@ -8,14 +8,18 @@ sigma2 end.  A single helper owns that transport formula.
 The kernel of the projection onto the pair groupoid of the base is the
 conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
+
+The finite groupoid table over the shadow points is built once, when the
+groupoid is constructed, with the product filled in only on composable
+pairs; multiplication and every battery here read that table.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .bisection import left_mult, right_mult, conjugate
 from .bundle import FPoint, PPoint, MomentMismatch
 from .groupoid import FiniteGroupoid
-from .report import CompositionError, EnumerationBound, ValidationReport
+from .report import ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
 AdElement = namedtuple("AdElement", ["sigma", "chart", "arrow"])
@@ -32,6 +36,31 @@ class AtiyahGroupoid:
                       s2, bundle.base.canonical_chart(s2))
             for s1 in bundle.base.base for s2 in bundle.base.base for a in g.arrows]
         self._index = {e: k for k, e in enumerate(self.elements)}
+        self.shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
+        self._table = self._build_table()
+
+    def _build_table(self):
+        """The plain finite groupoid over shadow points, with mul filled in
+        pair by pair: for each k1, the elements whose target is its source."""
+        g = self.bundle.groupoid
+        fpoints = self.bundle.shadow_points
+        elements = self.elements
+        src = [self.shadow_index[self.source(e)] for e in elements]
+        tgt = [self.shadow_index[self.target(e)] for e in elements]
+        unit = [self._index[self.unit(f)] for f in fpoints]
+        inv = [self._index[self.invert(e)] for e in elements]
+        by_target = [[] for _ in fpoints]
+        for k, t in enumerate(tgt):
+            by_target[t].append(k)
+        mul = {}
+        for k1, e1 in enumerate(elements):
+            for k2 in by_target[src[k1]]:
+                e2 = elements[k2]
+                mul[(k1, k2)] = self._index[AtElement(
+                    e1.sigma1, e1.chart_i, g.compose(e1.arrow, e2.arrow),
+                    e2.sigma2, e2.chart_j)]
+        return FiniteGroupoid(len(fpoints), src, tgt, unit, inv, mul,
+                              arrow_labels=elements, object_labels=fpoints)
 
     def canonical(self, sigma1, chart_k, arrow, sigma2, chart_l):
         """Transport (sigma1, arrow, sigma2) from charts (k, l) to canonical.
@@ -67,10 +96,8 @@ class AtiyahGroupoid:
                          e.sigma1, e.chart_i)
 
     def multiply(self, e1, e2):
-        if self.source(e1) != self.target(e2):
-            raise CompositionError("source/target mismatch in symmetry groupoid")
-        arrow = self.bundle.groupoid.compose(e1.arrow, e2.arrow)
-        return AtElement(e1.sigma1, e1.chart_i, arrow, e2.sigma2, e2.chart_j)
+        """The product read from the table; CompositionError off its domain."""
+        return self.elements[self._table.compose(self._index[e1], self._index[e2])]
 
     def project(self, e):
         """The arrow (sigma1, sigma2) of the pair groupoid of the base."""
@@ -99,23 +126,7 @@ class AtiyahGroupoid:
 
     def as_finite_groupoid(self):
         """The element set as a plain finite groupoid over shadow points."""
-        fpoints = self.bundle.shadow_points
-        findex = {f: k for k, f in enumerate(fpoints)}
-        src = [findex[self.source(e)] for e in self.elements]
-        tgt = [findex[self.target(e)] for e in self.elements]
-        unit = [self._index[self.unit(f)] for f in fpoints]
-        inv = [self._index[self.invert(e)] for e in self.elements]
-        mul = {}
-        for k1, e1 in enumerate(self.elements):
-            for k2, e2 in enumerate(self.elements):
-                if self.source(e1) == self.target(e2):
-                    mul[(k1, k2)] = self._index[self.multiply(e1, e2)]
-        return FiniteGroupoid(len(fpoints), src, tgt, unit, inv, mul,
-                              arrow_labels=self.elements, object_labels=fpoints)
-
-
-def build_atiyah(bundle):
-    return AtiyahGroupoid(bundle)
+        return self._table
 
 
 class AdjointBundle:
@@ -143,10 +154,6 @@ class AdjointBundle:
         return FPoint(e.sigma, e.chart, self.bundle.groupoid.src[e.arrow])
 
 
-def build_adjoint(bundle):
-    return AdjointBundle(bundle)
-
-
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     """Exactness over the pair groupoid of the base, checked element by element."""
     at = at or AtiyahGroupoid(bundle)
@@ -155,23 +162,22 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     pairs = {(s1, s2) for s1 in bundle.base.base for s2 in bundle.base.base}
     report.record("sequence:surjective",
                   {at.project(e) for e in at.elements} == pairs)
-    for e1 in at.elements:
-        for e2 in at.elements:
-            if at.source(e1) != at.target(e2):
-                continue
-            prod = at.multiply(e1, e2)
-            report.record("sequence:morphism",
-                          at.project(prod) == (e1.sigma1, e2.sigma2), (e1, e2))
+    for (k1, k2), k in at.as_finite_groupoid().mul.items():
+        e1, e2 = at.elements[k1], at.elements[k2]
+        report.record("sequence:morphism",
+                      at.project(at.elements[k]) == (e1.sigma1, e2.sigma2),
+                      (e1, e2))
     kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
     image = {adjoint.embed(e) for e in adjoint.elements}
     report.record("sequence:kernel", kernel == image)
     report.record("sequence:embedding-injective",
                   len(image) == len(adjoint.elements))
+    fibre_sizes = Counter(at.project(e) for e in at.elements)
     for s1 in bundle.base.base:
         for s2 in bundle.base.base:
-            fibre = [e for e in at.elements if at.project(e) == (s1, s2)]
             report.record("sequence:fibre-size",
-                          len(fibre) == bundle.groupoid.n_arrows, (s1, s2))
+                          fibre_sizes[(s1, s2)] == bundle.groupoid.n_arrows,
+                          (s1, s2))
     return report
 
 
@@ -180,10 +186,12 @@ def verify_trident(bundle, at=None):
     at = at or AtiyahGroupoid(bundle)
     g = bundle.groupoid
     report = ValidationReport()
-    for e in at.elements:
-        for p in bundle.points:
-            if at.source(e) != bundle.sitting_duck(p):
-                continue
+    fg = at.as_finite_groupoid()
+    points_by_duck = [[] for _ in bundle.shadow_points]
+    for p in bundle.points:
+        points_by_duck[at.shadow_index[bundle.sitting_duck(p)]].append(p)
+    for k, e in enumerate(at.elements):
+        for p in points_by_duck[fg.src[k]]:
             q = at.act_on_bundle(e, p)
             report.record("trident:covers-pair",
                           (q.sigma, p.sigma) == at.project(e), (e, p))
@@ -224,10 +232,7 @@ def enumerate_projectable_bisections(bundle, at=None, cap=1_000_000):
 
     at = at or AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
-    try:
-        bis = enumerate_bisections(fg, cap=cap)
-    except EnumerationBound:
-        raise
+    bis = enumerate_bisections(fg, cap=cap)
     fpoints = bundle.shadow_points
     projectable, vertical = [], []
     for b in bis:

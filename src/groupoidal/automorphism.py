@@ -143,12 +143,11 @@ def validate_automorphism(bundle, aut):
     return report
 
 
-def automorphism_to_bisection(at, aut, fg=None):
+def automorphism_to_bisection(at, aut):
     """The global bisection of the symmetry groupoid attached to an
     automorphism: over (sigma, m) it places the class of the arrow
     gamma_(j,i)(sigma)(m) from (sigma, m) to its image shadow point."""
     bundle = at.bundle
-    fg = fg or at.as_finite_groupoid()
     assign = []
     for fp in bundle.shadow_points:
         fs = aut.f[fp.sigma]
@@ -156,20 +155,19 @@ def automorphism_to_bisection(at, aut, fg=None):
         g = aut.gamma_at(j, fp.chart, fp.sigma)
         e = AtElement(fs, j, g(fp.obj), fp.sigma, fp.chart)
         assign.append(at.index(e))
-    return Bisection(fg, assign)
+    return Bisection(at.as_finite_groupoid(), assign)
 
 
 def bisection_to_automorphism(bundle, at, b):
     """Recover the automorphism from a projectable bisection of the
     symmetry groupoid.  Raises if the bisection does not cover a base map."""
-    findex = {fp: k for k, fp in enumerate(bundle.shadow_points)}
     f, gamma = {}, {}
     for sigma in bundle.base.base:
         i = bundle.base.canonical_chart(sigma)
         assign = [None] * bundle.groupoid.n_objects
         fs = None
         for m in bundle.groupoid.objects:
-            e = at.elements[b(findex[FPoint(sigma, i, m)])]
+            e = at.elements[b(at.shadow_index[FPoint(sigma, i, m)])]
             if fs is None:
                 fs = e.sigma1
             elif e.sigma1 != fs:
@@ -182,14 +180,14 @@ def bisection_to_automorphism(bundle, at, b):
     return BundleAutomorphism(bundle, f, gamma)
 
 
-def verify_bisection_correspondence(bundle, at, aut, fg=None):
+def verify_bisection_correspondence(bundle, at, aut):
     """The attached bisection is a section of S, covers the shadow map
     through T, implements the automorphism through the left action, and
     survives the round trip back to automorphism data."""
-    fg = fg or at.as_finite_groupoid()
     report = ValidationReport()
-    b = automorphism_to_bisection(at, aut, fg)
-    report.record("corr:is-bisection", validate_bisection(fg, b))
+    b = automorphism_to_bisection(at, aut)
+    report.record("corr:is-bisection",
+                  validate_bisection(at.as_finite_groupoid(), b))
     for k, fp in enumerate(bundle.shadow_points):
         e = at.elements[b(k)]
         report.record("corr:section-of-S", at.source(e) == fp, fp)
@@ -197,7 +195,7 @@ def verify_bisection_correspondence(bundle, at, aut, fg=None):
                       at.target(e) == aut.apply_shadow(fp), fp)
     for p in bundle.points:
         fp = bundle.sitting_duck(p)
-        e = at.elements[b(findex_of(bundle, fp))]
+        e = at.elements[b(at.shadow_index[fp])]
         report.record("corr:implements",
                       at.act_on_bundle(e, p) == aut.apply(p), p)
     back = bisection_to_automorphism(bundle, at, b)
@@ -205,16 +203,13 @@ def verify_bisection_correspondence(bundle, at, aut, fg=None):
     return report
 
 
-def findex_of(bundle, fp):
-    return bundle.shadow_points.index(fp)
-
-
 def enumerate_gauge_group(bundle, cap=1_000_000):
     """All vertical automorphisms, by brute force over the free chart data.
 
     The gluing relations leave one free bisection per base point, read in
-    its canonical chart; distinct choices may still act identically, so the
-    list is deduplicated by the action on points.
+    its canonical chart.  The map sends the point (sigma, e_m) to the
+    arrow gamma(m) of the bisection chosen at sigma, so distinct choices
+    act differently and the list needs no deduplication.
     """
     bis = enumerate_bisections(bundle.groupoid)
     n = len(bundle.base.base)
@@ -222,17 +217,12 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
         raise EnumerationBound(
             "{}^{} candidate gauge maps exceed cap {}".format(len(bis), n, cap))
     ident = {s: s for s in bundle.base.base}
-    seen, out = set(), []
+    charts = [(bundle.base.canonical_chart(sigma), sigma)
+              for sigma in bundle.base.base]
+    out = []
     for choice in iproduct(bis, repeat=n):
-        gamma = {}
-        for sigma, g in zip(bundle.base.base, choice):
-            i = bundle.base.canonical_chart(sigma)
-            gamma[(i, i, sigma)] = g
-        aut = BundleAutomorphism(bundle, ident, gamma)
-        key = aut.action_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(aut)
+        gamma = {(i, i, sigma): g for (i, sigma), g in zip(charts, choice)}
+        out.append(BundleAutomorphism(bundle, ident, gamma))
     return out
 
 

@@ -10,7 +10,7 @@ brute force.
 import itertools
 import math
 
-from .report import EnumerationBound, ValidationReport
+from .report import EnumerationBound, StructuralError, ValidationReport
 
 
 class Bisection:
@@ -19,7 +19,9 @@ class Bisection:
     def __init__(self, groupoid, assign):
         self.groupoid = groupoid
         self.assign = tuple(assign)
-        assert len(self.assign) == groupoid.n_objects
+        if len(self.assign) != groupoid.n_objects:
+            raise StructuralError("bisection assigns {} arrows to {} objects".format(
+                len(self.assign), groupoid.n_objects))
 
     def __call__(self, m):
         return self.assign[m]
@@ -57,10 +59,6 @@ def validate_bisection(g, b):
 
 def unit_bisection(g):
     return Bisection(g, g.unit)
-
-
-def shadow(b):
-    return b.shadow()
 
 
 def shadow_inverse(b):
@@ -124,12 +122,6 @@ class BisectionGroup:
 
     def index(self, b):
         return self._index[b.assign]
-
-    def product(self, b2, b1):
-        return bisection_product(b2, b1)
-
-    def inverse(self, b):
-        return bisection_inverse(b)
 
 
 def enumerate_bisections(g, cap=100000):

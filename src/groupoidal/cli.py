@@ -7,7 +7,6 @@ Exit codes: 0 pass, 1 property failure, 2 input error, 3 resource cap,
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -58,8 +57,6 @@ def _base_report(command, args):
     return {
         "command": command,
         "inputs": {k: v for k, v in vars(args).items() if k != "func"},
-        "seed": getattr(args, "seed", 0),
-        "threads": int(os.environ.get("GROUPOIDAL_THREADS", "1")),
         "checks": [],
     }
 
@@ -145,10 +142,9 @@ def cmd_bundle(args):
         report["gauge_order"] = len(gauge)
         ok &= _push(report, "gauge-group", verify_gauge_group(bundle, gauge))
         at = AtiyahGroupoid(bundle)
-        fg = at.as_finite_groupoid()
         for aut in gauge:
             ok &= _push(report, "bisection-correspondence",
-                        verify_bisection_correspondence(bundle, at, aut, fg))
+                        verify_bisection_correspondence(bundle, at, aut))
     else:
         raise StructuralError("unknown report mode {!r}".format(mode))
     report["ok"] = ok
@@ -232,7 +228,6 @@ def cmd_transport(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="groupoidal")
     p.add_argument("--json", action="store_true", help="compact JSON output")
-    p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate")

@@ -180,15 +180,20 @@ class FiniteGroupAction:
         self._validate()
 
     def _validate(self):
-        for m in range(self.carrier_size):
-            if self.act[(self.identity, m)] != m:
-                raise StructuralError("act(e, m) != m at m={}".format(m))
-        for h in self.elements:
-            for gg in self.elements:
-                for m in range(self.carrier_size):
-                    if self.act[(h, self.act[(gg, m)])] != self.act[(self.mult[(h, gg)], m)]:
-                        raise StructuralError(
-                            "action not homomorphic at {}".format((h, gg, m)))
+        try:
+            for m in range(self.carrier_size):
+                if self.act[(self.identity, m)] != m:
+                    raise StructuralError("act(e, m) != m at m={}".format(m))
+            for h in self.elements:
+                for gg in self.elements:
+                    for m in range(self.carrier_size):
+                        if (self.act[(h, self.act[(gg, m)])]
+                                != self.act[(self.mult[(h, gg)], m)]):
+                            raise StructuralError(
+                                "action not homomorphic at {}".format((h, gg, m)))
+        except KeyError as exc:
+            raise StructuralError("act or mult table has no entry for {!r}".format(
+                exc.args[0])) from None
 
 
 def pair_groupoid(n):

@@ -89,9 +89,6 @@ class MatrixGroupScenario:
     def exp(self, X):
         return expm(X)
 
-    def act(self, g, m):
-        return np.asarray(g) @ np.asarray(m, dtype=float)
-
     def charts_containing(self, sigma):
         return [i for i, c in enumerate(self.charts) if c.contains(sigma)]
 

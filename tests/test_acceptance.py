@@ -100,13 +100,12 @@ def test_criterion_5_gauge_correspondence(three_point_bundle):
     t0 = time.perf_counter()
     bundle = three_point_bundle
     at = AtiyahGroupoid(bundle)
-    fg = at.as_finite_groupoid()
     gauge = enumerate_gauge_group(bundle)
     ok = len(gauge) == 8
     images = {}
     for aut in gauge:
-        ok &= verify_bisection_correspondence(bundle, at, aut, fg).ok
-        b = automorphism_to_bisection(at, aut, fg)
+        ok &= verify_bisection_correspondence(bundle, at, aut).ok
+        b = automorphism_to_bisection(at, aut)
         back = bisection_to_automorphism(bundle, at, b)
         ok &= back.action_key() == aut.action_key()
         images[aut.action_key()] = b

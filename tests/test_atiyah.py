@@ -3,9 +3,9 @@
 import pytest
 
 from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
-                        MomentMismatch, enumerate_projectable_bisections,
-                        validate_groupoid, verify_atiyah_sequence,
-                        verify_trident)
+                        FiniteGroupoid, MomentMismatch,
+                        enumerate_projectable_bisections, validate_groupoid,
+                        verify_atiyah_sequence, verify_trident)
 from groupoidal.atiyah import AtElement
 
 
@@ -30,6 +30,52 @@ def test_is_a_groupoid_over_shadow_points(at):
     assert fg.n_objects == 6
     assert fg.n_arrows == 36
     assert validate_groupoid(fg).ok
+
+
+def all_pairs_table(at):
+    """The finite groupoid over shadow points, with mul found by testing
+    every ordered pair of elements for composability."""
+    fpoints = at.bundle.shadow_points
+    findex = {f: k for k, f in enumerate(fpoints)}
+    g = at.bundle.groupoid
+    src = [findex[at.source(e)] for e in at.elements]
+    tgt = [findex[at.target(e)] for e in at.elements]
+    unit = [at.index(at.unit(f)) for f in fpoints]
+    inv = [at.index(at.invert(e)) for e in at.elements]
+    mul = {}
+    for k1, e1 in enumerate(at.elements):
+        for k2, e2 in enumerate(at.elements):
+            if at.source(e1) == at.target(e2):
+                prod = AtElement(e1.sigma1, e1.chart_i,
+                                 g.compose(e1.arrow, e2.arrow),
+                                 e2.sigma2, e2.chart_j)
+                mul[(k1, k2)] = at.index(prod)
+    return FiniteGroupoid(len(fpoints), src, tgt, unit, inv, mul,
+                          arrow_labels=at.elements, object_labels=fpoints)
+
+
+def assert_table_matches_all_pairs(at):
+    fg = at.as_finite_groupoid()
+    oracle = all_pairs_table(at)
+    assert fg == oracle
+    assert list(fg.mul.items()) == list(oracle.mul.items())
+    assert fg.arrow_labels == oracle.arrow_labels
+    assert fg.object_labels == oracle.object_labels
+
+
+def test_table_matches_all_pairs_construction(at):
+    assert_table_matches_all_pairs(at)
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 3), ("z2_groupoid", 4), ("pair3", 3)])
+def test_chain_table_matches_all_pairs_construction(
+        request, chain_bundle, fibre, k):
+    g = request.getfixturevalue(fibre)
+    assert_table_matches_all_pairs(AtiyahGroupoid(chain_bundle(g, k, seed=k)))
+
+
+def test_table_is_built_once(at):
+    assert at.as_finite_groupoid() is at.as_finite_groupoid()
 
 
 def test_canonicalization(at, three_point_bundle):

@@ -72,15 +72,12 @@ def test_base_map_must_be_bijection(three_point_bundle):
 
 
 def test_bisection_correspondence(three_point_bundle, at, gauge):
-    fg = at.as_finite_groupoid()
     for aut in gauge:
-        assert verify_bisection_correspondence(
-            three_point_bundle, at, aut, fg).ok
+        assert verify_bisection_correspondence(three_point_bundle, at, aut).ok
 
 
 def test_correspondence_is_group_homomorphism(three_point_bundle, at, gauge):
-    fg = at.as_finite_groupoid()
-    images = {aut.action_key(): automorphism_to_bisection(at, aut, fg)
+    images = {aut.action_key(): automorphism_to_bisection(at, aut)
               for aut in gauge}
     for a1 in gauge:
         for a2 in gauge:
@@ -91,29 +88,26 @@ def test_correspondence_is_group_homomorphism(three_point_bundle, at, gauge):
 
 
 def test_correspondence_onto_vertical_bisections(three_point_bundle, at, gauge):
-    fg = at.as_finite_groupoid()
     _, vertical = enumerate_projectable_bisections(three_point_bundle, at)
-    images = {automorphism_to_bisection(at, aut, fg).assign for aut in gauge}
+    images = {automorphism_to_bisection(at, aut).assign for aut in gauge}
     assert images == {b.assign for b in vertical}
 
 
 def test_round_trip_both_ways(three_point_bundle, at, gauge):
-    fg = at.as_finite_groupoid()
     for aut in gauge:
-        b = automorphism_to_bisection(at, aut, fg)
+        b = automorphism_to_bisection(at, aut)
         back = bisection_to_automorphism(three_point_bundle, at, b)
         assert back.action_key() == aut.action_key()
-        assert automorphism_to_bisection(at, back, fg) == b
+        assert automorphism_to_bisection(at, back) == b
 
 
 def test_adjoint_pushforward_is_conjugation(three_point_bundle, at, gauge):
     # embedding the adjoint push-forward equals conjugating the embedded
     # element by the automorphism's bisection avatar
     from groupoidal import AdjointBundle, conjugate
-    fg = at.as_finite_groupoid()
     adj = AdjointBundle(three_point_bundle)
     for aut in gauge:
-        b = automorphism_to_bisection(at, aut, fg)
+        b = automorphism_to_bisection(at, aut)
         for e in adj.elements:
             lhs = adj.embed(aut.apply_adjoint(e))
             rhs = at.elements[conjugate(b, at.index(adj.embed(e)))]
@@ -126,3 +120,13 @@ def test_gauge_count_scales_with_base(z2_groupoid):
     base = CechBase(["a", "b"], [["a", "b"]])
     bundle = build_bundle(base, Cocycle(z2_groupoid, {}), z2_groupoid)
     assert len(enumerate_gauge_group(bundle)) == 4
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 3), ("z2_groupoid", 5), ("pair3", 3)])
+def test_gauge_maps_act_distinctly(request, chain_bundle, fibre, k):
+    # one free fibre bisection per base point, and no two choices act alike
+    g = request.getfixturevalue(fibre)
+    gauge = enumerate_gauge_group(chain_bundle(g, k, seed=k))
+    keys = [aut.action_key() for aut in gauge]
+    assert len(gauge) == len(enumerate_bisections(g)) ** k
+    assert len(set(keys)) == len(keys)

@@ -2,9 +2,11 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoidal import (Bisection, bisection_inverse, bisection_product,
+from groupoidal import (Bisection, StructuralError, bisection_inverse,
+                        bisection_product,
                         bisection_through, check_structure_identities,
                         conjugate, enumerate_bisections, is_id_reducible,
                         left_mult, pair_groupoid, r_equivariant_commutant,
@@ -56,6 +58,13 @@ def test_invalid_sections_rejected(z2_groupoid):
     assert not validate_bisection(g, b)  # shadow hits 0 twice
     b2 = Bisection(g, [g.arrow_index(("e", 1)), g.arrow_index(("e", 1))])
     assert not validate_bisection(g, b2)  # not a section of s
+
+
+def test_wrong_length_rejected(z2_groupoid):
+    with pytest.raises(StructuralError):
+        Bisection(z2_groupoid, [1])
+    with pytest.raises(StructuralError):
+        Bisection(z2_groupoid, [0, 3, 1])
 
 
 def test_left_right_conjugate_agree_with_definitions(z2_groupoid):

@@ -60,6 +60,16 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/x.json"]) == 2
 
 
+def test_malformed_bisection_is_input_error(capsys, tmp_path,
+                                            three_point_bundle):
+    doc = bundle_to_json(three_point_bundle)
+    doc["cocycle"][0]["bisection"] = [1]
+    path = write(tmp_path, "short.json", doc)
+    for command in ("validate", "bundle"):
+        assert main([command, path]) == 2
+        assert "input error" in capsys.readouterr().err
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from groupoidal import (CompositionError, FiniteGroupoid, StructuralError,
-                        action_groupoid, fibred_pair_groupoid, group_groupoid,
+from groupoidal import (CompositionError, FiniteGroupAction, FiniteGroupoid,
+                        StructuralError, action_groupoid, fibred_pair_groupoid, group_groupoid,
                         pair_groupoid, product_groupoid, construct_standard,
                         validate_groupoid, z2_swap_action)
 
@@ -104,6 +104,18 @@ def test_extra_product_detected(z2_groupoid):
 def test_out_of_range_table_rejected():
     with pytest.raises(StructuralError):
         FiniteGroupoid(1, [0], [0], [5], [0], {})
+
+
+def test_sparse_action_tables_rejected():
+    mult = {("e", "e"): "e", ("e", "r"): "r", ("r", "e"): "r", ("r", "r"): "e"}
+    act = {("e", 0): 0, ("e", 1): 1, ("r", 0): 1, ("r", 1): 0}
+    inverse = {"e": "e", "r": "r"}
+    sparse_act = {k: v for k, v in act.items() if k != ("e", 1)}
+    with pytest.raises(StructuralError, match=r"\('e', 1\)"):
+        FiniteGroupAction(["e", "r"], mult, "e", inverse, 2, sparse_act)
+    sparse_mult = {k: v for k, v in mult.items() if k != ("r", "r")}
+    with pytest.raises(StructuralError, match=r"\('r', 'r'\)"):
+        FiniteGroupAction(["e", "r"], sparse_mult, "e", inverse, 2, act)
 
 
 @given(st.integers(min_value=1, max_value=4))
