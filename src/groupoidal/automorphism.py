@@ -10,7 +10,7 @@ the symmetry groupoid.
 
 from itertools import product as iproduct
 
-from .atiyah import AtElement, AtiyahGroupoid
+from .atiyah import AtElement
 from .bisection import (Bisection, BisectionGroup, bisection_inverse,
                         bisection_product, enumerate_bisections, left_mult,
                         validate_bisection)
@@ -232,6 +232,9 @@ def verify_gauge_group(bundle, gauge=None):
     from .atiyah import enumerate_projectable_bisections
 
     gauge = gauge or enumerate_gauge_group(bundle)
+    # the projectable enumeration carries the cap: refuse before the
+    # |gauge|^2 closure loop rather than after it
+    _, vertical = enumerate_projectable_bisections(bundle)
     report = ValidationReport()
     keys = {aut.action_key(): aut for aut in gauge}
     ident = identity_automorphism(bundle)
@@ -242,8 +245,6 @@ def verify_gauge_group(bundle, gauge=None):
         for b in gauge:
             report.record("gauge:product-closed",
                           a.compose(b).action_key() in keys)
-    at = AtiyahGroupoid(bundle)
-    _, vertical = enumerate_projectable_bisections(bundle, at)
     report.record("gauge:matches-vertical-bisections",
                   len(vertical) == len(gauge),
                   detail="{} bisections vs {} gauge maps".format(

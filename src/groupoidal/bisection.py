@@ -7,10 +7,10 @@ identities relating these actions to the groupoid maps are checked here by
 brute force.
 """
 
-import itertools
 import math
 
-from .report import EnumerationBound, StructuralError, ValidationReport
+from .report import (EnumerationBound, InternalError, StructuralError,
+                     ValidationReport)
 
 
 class Bisection:
@@ -51,6 +51,8 @@ class Bisection:
 def validate_bisection(g, b):
     """True iff b is a section of s and its shadow is a bijection."""
     if len(b.assign) != g.n_objects:
+        return False
+    if any(type(a) is not int or not 0 <= a < g.n_arrows for a in b.assign):
         return False
     if any(g.src[b(m)] != m for m in g.objects):
         return False
@@ -125,16 +127,37 @@ class BisectionGroup:
 
 
 def enumerate_bisections(g, cap=100000):
-    """All valid bisections, by exhaustive choice of one arrow per source fibre."""
-    fibres = [g.source_fibre(m) for m in g.objects]
+    """All valid bisections, in lexicographic order of their assignments.
+
+    Backtracks over the objects in index order, taking the arrows of each
+    source fibre in order and skipping those whose target is already used.
+    The cap bounds the product of the fibre sizes.
+    """
+    fibres = g.source_fibres
     total = math.prod(len(f) for f in fibres) if fibres else 1
     if total > cap:
         raise EnumerationBound(
             "{} candidate sections exceed cap {}".format(total, cap))
-    out = []
-    for assign in itertools.product(*fibres):
-        if sorted(g.tgt[a] for a in assign) == list(g.objects):
-            out.append(Bisection(g, assign))
+    tgt, n = g.tgt, g.n_objects
+    used = [False] * n
+    assign = []
+    levels = [iter(fibres[0])] if n else []
+    out = [] if n else [Bisection(g, ())]
+    while levels:
+        for a in levels[-1]:
+            if not used[tgt[a]]:
+                break
+        else:  # the fibre of object len(assign) is exhausted: step back
+            levels.pop()
+            if assign:
+                used[tgt[assign.pop()]] = False
+            continue
+        if len(assign) + 1 == n:
+            out.append(Bisection(g, assign + [a]))
+            continue
+        used[tgt[a]] = True
+        assign.append(a)
+        levels.append(iter(fibres[len(assign)]))
     return BisectionGroup(g, out)
 
 
@@ -185,7 +208,7 @@ def bisection_through(g, a, restrict=None):
     m0, t0 = g.src[a], g.tgt[a]
     adjacency = {}
     for m in g.objects:
-        targets = sorted({g.tgt[x] for x in g.source_fibre(m)})
+        targets = sorted({g.tgt[x] for x in g.source_fibres[m]})
         if m != m0:
             targets = [t for t in targets if t != t0]
         adjacency[m] = targets
@@ -198,9 +221,11 @@ def bisection_through(g, a, restrict=None):
         if m == m0:
             assign.append(a)
             continue
-        assign.append(min(x for x in g.source_fibre(m) if g.tgt[x] == matching[m]))
+        assign.append(min(x for x in g.source_fibres[m] if g.tgt[x] == matching[m]))
     b = Bisection(g, assign)
-    assert validate_bisection(g, b)
+    if not validate_bisection(g, b):
+        raise InternalError("matching gave {!r}, not a bisection through {}".format(
+            b, a))
     return b
 
 
@@ -219,78 +244,133 @@ def is_id_reducible(g, restrict=None):
     return True, witness
 
 
+def _translations(g, b, arrows):
+    """L_b and R_b of each arrow in arrows, as two lists in that order.
+
+    Raises CompositionError where a product is undefined, as left_mult and
+    right_mult do.
+    """
+    mul, src, tgt, assign = g.mul, g.src, g.tgt, b.assign
+    shinv = shadow_inverse(b)
+    try:
+        return ([mul[assign[tgt[a]], a] for a in arrows],
+                [mul[a, assign[shinv[src[a]]]] for a in arrows])
+    except KeyError as exc:
+        raise g.composition_error(*exc.args[0]) from None
+
+
+def _record_columns(report, columns, witness):
+    """Record check name at row i as lhs[i] == rhs[i], for each column
+    (name, lhs, rhs), row by row; witness(i) is called only after a failure."""
+    rows = len(columns[0][1])
+    report.record_all(
+        rows * len(columns), all(lhs == rhs for _, lhs, rhs in columns),
+        ((name, lhs[i] == rhs[i], witness(i))
+         for i in range(rows) for name, lhs, rhs in columns))
+
+
+def _vi_checks(assign, ws, ys, right_then, mul_then):
+    """The vi checks in per-arrow order, from iterators over the flat
+    (lhs, rhs) pairs of each family."""
+    for h, (fw, fy) in enumerate(zip(ws, ys)):
+        # zip takes the fibre first, so it stops without consuming a pair
+        for w, (lhs, rhs) in zip(fw, right_then):
+            yield "vi:right-then-mul", lhs == rhs, (assign, w, h)
+        for y, (lhs, rhs) in zip(fy, mul_then):
+            yield "vi:mul-then-left", lhs == rhs, (assign, h, y)
+
+
+def _e3_checks(a, t, fibre, prods, through):
+    """The e3 checks at arrow a, bisection by bisection."""
+    for assign, shinv, right in through:
+        yield "e3-i:through-target", assign[shinv[t]] == a, (assign, a)
+        for h, p in zip(fibre, prods):
+            yield "e3-ii:r-vs-R", p == right[h], (assign, a, h)
+
+
 def check_structure_identities(g, cap=100000):
     """Exhaustive check of the action-vs-structure-map identity suite.
 
     Covers both halves of the six left/right multiplication identities, the
     five conjugation identities, and the two identities tying the right
-    action along a bisection through g to right translation by g.
+    action along a bisection through g to right translation by g.  Each
+    bisection's actions are built once as tables indexed by arrow, and each
+    check family compares two tables.  Passing checks are counted in bulk;
+    witnesses are built only for failures, in the order of the per-check
+    loops (bisection, then arrow, object or mul entry, then check name).
     """
     bis = enumerate_bisections(g, cap=cap)
     report = ValidationReport()
-    for b in bis:
-        binv = bisection_inverse(b)
-        sh = b.shadow()
-        shinv = shadow_inverse(b)
-        for h in g.arrows:
-            lh = left_mult(b, h)
-            rh = right_mult(h, b)
-            ch = conjugate(b, h)
-            report.record("i:s-left", g.src[lh] == g.src[h], (b.assign, h))
-            report.record("i:s-right", g.src[rh] == shinv[g.src[h]], (b.assign, h))
-            report.record("ii:t-left", g.tgt[lh] == sh[g.tgt[h]], (b.assign, h))
-            report.record("ii:t-right", g.tgt[rh] == g.tgt[h], (b.assign, h))
-            report.record("iv:inv-left", g.inv[lh] == right_mult(g.inv[h], binv),
-                          (b.assign, h))
-            report.record("iv:inv-right", g.inv[rh] == left_mult(binv, g.inv[h]),
-                          (b.assign, h))
-            report.record("c-i:s", g.src[ch] == sh[g.src[h]], (b.assign, h))
-            report.record("c-ii:t", g.tgt[ch] == sh[g.tgt[h]], (b.assign, h))
-            report.record("c-iv:inv", g.inv[ch] == conjugate(b, g.inv[h]),
-                          (b.assign, h))
-        for m in g.objects:
-            e = g.unit[m]
-            report.record("iii:unit-left", left_mult(b, e) == b(m), (b.assign, m))
-            report.record("iii:unit-right", right_mult(e, b) == b(shinv[m]),
-                          (b.assign, m))
-            report.record("c-iii:unit", conjugate(b, e) == g.unit[sh[m]],
-                          (b.assign, m))
-        for (u, h), prod in g.mul.items():
-            report.record("v:left-vs-mul",
-                          left_mult(b, prod) == g.compose(left_mult(b, u), h),
-                          (b.assign, u, h))
-            report.record("v:right-vs-mul",
-                          right_mult(prod, b) == g.compose(u, right_mult(h, b)),
-                          (b.assign, u, h))
-            report.record("c-v:conj-vs-mul",
-                          conjugate(b, prod) == g.compose(conjugate(b, u),
-                                                          conjugate(b, h)),
-                          (b.assign, u, h))
-        for h in g.arrows:
-            # (w <| beta) . h = w . (beta |> h) for w in s^{-1}(shadow(t(h)))
-            for w in g.source_fibre(sh[g.tgt[h]]):
-                report.record("vi:right-then-mul",
-                              g.compose(right_mult(w, b), h)
-                              == g.compose(w, left_mult(b, h)),
-                              (b.assign, w, h))
-            # h . (beta |> y) = (h <| beta) . y for y in t^{-1}(shadow^{-1}(s(h)))
-            for y in g.target_fibre(shinv[g.src[h]]):
-                report.record("vi:mul-then-left",
-                              g.compose(h, left_mult(b, y))
-                              == g.compose(right_mult(h, b), y),
-                              (b.assign, h, y))
-    # r_g = R_{beta_g} on s^{-1}(t(g)) for every bisection through g
-    for a in g.arrows:
+    src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, g.mul
+    sources, targets = g.source_fibres, g.target_fibres
+    src_list, tgt_list = list(src), list(tgt)
+    pairs, prods = list(mul), list(mul.values())
+    tables = []
+    try:
         for b in bis:
-            if b(g.src[a]) != a:
+            A = b.assign
+            sh, shinv = b.shadow(), shadow_inverse(b)
+            L, R = _translations(g, b, g.arrows)
+            C = [mul[x, inv[A[m]]] for x, m in zip(L, src)]
+            # the inverse bisection's actions, at the inverse of each arrow
+            Linv, Rinv = _translations(g, bisection_inverse(b), inv)
+            tables.append((A, shinv, R))
+            sh_tgt = [sh[m] for m in tgt]
+            _record_columns(report, (
+                ("i:s-left", [src[x] for x in L], src_list),
+                ("i:s-right", [src[x] for x in R], [shinv[m] for m in src]),
+                ("ii:t-left", [tgt[x] for x in L], sh_tgt),
+                ("ii:t-right", [tgt[x] for x in R], tgt_list),
+                ("iv:inv-left", [inv[x] for x in L], Rinv),
+                ("iv:inv-right", [inv[x] for x in R], Linv),
+                ("c-i:s", [src[x] for x in C], [sh[m] for m in src]),
+                ("c-ii:t", [tgt[x] for x in C], sh_tgt),
+                ("c-iv:inv", [inv[x] for x in C], [C[x] for x in inv]),
+            ), lambda h: (A, h))
+            _record_columns(report, (
+                ("iii:unit-left", [L[e] for e in unit], list(A)),
+                ("iii:unit-right", [R[e] for e in unit], [A[m] for m in shinv]),
+                ("c-iii:unit", [C[e] for e in unit], [unit[m] for m in sh]),
+            ), lambda m: (A, m))
+            _record_columns(report, (
+                ("v:left-vs-mul", [L[p] for p in prods],
+                 [mul[L[u], h] for u, h in pairs]),
+                ("v:right-vs-mul", [R[p] for p in prods],
+                 [mul[u, R[h]] for u, h in pairs]),
+                ("c-v:conj-vs-mul", [C[p] for p in prods],
+                 [mul[C[u], C[h]] for u, h in pairs]),
+            ), lambda i: (A,) + pairs[i])
+            # (w <| beta) . h = w . (beta |> h) for w in s^{-1}(shadow(t(h)))
+            # h . (beta |> y) = (h <| beta) . y for y in t^{-1}(shadow^{-1}(s(h)))
+            ws = [sources[m] for m in sh_tgt]
+            ys = [targets[shinv[m]] for m in src]
+            right_then = ([mul[R[w], h] for h, fw in enumerate(ws) for w in fw],
+                          [mul[w, L[h]] for h, fw in enumerate(ws) for w in fw])
+            mul_then = ([mul[h, L[y]] for h, fy in enumerate(ys) for y in fy],
+                        [mul[R[h], y] for h, fy in enumerate(ys) for y in fy])
+            report.record_all(
+                len(right_then[0]) + len(mul_then[0]),
+                right_then[0] == right_then[1] and mul_then[0] == mul_then[1],
+                _vi_checks(A, ws, ys, zip(*right_then), zip(*mul_then)))
+        # r_g = R_{beta_g} on s^{-1}(t(g)) for every bisection through g;
+        # beta(s(a)) = a exactly when a is one of beta's values
+        through = [[] for _ in g.arrows]
+        for entry in tables:
+            for a in entry[0]:
+                through[a].append(entry)
+        for a, entries in enumerate(through):
+            if not entries:
                 continue
-            shinv = shadow_inverse(b)
-            report.record("e3-i:through-target", b(shinv[g.tgt[a]]) == a,
-                          (b.assign, a))
-            for h in g.source_fibre(g.tgt[a]):
-                report.record("e3-ii:r-vs-R",
-                              g.compose(h, a) == right_mult(h, b),
-                              (b.assign, a, h))
+            t = tgt[a]
+            fibre = sources[t]
+            prods_a = [mul[h, a] for h in fibre]
+            report.record_all(
+                len(entries) * (1 + len(fibre)),
+                all(A[shinv[t]] == a and [R[h] for h in fibre] == prods_a
+                    for A, shinv, R in entries),
+                _e3_checks(a, t, fibre, prods_a, entries))
+    except KeyError as exc:
+        raise g.composition_error(*exc.args[0]) from None
     return report
 
 
@@ -334,7 +414,8 @@ def r_equivariant_commutant(g, cap=10_000_000):
     that one equals L(B).  The latter equality is reported, not asserted.
     """
     bis = enumerate_bisections(g, cap=cap)
-    left_maps = sorted({tuple(left_mult(b, a) for a in g.arrows) for b in bis})
+    tables = [_translations(g, b, g.arrows) for b in bis]
+    left_maps = sorted({tuple(left) for left, _ in tables})
     pairs_by_arrow = [[] for _ in g.arrows]
     for (x, h), prod in g.mul.items():
         pairs_by_arrow[max(x, prod)].append((x, h, prod))
@@ -350,9 +431,8 @@ def r_equivariant_commutant(g, cap=10_000_000):
 
     r_comm = _equivariant_bijections(g, r_consistent, cap)
 
-    r_beta_maps = [tuple(right_mult(a, b) for a in g.arrows) for b in bis]
     triples_by_arrow = [[] for _ in g.arrows]
-    for perm in r_beta_maps:
+    for _, perm in tables:
         for x in g.arrows:
             triples_by_arrow[max(x, perm[x])].append((x, perm))
 

@@ -15,7 +15,9 @@ class FiniteGroupoid:
 
     Fields follow the usual structure maps: src/tgt per arrow, unit per
     object, inv per arrow, and mul defined exactly on pairs (a, b) with
-    src(a) == tgt(b).  Instances are immutable after construction.
+    src(a) == tgt(b).  source_fibres[m] and target_fibres[m] hold the arrows
+    with source and target m, in arrow order.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, n_objects, src, tgt, unit, inv, mul, arrow_labels=None,
@@ -29,6 +31,13 @@ class FiniteGroupoid:
         self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
         self.object_labels = tuple(object_labels) if object_labels is not None else None
         self._check_shape()
+        sources = [[] for _ in self.objects]
+        targets = [[] for _ in self.objects]
+        for a in self.arrows:
+            sources[self.src[a]].append(a)
+            targets[self.tgt[a]].append(a)
+        self.source_fibres = tuple(map(tuple, sources))
+        self.target_fibres = tuple(map(tuple, targets))
 
     def _check_shape(self):
         n = self.n_arrows
@@ -66,17 +75,21 @@ class FiniteGroupoid:
         try:
             return self.mul[(a, b)]
         except KeyError:
-            raise CompositionError(
-                "non-composable pair: src={} tgt={}".format(self.src[a], self.tgt[b]))
+            raise self.composition_error(a, b)
+
+    def composition_error(self, a, b):
+        """The error for a product a.b that mul does not define."""
+        return CompositionError(
+            "non-composable pair: src={} tgt={}".format(self.src[a], self.tgt[b]))
 
     def inverse(self, a):
         return self.inv[a]
 
     def source_fibre(self, m):
-        return [a for a in self.arrows if self.src[a] == m]
+        return list(self.source_fibres[m])
 
     def target_fibre(self, m):
-        return [a for a in self.arrows if self.tgt[a] == m]
+        return list(self.target_fibres[m])
 
     def arrow_index(self, label):
         """Look an arrow up by its label, when labels were supplied."""
@@ -194,6 +207,12 @@ class FiniteGroupAction:
         except KeyError as exc:
             raise StructuralError("act or mult table has no entry for {!r}".format(
                 exc.args[0])) from None
+        for h in self.elements:
+            if h not in self.inverse:
+                raise StructuralError("inverse table has no entry for {!r}".format(h))
+            if self.mult.get((h, self.inverse[h])) != self.identity:
+                raise StructuralError("inverse of {!r} is wrong: {!r}".format(
+                    h, self.inverse[h]))
 
 
 def pair_groupoid(n):

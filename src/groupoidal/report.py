@@ -29,6 +29,18 @@ class ValidationReport:
         if not ok:
             self.violations.append(Violation(check, witness, detail))
 
+    def record_all(self, count, ok, checks):
+        """Record count checks at once, ok telling whether all of them passed.
+
+        Only when one failed is checks read: an iterable of (check, ok,
+        witness) for the same count checks, in order, passed to record.
+        """
+        if ok:
+            self.checks_run += count
+            return
+        for check, passed, witness in checks:
+            self.record(check, passed, witness)
+
     def add(self, check, witness=None, detail=""):
         self.checks_run += 1
         self.violations.append(Violation(check, witness, detail))
@@ -61,3 +73,8 @@ class CompositionError(ValueError):
 
 class EnumerationBound(RuntimeError):
     """A brute-force enumeration would exceed the requested cap."""
+
+
+class InternalError(RuntimeError):
+    """A result built by the library breaks its own invariant: a bug, not bad
+    input."""

@@ -1,9 +1,12 @@
 """Bundle automorphisms, the gauge group, and the bisection correspondence."""
 
+import time
+
 import pytest
 
-from groupoidal import (AtiyahGroupoid, BundleAutomorphism, StructuralError,
-                        automorphism_to_bisection, bisection_to_automorphism,
+from groupoidal import (AtiyahGroupoid, BundleAutomorphism, EnumerationBound,
+                        StructuralError, automorphism_to_bisection,
+                        bisection_to_automorphism,
                         enumerate_bisections, enumerate_gauge_group,
                         identity_automorphism, unit_bisection,
                         validate_automorphism, verify_bisection_correspondence,
@@ -130,3 +133,14 @@ def test_gauge_maps_act_distinctly(request, chain_bundle, fibre, k):
     keys = [aut.action_key() for aut in gauge]
     assert len(gauge) == len(enumerate_bisections(g)) ** k
     assert len(set(keys)) == len(keys)
+
+
+def test_gauge_verification_refuses_before_closure(chain_bundle, pair3):
+    # 6^4 gauge maps would take 1.7M products to close; the projectable
+    # enumeration (12^12 candidates) refuses first
+    bundle = chain_bundle(pair3, 4)
+    gauge = enumerate_gauge_group(bundle)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBound):
+        verify_gauge_group(bundle, gauge)
+    assert time.perf_counter() - start < 10

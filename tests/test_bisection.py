@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoidal import (Bisection, StructuralError, bisection_inverse,
-                        bisection_product,
+from groupoidal import (Bisection, InternalError, StructuralError,
+                        bisection_inverse, bisection_product,
                         bisection_through, check_structure_identities,
                         conjugate, enumerate_bisections, is_id_reducible,
                         left_mult, pair_groupoid, r_equivariant_commutant,
@@ -103,6 +103,17 @@ def test_bisection_through_every_arrow(z2_groupoid, pair3):
             assert b is not None
             assert b(g.src[a]) == a
             assert validate_bisection(g, b)
+
+
+def test_bisection_through_checks_its_result(monkeypatch, pair3):
+    # a matching that sends every object to 0 completes to no bisection;
+    # that is a bug in the library, not bad input, and -O keeps the check
+    import groupoidal.bisection as bisection
+    monkeypatch.setattr(bisection, "_match", lambda adjacency, forced: {
+        m: 0 for m in adjacency})
+    with pytest.raises(InternalError) as info:
+        bisection_through(pair3, 0)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_bisection_through_restricted_list(z2_groupoid):

@@ -1,0 +1,249 @@
+"""The table-driven identity suite and the pruned bisection enumeration,
+checked against the scalar loops they replaced.
+
+The oracles below are the per-check loops: every action is recomputed
+through left_mult, right_mult and conjugate, fibres are found by scanning
+all arrows, and every section is tried before the filter.  The fast paths
+must give the same report (check names, checks_run, violations with their
+witnesses, in order), the same bisections in the same order, and the same
+exception class where the oracle raises.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from groupoidal import (Bisection, CompositionError, EnumerationBound,
+                        FiniteGroupAction, FiniteGroupoid, ValidationReport,
+                        action_groupoid, bisection_inverse,
+                        check_structure_identities, conjugate,
+                        enumerate_bisections, fibred_pair_groupoid,
+                        group_groupoid, left_mult, pair_groupoid,
+                        product_groupoid, right_mult)
+from groupoidal.bisection import shadow_inverse
+
+
+def source_fibre(g, m):
+    return [a for a in g.arrows if g.src[a] == m]
+
+
+def target_fibre(g, m):
+    return [a for a in g.arrows if g.tgt[a] == m]
+
+
+def oracle_enumerate(g, cap=100000):
+    """Every choice of one arrow per source fibre, kept when its shadow is a
+    bijection."""
+    fibres = [source_fibre(g, m) for m in g.objects]
+    total = math.prod(len(f) for f in fibres)
+    if total > cap:
+        raise EnumerationBound(
+            "{} candidate sections exceed cap {}".format(total, cap))
+    return [Bisection(g, assign) for assign in itertools.product(*fibres)
+            if sorted(g.tgt[a] for a in assign) == list(g.objects)]
+
+
+def oracle_identities(g, cap=100000):
+    """The identity suite, one check at a time."""
+    bis = oracle_enumerate(g, cap=cap)
+    report = ValidationReport()
+    for b in bis:
+        binv = bisection_inverse(b)
+        sh = b.shadow()
+        shinv = shadow_inverse(b)
+        for h in g.arrows:
+            lh = left_mult(b, h)
+            rh = right_mult(h, b)
+            ch = conjugate(b, h)
+            report.record("i:s-left", g.src[lh] == g.src[h], (b.assign, h))
+            report.record("i:s-right", g.src[rh] == shinv[g.src[h]], (b.assign, h))
+            report.record("ii:t-left", g.tgt[lh] == sh[g.tgt[h]], (b.assign, h))
+            report.record("ii:t-right", g.tgt[rh] == g.tgt[h], (b.assign, h))
+            report.record("iv:inv-left", g.inv[lh] == right_mult(g.inv[h], binv),
+                          (b.assign, h))
+            report.record("iv:inv-right", g.inv[rh] == left_mult(binv, g.inv[h]),
+                          (b.assign, h))
+            report.record("c-i:s", g.src[ch] == sh[g.src[h]], (b.assign, h))
+            report.record("c-ii:t", g.tgt[ch] == sh[g.tgt[h]], (b.assign, h))
+            report.record("c-iv:inv", g.inv[ch] == conjugate(b, g.inv[h]),
+                          (b.assign, h))
+        for m in g.objects:
+            e = g.unit[m]
+            report.record("iii:unit-left", left_mult(b, e) == b(m), (b.assign, m))
+            report.record("iii:unit-right", right_mult(e, b) == b(shinv[m]),
+                          (b.assign, m))
+            report.record("c-iii:unit", conjugate(b, e) == g.unit[sh[m]],
+                          (b.assign, m))
+        for (u, h), prod in g.mul.items():
+            report.record("v:left-vs-mul",
+                          left_mult(b, prod) == g.compose(left_mult(b, u), h),
+                          (b.assign, u, h))
+            report.record("v:right-vs-mul",
+                          right_mult(prod, b) == g.compose(u, right_mult(h, b)),
+                          (b.assign, u, h))
+            report.record("c-v:conj-vs-mul",
+                          conjugate(b, prod) == g.compose(conjugate(b, u),
+                                                          conjugate(b, h)),
+                          (b.assign, u, h))
+        for h in g.arrows:
+            for w in source_fibre(g, sh[g.tgt[h]]):
+                report.record("vi:right-then-mul",
+                              g.compose(right_mult(w, b), h)
+                              == g.compose(w, left_mult(b, h)),
+                              (b.assign, w, h))
+            for y in target_fibre(g, shinv[g.src[h]]):
+                report.record("vi:mul-then-left",
+                              g.compose(h, left_mult(b, y))
+                              == g.compose(right_mult(h, b), y),
+                              (b.assign, h, y))
+    for a in g.arrows:
+        for b in bis:
+            if b(g.src[a]) != a:
+                continue
+            shinv = shadow_inverse(b)
+            report.record("e3-i:through-target", b(shinv[g.tgt[a]]) == a,
+                          (b.assign, a))
+            for h in source_fibre(g, g.tgt[a]):
+                report.record("e3-ii:r-vs-R",
+                              g.compose(h, a) == right_mult(h, b),
+                              (b.assign, a, h))
+    return report
+
+
+def outcome(fn, g):
+    """fn(g), or the class of the exception it raised."""
+    try:
+        return fn(g)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def assert_matches_oracle(g):
+    """Same bisections in the same order, and the same identity report."""
+    expected = outcome(oracle_enumerate, g)
+    got = outcome(enumerate_bisections, g)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert [b.assign for b in got] == [b.assign for b in expected]
+    expected = outcome(oracle_identities, g)
+    got = outcome(check_structure_identities, g)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got.to_dict() == expected.to_dict()
+    return expected
+
+
+def permutation_group(gens, d):
+    """The group generated by permutations of range(d), as group tables."""
+    identity = tuple(range(d))
+    elements, frontier = [identity], [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for s in gens:
+                c = tuple(a[s[i]] for i in range(d))
+                if c not in elements:
+                    elements.append(c)
+                    fresh.append(c)
+        frontier = fresh
+    mult = {(a, b): tuple(a[b[i]] for i in range(d))
+            for a in elements for b in elements}
+    inverse = {a: tuple(sorted(range(d), key=a.__getitem__)) for a in elements}
+    return elements, mult, identity, inverse
+
+
+def corrupt(g, kind, i, j):
+    """g with one structure entry wrong: two mul values swapped, or one inv
+    or unit entry moved to another arrow."""
+    mul, inv, unit = dict(g.mul), list(g.inv), list(g.unit)
+    if kind == "mul":
+        keys = list(mul)
+        k1, k2 = keys[i % len(keys)], keys[j % len(keys)]
+        mul[k1], mul[k2] = mul[k2], mul[k1]
+    elif kind == "inv":
+        a = i % g.n_arrows
+        inv[a] = (inv[a] + 1 + j % (g.n_arrows - 1)) % g.n_arrows
+    elif kind == "unit":
+        m = i % g.n_objects
+        unit[m] = (unit[m] + 1 + j % (g.n_arrows - 1)) % g.n_arrows
+    return FiniteGroupoid(g.n_objects, g.src, g.tgt, unit, inv, mul)
+
+
+perms = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.permutations(range(d)).map(tuple), max_size=2)))
+
+
+@st.composite
+def fibred(draw, max_points=5):
+    points = draw(st.permutations(range(draw(st.integers(1, max_points)))))
+    cuts = draw(st.sets(st.integers(1, max(1, len(points) - 1))))
+    bounds = [0] + sorted(c for c in cuts if c < len(points)) + [len(points)]
+    return fibred_pair_groupoid([sorted(points[lo:hi])
+                                 for lo, hi in zip(bounds, bounds[1:])])
+
+
+@st.composite
+def action(draw):
+    d, gens = draw(perms)
+    elements, mult, identity, inverse = permutation_group(gens, d)
+    act = {(p, m): p[m] for p in elements for m in range(d)}
+    return action_groupoid(FiniteGroupAction(elements, mult, identity, inverse,
+                                             d, act))
+
+
+groups = perms.map(lambda dg: group_groupoid(*permutation_group(dg[1], dg[0])))
+small = st.one_of(st.integers(1, 2).map(pair_groupoid), fibred(max_points=3),
+                  groups.filter(lambda g: g.n_arrows <= 3))
+groupoids = st.one_of(
+    st.integers(1, 4).map(pair_groupoid), fibred(), groups, action(),
+    st.tuples(small, small).map(lambda gs: product_groupoid(*gs)))
+
+
+@given(groupoids, st.sampled_from([None, "mul", "inv", "unit"]),
+       st.integers(0, 1000), st.integers(0, 1000))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_groupoids_match_oracle(g, kind, i, j):
+    if kind is not None and g.n_arrows > 1:
+        g = corrupt(g, kind, i, j)
+    assert_matches_oracle(g)
+
+
+def test_fixtures_match_oracle(z2_groupoid, pair3):
+    elements = list(range(4))
+    z4 = group_groupoid(elements, {(a, b): (a + b) % 4 for a in elements
+                                   for b in elements},
+                        0, {a: (-a) % 4 for a in elements})
+    for g in (z2_groupoid, pair3, z4, fibred_pair_groupoid([[0], [1, 2]])):
+        assert assert_matches_oracle(g).ok
+        for kind in ("mul", "inv", "unit"):
+            # each corruption is caught, so the failure path is compared too
+            report = assert_matches_oracle(corrupt(g, kind, 1, 2))
+            assert report is CompositionError or not report.ok, (g, kind)
+
+
+def test_enumeration_matches_oracle_on_atiyah(three_point_bundle):
+    from groupoidal import AtiyahGroupoid
+    g = AtiyahGroupoid(three_point_bundle).as_finite_groupoid()
+    assert [b.assign for b in enumerate_bisections(g)] == \
+        [b.assign for b in oracle_enumerate(g)]
+
+
+def test_enumeration_of_many_objects():
+    # one bisection, found without recursing once per object
+    n = 3000
+    g = FiniteGroupoid(n, range(n), range(n), range(n), range(n),
+                       {(a, a): a for a in range(n)})
+    (b,) = enumerate_bisections(g)
+    assert b.assign == g.unit
+    assert check_structure_identities(g).ok
+
+
+def test_cap_message_unchanged(pair3):
+    with pytest.raises(EnumerationBound, match="27 candidate sections exceed cap 26"):
+        enumerate_bisections(pair3, cap=26)

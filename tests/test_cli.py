@@ -70,6 +70,18 @@ def test_malformed_bisection_is_input_error(capsys, tmp_path,
         assert "input error" in capsys.readouterr().err
 
 
+def test_bisection_entries_outside_arrow_ids_are_input_error(capsys, tmp_path,
+                                                             three_point_bundle):
+    # [-2, -1] would index from the end and pass as the swap bisection
+    entries_tried = ([7, 1], ["x", 1], [-2, -1], [True, 1], [2.0, 3])
+    for k, entries in enumerate(entries_tried):
+        doc = bundle_to_json(three_point_bundle)
+        doc["cocycle"][0]["bisection"] = entries
+        path = write(tmp_path, "bad{}.json".format(k), doc)
+        assert main(["validate", path]) == 2, entries
+        assert "input error" in capsys.readouterr().err
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0
@@ -83,7 +95,9 @@ def test_check_identities(capsys, groupoid_doc):
     names = [c["name"] for c in report["checks"]]
     assert "structure-identities" in names
     assert "r-equivariant-commutant" in names
-    assert "id-reducible" in names
+    reducible = report["checks"][names.index("id-reducible")]
+    assert reducible["value"] is True
+    assert "ok" not in reducible
 
 
 def test_check_identities_pair3(capsys, tmp_path, pair3):

@@ -118,6 +118,15 @@ def test_sparse_action_tables_rejected():
         FiniteGroupAction(["e", "r"], sparse_mult, "e", inverse, 2, act)
 
 
+def test_inverse_table_checked():
+    mult = {("e", "e"): "e", ("e", "r"): "r", ("r", "e"): "r", ("r", "r"): "e"}
+    act = {("e", 0): 0, ("e", 1): 1, ("r", 0): 1, ("r", 1): 0}
+    with pytest.raises(StructuralError, match="'r'"):
+        FiniteGroupAction(["e", "r"], mult, "e", {"e": "e"}, 2, act)
+    with pytest.raises(StructuralError, match="inverse of 'r'"):
+        FiniteGroupAction(["e", "r"], mult, "e", {"e": "e", "r": "e"}, 2, act)
+
+
 @given(st.integers(min_value=1, max_value=4))
 def test_json_round_trip(n):
     g = pair_groupoid(n)
