@@ -27,6 +27,7 @@ from .automorphism import (BundleAutomorphism, identity_automorphism,
                            verify_bisection_correspondence,
                            enumerate_gauge_group, verify_gauge_group)
 from .report import (ValidationReport, Violation, StructuralError,
-                     CompositionError, EnumerationBound, InternalError)
+                     CompositionError, EnumerationBound, InternalError,
+                     NumericFailure)
 
 __version__ = "0.1.0"

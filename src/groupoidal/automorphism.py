@@ -114,9 +114,13 @@ def validate_automorphism(bundle, aut):
     report.record("aut:f-bijection",
                   sorted(aut.f) == sorted(base.base)
                   and sorted(aut.f.values()) == sorted(base.base))
+    gamma_ok = True
     for key, g in list(aut.gamma.items()):
-        report.record("aut:gamma-bisection",
-                      validate_bisection(bundle.groupoid, g), key)
+        ok = validate_bisection(bundle.groupoid, g)
+        report.record("aut:gamma-bisection", ok, key)
+        gamma_ok &= ok
+    if not gamma_ok:  # the checks below compose and apply gamma values
+        return report
     for sigma in base.base:
         fs = aut.f[sigma]
         charts_in = base.charts_containing(sigma)

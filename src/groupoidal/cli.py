@@ -10,8 +10,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .atiyah import AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence, \
     verify_trident
 from .automorphism import (enumerate_gauge_group, validate_automorphism,
@@ -20,12 +18,8 @@ from .automorphism import (enumerate_gauge_group, validate_automorphism,
 from .bisection import (Bisection, check_structure_identities,
                         is_id_reducible, r_equivariant_commutant)
 from .bundle import bundle_from_json, validate_cocycle, verify_principal_axioms
-from .connection import (BasePath, construct_connection, parallel_transport,
-                         LocalConnectionData)
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .report import EnumerationBound, StructuralError
-from .scenario import (NumericFailure, so2_single_chart_scenario,
-                       so2_two_chart_scenario, so3_two_chart_scenario, J2)
+from .report import EnumerationBound, NumericFailure, StructuralError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -33,10 +27,12 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
+# scenario name -> constructor in .scenario, looked up only when transport runs,
+# so the exact commands never load numpy
 SCENARIOS = {
-    "so2-single-chart": so2_single_chart_scenario,
-    "so2-two-chart": so2_two_chart_scenario,
-    "so3-two-chart": so3_two_chart_scenario,
+    "so2-single-chart": "so2_single_chart_scenario",
+    "so2-two-chart": "so2_two_chart_scenario",
+    "so3-two-chart": "so3_two_chart_scenario",
 }
 
 
@@ -153,19 +149,25 @@ def cmd_bundle(args):
 
 def _coordinate_rotation_connection(scenario):
     """A(sigma, m)(u) = u_0 J on every chart; the closed-form test field."""
+    from .connection import LocalConnectionData
+    from .scenario import J2
+
     def field(s, m, u):
         return u[0] * J2
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 
 def _transport_setup(args):
+    from . import scenario as scenarios
+    from .connection import BasePath, construct_connection, zero_connection
+
     if args.scenario in SCENARIOS:
-        scenario = SCENARIOS[args.scenario]()
+        scenario = getattr(scenarios, SCENARIOS[args.scenario])()
         conn_kind = "coordinate-rotation" if args.scenario == "so2-single-chart" \
             else "constructed"
     else:
         cfg = _load_json(args.scenario)
-        scenario = SCENARIOS[cfg["scenario"]]()
+        scenario = getattr(scenarios, SCENARIOS[cfg["scenario"]])()
         conn_kind = cfg.get("connection", "constructed")
         if "fd_step" in cfg:
             scenario.fd_step = cfg["fd_step"]
@@ -174,7 +176,6 @@ def _transport_setup(args):
     if conn_kind == "coordinate-rotation":
         A = _coordinate_rotation_connection(scenario)
     elif conn_kind == "flat":
-        from .connection import zero_connection
         A = zero_connection(scenario)
     else:
         A = construct_connection(scenario)
@@ -187,12 +188,16 @@ def _transport_setup(args):
 
 
 def cmd_transport(args):
+    import numpy as np
+
+    from .connection import parallel_transport
+
     report = _base_report("transport", args)
     scenario, A, path = _transport_setup(args)
     a0 = np.eye(scenario.n)
     m0 = np.zeros(scenario.n)
     m0[0] = 1.0
-    t0 = time.time()
+    t0 = time.perf_counter()
     (a1, m1), shadow_end = parallel_transport(scenario, A, path, (a0, m0),
                                               step=args.ode_step)
     # equivariance: transporting start.h must equal transport(start).h
@@ -216,7 +221,7 @@ def cmd_transport(args):
         "shadow_endpoint": shadow_end.tolist(),
         "equivariance_residual": equivariance,
         "convergence_order": order,
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
     })
     ok = equivariance < args.tol and np.all(np.isfinite(a1))
     report["ok"] = bool(ok)

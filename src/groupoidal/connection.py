@@ -9,8 +9,8 @@ the scenario's step unless a closed form is exact.
 
 import numpy as np
 
-from .report import StructuralError
-from .scenario import BisectionFamily, NumericFailure
+from .report import NumericFailure, StructuralError
+from .scenario import BisectionFamily
 
 
 def mc_right(scenario, fam, m, sigma, u):

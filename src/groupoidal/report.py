@@ -75,6 +75,10 @@ class EnumerationBound(RuntimeError):
     """A brute-force enumeration would exceed the requested cap."""
 
 
+class NumericFailure(RuntimeError):
+    """An iterative numeric step failed to converge."""
+
+
 class InternalError(RuntimeError):
     """A result built by the library breaks its own invariant: a bug, not bad
     input."""

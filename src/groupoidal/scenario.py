@@ -7,14 +7,34 @@ bisection of the action structure is a map m -> g(m); its arrows are pairs
 the exact arrow formulas, no discretization involved.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
-from .report import StructuralError
+from .report import NumericFailure, StructuralError
 
 
-class NumericFailure(RuntimeError):
-    """An iterative numeric step failed to converge."""
+_EYE = {(2, 2): np.eye(2), (3, 3): np.eye(3)}
+
+
+def rotation_exp(X):
+    """exp(X) for X in so(2) or so(3), in closed form:
+    I + (sin t / t) X + ((1 - cos t) / t^2) X^2 with t = |X|_F / sqrt(2).
+
+    The first-order term is X itself, so d/ds exp(sX) at s = 0 is X even
+    for an X that is skew only approximately.
+    """
+    X = np.asarray(X, dtype=float)
+    eye = _EYE.get(X.shape)
+    if eye is None:
+        raise StructuralError("no closed-form exp for shape {}".format(X.shape))
+    t2 = 0.5 * float(np.vdot(X, X))
+    if t2 < 1e-8:  # series: the next terms are below 1e-18
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    else:
+        t = math.sqrt(t2)
+        a, b = math.sin(t) / t, 2.0 * (math.sin(0.5 * t) / t) ** 2
+    return eye + a * X + b * (X @ X)
 
 
 class Box:
@@ -87,7 +107,7 @@ class MatrixGroupScenario:
         self.fd_step = fd_step
 
     def exp(self, X):
-        return expm(X)
+        return rotation_exp(X)
 
     def charts_containing(self, sigma):
         return [i for i, c in enumerate(self.charts) if c.contains(sigma)]
@@ -187,7 +207,7 @@ def so3_two_chart_scenario(fd_step=1e-5):
               Box([(0.3, 2.0), (-1.0, 1.0)])]
 
     def g01(s, m):
-        return expm(s[0] * L_Z + 0.4 * s[1] * L_X)
+        return rotation_exp(s[0] * L_Z + 0.4 * s[1] * L_X)
 
     cocycle = {
         (0, 1): BisectionFamily(g01),

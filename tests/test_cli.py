@@ -82,6 +82,33 @@ def test_bisection_entries_outside_arrow_ids_are_input_error(capsys, tmp_path,
         assert "input error" in capsys.readouterr().err
 
 
+def automorphism_doc(bundle):
+    from groupoidal import identity_automorphism
+    aut = identity_automorphism(bundle)
+    return {"bundle": bundle_to_json(bundle), "f": dict(aut.f),
+            "gamma": [{"j": j, "i": i, "sigma": s, "bisection": b.to_json()}
+                      for (j, i, s), b in sorted(aut.gamma.items())]}
+
+
+def test_gamma_entries_checked_before_use(capsys, tmp_path,
+                                          three_point_bundle):
+    path = write(tmp_path, "aut.json", automorphism_doc(three_point_bundle))
+    code, out = run(capsys, ["validate", path])
+    assert code == 0 and json.loads(out)["ok"] is True
+    # out of range, not an id, and not a section of the source map
+    for k, entries in enumerate(([7, 1], ["x", 1], [0, 0])):
+        doc = automorphism_doc(three_point_bundle)
+        doc["gamma"][1]["bisection"] = entries
+        path = write(tmp_path, "aut{}.json".format(k), doc)
+        code, out = run(capsys, ["validate", path])
+        assert code == 1, entries
+        (check,) = json.loads(out)["checks"]
+        entry = doc["gamma"][1]
+        assert check["violations"] == [{
+            "check": "aut:gamma-bisection", "detail": "",
+            "witness": [entry["j"], entry["i"], entry["sigma"]]}], entries
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0
@@ -142,6 +169,46 @@ def test_transport_closed_form(capsys, tmp_path):
     from groupoidal.scenario import J2
     assert np.linalg.norm(np.array(report["endpoint"]) - expm(-J2)) < 1e-8
     assert 3.7 < report["convergence_order"] < 4.3
+
+
+def test_numeric_failure_exits_4(capsys, monkeypatch):
+    import groupoidal.connection
+    import groupoidal.report
+    import groupoidal.scenario
+    assert groupoidal.scenario.NumericFailure is groupoidal.report.NumericFailure
+
+    def diverge(*args, **kwargs):
+        raise groupoidal.report.NumericFailure("transport diverged")
+
+    monkeypatch.setattr(groupoidal.connection, "parallel_transport", diverge)
+    assert main(["transport", "so2-single-chart"]) == 4
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
+def loaded_after(statement):
+    """The top-level modules a fresh interpreter has loaded after statement."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = statement + "; import sys; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    return {name.split(".")[0] for name in proc.stdout.split()}
+
+
+def test_cli_import_loads_no_numeric_stack():
+    assert not {"numpy", "scipy"} & loaded_after("import groupoidal.cli")
+
+
+def test_numeric_engine_loads_no_scipy():
+    loaded = loaded_after("import groupoidal.scenario, groupoidal.connection")
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
 
 
 def test_reports_round_trip_json(capsys, groupoid_doc):

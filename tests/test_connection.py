@@ -41,6 +41,29 @@ def random_algebra(scenario, rng):
     return sum(rng.normal() * t for t in scenario.algebra)
 
 
+# --- closed-form exp ---------------------------------------------------------
+
+@pytest.mark.parametrize("scenario", [so2_single_chart_scenario(),
+                                      so3_two_chart_scenario()],
+                         ids=lambda sc: sc.name)
+def test_closed_form_exp_matches_expm(scenario):
+    rng = np.random.default_rng(11)
+    angles = [0.0, 1e-9, np.pi] + list(rng.uniform(0.0, 10.0, size=20))
+    for theta in angles:
+        w = rng.normal(size=len(scenario.algebra))
+        w *= theta / np.linalg.norm(w)
+        X = sum(c * t for c, t in zip(w, scenario.algebra))
+        R = scenario.exp(X)
+        assert np.abs(R - expm(X)).max() < 1e-12, theta
+        assert np.abs(R.T @ R - np.eye(scenario.n)).max() < 1e-12, theta
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12, theta
+
+
+def test_closed_form_exp_rejects_other_shapes():
+    with pytest.raises(StructuralError):
+        so3_two_chart_scenario().exp(np.zeros((4, 4)))
+
+
 # --- arrow operations -------------------------------------------------------
 
 def test_arrow_ops():
