@@ -9,9 +9,9 @@ from .groupoid import (FiniteGroupoid, FiniteGroupAction, validate_groupoid,
                        pair_groupoid, action_groupoid, group_groupoid,
                        fibred_pair_groupoid, product_groupoid,
                        z2_swap_action, construct_standard)
-from .bisection import (Bisection, BisectionGroup, validate_bisection,
-                        unit_bisection, bisection_product, bisection_inverse,
-                        left_mult, right_mult, conjugate, enumerate_bisections,
+from .bisection import (Bisection, validate_bisection, unit_bisection,
+                        bisection_product, bisection_inverse, left_mult,
+                        right_mult, conjugate, enumerate_bisections,
                         bisection_through, is_id_reducible,
                         check_structure_identities, r_equivariant_commutant)
 from .bundle import (CechBase, Cocycle, PrincipaloidBundle, PPoint, FPoint,

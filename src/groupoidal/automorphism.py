@@ -11,9 +11,8 @@ the symmetry groupoid.
 from itertools import product as iproduct
 
 from .atiyah import AtElement
-from .bisection import (Bisection, BisectionGroup, bisection_inverse,
-                        bisection_product, enumerate_bisections, left_mult,
-                        validate_bisection)
+from .bisection import (Bisection, bisection_inverse, bisection_product,
+                        enumerate_bisections, left_mult, validate_bisection)
 from .bundle import FPoint, PPoint
 from .report import EnumerationBound, StructuralError, ValidationReport
 
@@ -111,15 +110,14 @@ def validate_automorphism(bundle, aut):
     """Bijectivity, bisection values, gluing relations, equivariance."""
     report = ValidationReport()
     base = bundle.base
-    report.record("aut:f-bijection",
-                  sorted(aut.f) == sorted(base.base)
-                  and sorted(aut.f.values()) == sorted(base.base))
+    f_ok = set(aut.f) == set(aut.f.values()) == set(base.base)
+    report.record("aut:f-bijection", f_ok)
     gamma_ok = True
     for key, g in list(aut.gamma.items()):
         ok = validate_bisection(bundle.groupoid, g)
         report.record("aut:gamma-bisection", ok, key)
         gamma_ok &= ok
-    if not gamma_ok:  # the checks below compose and apply gamma values
+    if not (f_ok and gamma_ok):  # the checks below read f and apply gamma
         return report
     for sigma in base.base:
         fs = aut.f[sigma]
@@ -215,7 +213,7 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     arrow gamma(m) of the bisection chosen at sigma, so distinct choices
     act differently and the list needs no deduplication.
     """
-    bis = enumerate_bisections(bundle.groupoid)
+    bis = enumerate_bisections(bundle.groupoid, cap=cap)
     n = len(bundle.base.base)
     if len(bis) ** n > cap:
         raise EnumerationBound(
@@ -230,15 +228,15 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     return out
 
 
-def verify_gauge_group(bundle, gauge=None):
+def verify_gauge_group(bundle, gauge=None, cap=1_000_000):
     """Closure, identity, inverses, and agreement with the vertical
     projectable bisections of the symmetry groupoid."""
     from .atiyah import enumerate_projectable_bisections
 
-    gauge = gauge or enumerate_gauge_group(bundle)
+    gauge = gauge or enumerate_gauge_group(bundle, cap=cap)
     # the projectable enumeration carries the cap: refuse before the
     # |gauge|^2 closure loop rather than after it
-    _, vertical = enumerate_projectable_bisections(bundle)
+    _, vertical = enumerate_projectable_bisections(bundle, cap=cap)
     report = ValidationReport()
     keys = {aut.action_key(): aut for aut in gauge}
     ident = identity_automorphism(bundle)

@@ -7,8 +7,6 @@ identities relating these actions to the groupoid maps are checked here by
 brute force.
 """
 
-import math
-
 from .report import (EnumerationBound, InternalError, StructuralError,
                      ValidationReport)
 
@@ -104,26 +102,53 @@ def conjugate(b, a):
     return g.compose(g.compose(b(g.tgt[a]), a), g.inv[b(g.src[a])])
 
 
-class BisectionGroup:
-    """All bisections of a groupoid, closed under product and inverse."""
+def _search(choices, key, cap, consistent=None):
+    """Depth-first backtracking over one value per slot.
 
-    def __init__(self, groupoid, elements):
-        self.groupoid = groupoid
-        self.elements = list(elements)
-        self._index = {b.assign: k for k, b in enumerate(self.elements)}
-        self.identity = unit_bisection(groupoid)
+    Slot i takes its values from choices[i], in order; key[v] lies in
+    range(len(choices)), and the keys of the chosen values are pairwise
+    distinct.  consistent(prefix), if given, is called on each prefix that
+    ends in a newly chosen value and must be monotone: a rejected prefix
+    has no accepted extension.  Returns the complete assignments as tuples,
+    in lexicographic order of the choice lists.
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, b):
-        return b.assign in self._index
-
-    def index(self, b):
-        return self._index[b.assign]
+    Every value of a slot that the search opens is examined, so opening
+    slot i counts len(choices[i]) candidates, and EnumerationBound is
+    raised as soon as the count passes cap.
+    """
+    n = len(choices)
+    used = [False] * n
+    prefix, levels, out = [], [], []
+    examined = 0
+    while True:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+        else:  # open the next slot
+            values = choices[len(prefix)]
+            examined += len(values)
+            if examined > cap:
+                raise EnumerationBound(
+                    "search examined more candidates than the cap {}".format(cap))
+            levels.append(iter(values))
+        # move the deepest open slot to its next value, stepping back out of
+        # exhausted slots
+        while levels:
+            if len(prefix) == len(levels):
+                used[key[prefix.pop()]] = False
+            for v in levels[-1]:
+                if used[key[v]]:
+                    continue
+                prefix.append(v)
+                if consistent is None or consistent(prefix):
+                    break
+                prefix.pop()
+            else:
+                levels.pop()
+                continue
+            used[key[v]] = True
+            break
+        else:
+            return out
 
 
 def enumerate_bisections(g, cap=100000):
@@ -131,34 +156,10 @@ def enumerate_bisections(g, cap=100000):
 
     Backtracks over the objects in index order, taking the arrows of each
     source fibre in order and skipping those whose target is already used.
-    The cap bounds the product of the fibre sizes.
+    The cap bounds the arrows examined.
     """
-    fibres = g.source_fibres
-    total = math.prod(len(f) for f in fibres) if fibres else 1
-    if total > cap:
-        raise EnumerationBound(
-            "{} candidate sections exceed cap {}".format(total, cap))
-    tgt, n = g.tgt, g.n_objects
-    used = [False] * n
-    assign = []
-    levels = [iter(fibres[0])] if n else []
-    out = [] if n else [Bisection(g, ())]
-    while levels:
-        for a in levels[-1]:
-            if not used[tgt[a]]:
-                break
-        else:  # the fibre of object len(assign) is exhausted: step back
-            levels.pop()
-            if assign:
-                used[tgt[assign.pop()]] = False
-            continue
-        if len(assign) + 1 == n:
-            out.append(Bisection(g, assign + [a]))
-            continue
-        used[tgt[a]] = True
-        assign.append(a)
-        levels.append(iter(fibres[len(assign)]))
-    return BisectionGroup(g, out)
+    return [Bisection(g, assign)
+            for assign in _search(g.source_fibres, g.tgt, cap)]
 
 
 def _match(adjacency, forced=None):
@@ -374,38 +375,6 @@ def check_structure_identities(g, cap=100000):
     return report
 
 
-def _equivariant_bijections(g, consistent, cap):
-    """Backtracking search for arrow bijections satisfying a local predicate.
-
-    consistent(phi, a) is called right after phi[a] is set and may inspect
-    any already-assigned entries; it must be monotone (a failure never turns
-    into a success after more assignments).
-    """
-    n = g.n_arrows
-    if math.factorial(n) > cap and n > 12:
-        raise EnumerationBound("arrow bijection search beyond cap")
-    phi = [None] * n
-    used = [False] * n
-    found = []
-
-    def rec(a):
-        if a == n:
-            found.append(tuple(phi))
-            return
-        for b in g.arrows:
-            if used[b]:
-                continue
-            phi[a] = b
-            if consistent(phi, a):
-                used[b] = True
-                rec(a + 1)
-                used[b] = False
-            phi[a] = None
-
-    rec(0)
-    return sorted(found)
-
-
 def r_equivariant_commutant(g, cap=10_000_000):
     """Arrow bijections commuting with all right translations, and with R(B).
 
@@ -416,36 +385,35 @@ def r_equivariant_commutant(g, cap=10_000_000):
     bis = enumerate_bisections(g, cap=cap)
     tables = [_translations(g, b, g.arrows) for b in bis]
     left_maps = sorted({tuple(left) for left, _ in tables})
+    # each check is filed under the larger of the two arrows it reads, so it
+    # runs once, as soon as both are assigned
     pairs_by_arrow = [[] for _ in g.arrows]
     for (x, h), prod in g.mul.items():
         pairs_by_arrow[max(x, prod)].append((x, h, prod))
+    src, tgt, mul = g.src, g.tgt, g.mul
+    arrows = [g.arrows] * g.n_arrows
 
-    def r_consistent(phi, a):
-        for x, h, prod in pairs_by_arrow[a]:
-            fx, fp = phi[x], phi[prod]
-            if fx is None or fp is None:
-                continue
-            if not g.composable(fx, h) or g.mul[(fx, h)] != fp:
+    def r_consistent(phi):
+        for x, h, prod in pairs_by_arrow[len(phi) - 1]:
+            fx = phi[x]
+            if src[fx] != tgt[h] or mul[fx, h] != phi[prod]:
                 return False
         return True
 
-    r_comm = _equivariant_bijections(g, r_consistent, cap)
+    r_comm = _search(arrows, g.arrows, cap, r_consistent)
 
     triples_by_arrow = [[] for _ in g.arrows]
     for _, perm in tables:
         for x in g.arrows:
             triples_by_arrow[max(x, perm[x])].append((x, perm))
 
-    def rb_consistent(phi, a):
-        for x, perm in triples_by_arrow[a]:
-            fx, fr = phi[x], phi[perm[x]]
-            if fx is None or fr is None:
-                continue
-            if perm[fx] != fr:
+    def rb_consistent(phi):
+        for x, perm in triples_by_arrow[len(phi) - 1]:
+            if perm[phi[x]] != phi[perm[x]]:
                 return False
         return True
 
-    rb_comm = _equivariant_bijections(g, rb_consistent, cap)
+    rb_comm = _search(arrows, g.arrows, cap, rb_consistent)
     return {
         "r_commutant": r_comm,
         "r_equals_left_translations": r_comm == left_maps,

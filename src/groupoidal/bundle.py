@@ -107,11 +107,10 @@ def validate_cocycle(base, c):
 class PrincipaloidBundle:
     """The glued bundle with groupoid fibres, its shadow, and the actions."""
 
-    def __init__(self, base, cocycle, groupoid, validate=True):
-        if validate:
-            report = validate_cocycle(base, cocycle)
-            if not report.ok:
-                raise StructuralError("invalid cocycle: {}".format(report.violations))
+    def __init__(self, base, cocycle, groupoid):
+        report = validate_cocycle(base, cocycle)
+        if not report.ok:
+            raise StructuralError("invalid cocycle: {}".format(report.violations))
         self.base = base
         self.cocycle = cocycle
         self.groupoid = groupoid

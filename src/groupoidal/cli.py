@@ -135,7 +135,7 @@ def cmd_bundle(args):
     elif mode == "gauge":
         gauge = enumerate_gauge_group(bundle, cap=args.cap)
         report["gauge_order"] = len(gauge)
-        ok &= _push(report, "gauge-group", verify_gauge_group(bundle, gauge))
+        ok &= _push(report, "gauge-group", verify_gauge_group(bundle, gauge, cap=args.cap))
         at = AtiyahGroupoid(bundle)
         for aut in gauge:
             ok &= _push(report, "bisection-correspondence",

@@ -106,7 +106,7 @@ def gluing_residual(scenario, A, i, j, sigma, m, u):
     return np.linalg.norm(lhs - mid + mc_right(scenario, fam, m, sigma, u))
 
 
-def construct_connection(scenario, partition=None, check_partition=True):
+def construct_connection(scenario, partition=None):
     """Glue the flat chart data through a partition of unity.
 
     The flat datum of chart k, read in chart j, is the tangent-conjugation
@@ -117,14 +117,13 @@ def construct_connection(scenario, partition=None, check_partition=True):
     partition = partition if partition is not None else scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
         raise StructuralError("need one partition function per chart")
-    if check_partition:
-        rng = np.random.default_rng(0)
-        for c in scenario.charts:
-            s = c.sample(rng)
-            total = sum(h(s) for k, h in enumerate(partition)
-                        if scenario.charts[k].contains(s))
-            if abs(total - 1.0) > 1e-9:
-                raise StructuralError("partition does not sum to 1")
+    rng = np.random.default_rng(0)
+    for c in scenario.charts:
+        s = c.sample(rng)
+        total = sum(h(s) for k, h in enumerate(partition)
+                    if scenario.charts[k].contains(s))
+        if abs(total - 1.0) > 1e-9:
+            raise StructuralError("partition does not sum to 1")
 
     def field(j):
         def A_j(sigma, m, u):

@@ -135,6 +135,15 @@ def test_gauge_maps_act_distinctly(request, chain_bundle, fibre, k):
     assert len(set(keys)) == len(keys)
 
 
+def test_gauge_verification_within_cap(chain_bundle, z2_groupoid):
+    # the projectable search examines about 554k candidates, under the cap
+    bundle = chain_bundle(z2_groupoid, 4)
+    gauge = enumerate_gauge_group(bundle)
+    assert verify_gauge_group(bundle, gauge).ok
+    _, vertical = enumerate_projectable_bisections(bundle)
+    assert len(vertical) == len(gauge) == 16
+
+
 def test_gauge_verification_refuses_before_closure(chain_bundle, pair3):
     # 6^4 gauge maps would take 1.7M products to close; the projectable
     # enumeration (12^12 candidates) refuses first

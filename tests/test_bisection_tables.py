@@ -1,12 +1,13 @@
-"""The table-driven identity suite and the pruned bisection enumeration,
-checked against the scalar loops they replaced.
+"""The table-driven identity suite, the pruned bisection enumeration and
+the iterative commutant search, checked against the code they replaced.
 
 The oracles below are the per-check loops: every action is recomputed
 through left_mult, right_mult and conjugate, fibres are found by scanning
-all arrows, and every section is tried before the filter.  The fast paths
-must give the same report (check names, checks_run, violations with their
-witnesses, in order), the same bisections in the same order, and the same
-exception class where the oracle raises.
+all arrows, and every section is tried before the filter.  The commutant
+oracle is the recursive search with its original predicates.  The fast
+paths must give the same report (check names, checks_run, violations with
+their witnesses, in order), the same bisections and commutants in the same
+order, and the same exception class where the oracle raises.
 """
 
 import itertools
@@ -21,8 +22,9 @@ from groupoidal import (Bisection, CompositionError, EnumerationBound,
                         check_structure_identities, conjugate,
                         enumerate_bisections, fibred_pair_groupoid,
                         group_groupoid, left_mult, pair_groupoid,
-                        product_groupoid, right_mult)
-from groupoidal.bisection import shadow_inverse
+                        product_groupoid, r_equivariant_commutant,
+                        right_mult)
+from groupoidal.bisection import _translations, shadow_inverse
 
 
 def source_fibre(g, m):
@@ -110,6 +112,72 @@ def oracle_identities(g, cap=100000):
                               g.compose(h, a) == right_mult(h, b),
                               (b.assign, a, h))
     return report
+
+
+def _equivariant_bijections(g, consistent, cap):
+    """Backtracking search for arrow bijections satisfying a local predicate.
+
+    consistent(phi, a) is called right after phi[a] is set and may inspect
+    any already-assigned entries; it must be monotone (a failure never turns
+    into a success after more assignments).
+    """
+    n = g.n_arrows
+    if math.factorial(n) > cap and n > 12:
+        raise EnumerationBound("arrow bijection search beyond cap")
+    phi = [None] * n
+    used = [False] * n
+    found = []
+
+    def rec(a):
+        if a == n:
+            found.append(tuple(phi))
+            return
+        for b in g.arrows:
+            if used[b]:
+                continue
+            phi[a] = b
+            if consistent(phi, a):
+                used[b] = True
+                rec(a + 1)
+                used[b] = False
+            phi[a] = None
+
+    rec(0)
+    return sorted(found)
+
+
+def oracle_commutants(g, cap=10_000_000):
+    """The r-equivariant and R(B) commutants, by the recursive search."""
+    tables = [_translations(g, b, g.arrows) for b in oracle_enumerate(g)]
+    pairs_by_arrow = [[] for _ in g.arrows]
+    for (x, h), prod in g.mul.items():
+        pairs_by_arrow[max(x, prod)].append((x, h, prod))
+
+    def r_consistent(phi, a):
+        for x, h, prod in pairs_by_arrow[a]:
+            fx, fp = phi[x], phi[prod]
+            if fx is None or fp is None:
+                continue
+            if not g.composable(fx, h) or g.mul[(fx, h)] != fp:
+                return False
+        return True
+
+    triples_by_arrow = [[] for _ in g.arrows]
+    for _, perm in tables:
+        for x in g.arrows:
+            triples_by_arrow[max(x, perm[x])].append((x, perm))
+
+    def rb_consistent(phi, a):
+        for x, perm in triples_by_arrow[a]:
+            fx, fr = phi[x], phi[perm[x]]
+            if fx is None or fr is None:
+                continue
+            if perm[fx] != fr:
+                return False
+        return True
+
+    return (_equivariant_bijections(g, r_consistent, cap),
+            _equivariant_bijections(g, rb_consistent, cap))
 
 
 def outcome(fn, g):
@@ -204,6 +272,23 @@ groupoids = st.one_of(
     st.tuples(small, small).map(lambda gs: product_groupoid(*gs)))
 
 
+@given(groupoids.filter(lambda g: g.n_arrows <= 12),
+       st.sampled_from([None, "mul", "inv", "unit"]),
+       st.integers(0, 1000), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_generated_commutants_match_oracle(g, kind, i, j):
+    if kind is not None and g.n_arrows > 1:
+        g = corrupt(g, kind, i, j)
+    expected = outcome(oracle_commutants, g)
+    got = outcome(r_equivariant_commutant, g)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert (got["r_commutant"], got["rb_commutant"]) == expected
+
+
 @given(groupoids, st.sampled_from([None, "mul", "inv", "unit"]),
        st.integers(0, 1000), st.integers(0, 1000))
 @settings(max_examples=100, deadline=None,
@@ -244,6 +329,9 @@ def test_enumeration_of_many_objects():
     assert check_structure_identities(g).ok
 
 
-def test_cap_message_unchanged(pair3):
-    with pytest.raises(EnumerationBound, match="27 candidate sections exceed cap 26"):
-        enumerate_bisections(pair3, cap=26)
+def test_cap_bounds_candidates_examined(pair3):
+    # 3 arrows at the root, 3 under each of its 3 children and 3 under each
+    # of the 6 two-arrow prefixes: 30 candidates for 6 bisections
+    assert len(enumerate_bisections(pair3, cap=30)) == 6
+    with pytest.raises(EnumerationBound, match="cap 29"):
+        enumerate_bisections(pair3, cap=29)

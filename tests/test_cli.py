@@ -109,6 +109,19 @@ def test_gamma_entries_checked_before_use(capsys, tmp_path,
             "witness": [entry["j"], entry["i"], entry["sigma"]]}], entries
 
 
+def test_base_map_checked_before_use(capsys, tmp_path, three_point_bundle):
+    # a base point missing from f, and one sent off the base
+    for k, edit in enumerate((lambda f: f.pop("c"),
+                              lambda f: f.__setitem__("c", "x"))):
+        doc = automorphism_doc(three_point_bundle)
+        edit(doc["f"])
+        path = write(tmp_path, "f{}.json".format(k), doc)
+        code, out = run(capsys, ["validate", path])
+        assert code == 1, doc["f"]
+        (check,) = json.loads(out)["checks"]
+        assert [v["check"] for v in check["violations"]] == ["aut:f-bijection"]
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0
@@ -136,6 +149,37 @@ def test_check_identities_cap(capsys, tmp_path):
     from groupoidal import pair_groupoid
     path = write(tmp_path, "p4.json", pair_groupoid(4).to_json())
     assert main(["check-identities", path, "--cap", "1"]) == 3
+
+
+def test_check_identities_commutant_within_cap(capsys, tmp_path):
+    from groupoidal import pair_groupoid
+    path = write(tmp_path, "p4.json", pair_groupoid(4).to_json())
+    code, out = run(capsys, ["check-identities", path])
+    assert code == 0
+    (comm,) = [c for c in json.loads(out)["checks"]
+               if c["name"] == "r-equivariant-commutant"]
+    assert comm["ok"] is True and comm["size"] == 24
+
+
+def test_check_identities_refuses_large_commutant(capsys, tmp_path):
+    # a discrete groupoid: R(B) is trivial, so all 9! arrow bijections
+    # commute with it, and the search stops at the cap
+    import time
+    from groupoidal import FiniteGroupoid
+    n = 9
+    g = FiniteGroupoid(n, range(n), range(n), range(n), range(n),
+                       {(a, a): a for a in range(n)})
+    path = write(tmp_path, "discrete.json", g.to_json())
+    start = time.perf_counter()
+    assert main(["check-identities", path, "--cap", "100000"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "cap 100000" in capsys.readouterr().err
+
+
+def test_bundle_gauge_cap_bounds_every_search(capsys, bundle_doc):
+    # 8 gauge maps fit under the cap; the projectable-bisection search
+    # behind the gauge check examines 7,422 candidates and does not
+    assert main(["bundle", bundle_doc, "--report", "gauge", "--cap", "100"]) == 3
 
 
 def test_bundle_counts(capsys, bundle_doc):
