@@ -10,15 +10,15 @@ conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
 The finite groupoid table over the shadow points is built once, when the
-groupoid is constructed, with the product filled in only on composable
-pairs; multiplication and every battery here read that table.
+groupoid is constructed, by the builder every finite groupoid shares;
+multiplication, element lookup and every battery here read that table.
 """
 
 from collections import Counter, namedtuple
 
 from .bisection import left_mult, right_mult, conjugate
 from .bundle import FPoint, PPoint, MomentMismatch
-from .groupoid import FiniteGroupoid
+from .groupoid import _from_labels
 from .report import ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
@@ -35,32 +35,16 @@ class AtiyahGroupoid:
             AtElement(s1, bundle.base.canonical_chart(s1), a,
                       s2, bundle.base.canonical_chart(s2))
             for s1 in bundle.base.base for s2 in bundle.base.base for a in g.arrows]
-        self._index = {e: k for k, e in enumerate(self.elements)}
         self.shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
-        self._table = self._build_table()
-
-    def _build_table(self):
-        """The plain finite groupoid over shadow points, with mul filled in
-        pair by pair: for each k1, the elements whose target is its source."""
-        g = self.bundle.groupoid
-        fpoints = self.bundle.shadow_points
-        elements = self.elements
-        src = [self.shadow_index[self.source(e)] for e in elements]
-        tgt = [self.shadow_index[self.target(e)] for e in elements]
-        unit = [self._index[self.unit(f)] for f in fpoints]
-        inv = [self._index[self.invert(e)] for e in elements]
-        by_target = [[] for _ in fpoints]
-        for k, t in enumerate(tgt):
-            by_target[t].append(k)
-        mul = {}
-        for k1, e1 in enumerate(elements):
-            for k2 in by_target[src[k1]]:
-                e2 = elements[k2]
-                mul[(k1, k2)] = self._index[AtElement(
-                    e1.sigma1, e1.chart_i, g.compose(e1.arrow, e2.arrow),
-                    e2.sigma2, e2.chart_j)]
-        return FiniteGroupoid(len(fpoints), src, tgt, unit, inv, mul,
-                              arrow_labels=elements, object_labels=fpoints)
+        self._table = _from_labels(
+            self.elements,
+            lambda e: self.shadow_index[self.source(e)],
+            lambda e: self.shadow_index[self.target(e)],
+            [self.unit(f) for f in bundle.shadow_points], self.invert,
+            lambda e1, e2: AtElement(e1.sigma1, e1.chart_i,
+                                     g.compose(e1.arrow, e2.arrow),
+                                     e2.sigma2, e2.chart_j),
+            object_labels=bundle.shadow_points)
 
     def canonical(self, sigma1, chart_k, arrow, sigma2, chart_l):
         """Transport (sigma1, arrow, sigma2) from charts (k, l) to canonical.
@@ -79,7 +63,7 @@ class AtiyahGroupoid:
         return AtElement(sigma1, i, a, sigma2, j)
 
     def index(self, e):
-        return self._index[e]
+        return self._table.arrow_index(e)
 
     def source(self, e):
         return FPoint(e.sigma2, e.chart_j, self.bundle.groupoid.src[e.arrow])
@@ -97,7 +81,7 @@ class AtiyahGroupoid:
 
     def multiply(self, e1, e2):
         """The product read from the table; CompositionError off its domain."""
-        return self.elements[self._table.compose(self._index[e1], self._index[e2])]
+        return self.elements[self._table.compose(self.index(e1), self.index(e2))]
 
     def project(self, e):
         """The arrow (sigma1, sigma2) of the pair groupoid of the base."""
@@ -187,11 +171,9 @@ def verify_trident(bundle, at=None):
     g = bundle.groupoid
     report = ValidationReport()
     fg = at.as_finite_groupoid()
-    points_by_duck = [[] for _ in bundle.shadow_points]
-    for p in bundle.points:
-        points_by_duck[at.shadow_index[bundle.sitting_duck(p)]].append(p)
+    duck_fibres = [bundle.duck_fibre(f) for f in bundle.shadow_points]
     for k, e in enumerate(at.elements):
-        for p in points_by_duck[fg.src[k]]:
+        for p in duck_fibres[fg.src[k]]:
             q = at.act_on_bundle(e, p)
             report.record("trident:covers-pair",
                           (q.sigma, p.sigma) == at.project(e), (e, p))
@@ -208,10 +190,11 @@ def verify_trident(bundle, at=None):
                 report.record("trident:actions-commute", lhs == rhs, (e, p, h))
             report.record("trident:division-inverts",
                           at.division(q, p) == e, (e, p))
+    points_by_moment = [[] for _ in g.objects]
+    for p in bundle.points:
+        points_by_moment[bundle.moment(p)].append(p)
     for p1 in bundle.points:
-        for p2 in bundle.points:
-            if bundle.moment(p1) != bundle.moment(p2):
-                continue
+        for p2 in points_by_moment[bundle.moment(p1)]:
             e = at.division(p1, p2)
             report.record("trident:act-after-division",
                           at.act_on_bundle(e, p2) == p1, (p1, p2))

@@ -23,7 +23,10 @@ class BundleAutomorphism:
     def __init__(self, bundle, f, gamma):
         self.bundle = bundle
         self.f = dict(f)
-        self.f_inv = {v: k for k, v in self.f.items()}
+        try:
+            self.f_inv = {v: k for k, v in self.f.items()}
+        except TypeError:  # an unhashable value is no base point
+            raise StructuralError("base map is not a bijection") from None
         if len(self.f_inv) != len(self.f):
             raise StructuralError("base map is not a bijection")
         self.gamma = dict(gamma)

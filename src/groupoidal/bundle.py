@@ -154,8 +154,9 @@ class PrincipaloidBundle:
         return FPoint(p.sigma, p.chart, self.groupoid.tgt[p.arrow])
 
     def duck_fibre(self, f):
-        return [p for p in self.points
-                if p.sigma == f.sigma and self.groupoid.tgt[p.arrow] == f.obj]
+        """The canonical points over sigma with target f.obj, in arrow order."""
+        i = self.base.canonical_chart(f.sigma)
+        return [PPoint(f.sigma, i, a) for a in self.groupoid.target_fibres[f.obj]]
 
     def division(self, p1, p2):
         """The unique arrow with right_action(p1, .) == p2; locally g1^{-1}.g2."""

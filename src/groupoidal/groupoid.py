@@ -2,10 +2,13 @@
 
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
 the multiplication table is a dict keyed by composable pairs, since those
-are sparse in the square of the arrow set.
+are sparse in the square of the arrow set.  Every labelled table, the stock
+ones here and the symmetry groupoid's, comes from one builder that fills
+mul fibre by fibre, and validation walks the same fibres.
 """
 
 import itertools
+from functools import cached_property
 
 from .report import CompositionError, StructuralError, ValidationReport
 
@@ -93,7 +96,11 @@ class FiniteGroupoid:
 
     def arrow_index(self, label):
         """Look an arrow up by its label, when labels were supplied."""
-        return self.arrow_labels.index(label)
+        return self._arrow_ids[label]
+
+    @cached_property
+    def _arrow_ids(self):
+        return {x: k for k, x in enumerate(self.arrow_labels)}
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupoid):
@@ -136,31 +143,40 @@ def validate_groupoid(g):
 
     Axiom (i): src/tgt compatibility of the product and totality of mul on
     composable pairs.  (ii): associativity.  (iii): units.  (iv): inverses.
+    Pairs and triples are walked along target fibres, so only composable
+    ones are formed; a mul entry on a non-composable pair is reported in
+    its place in (a, b) order.
     """
     report = ValidationReport()
+    src, tgt, mul, fibres = g.src, g.tgt, g.mul, g.target_fibres
+    strays = {}
+    for a, b in mul:
+        if src[a] != tgt[b]:
+            strays.setdefault(a, []).append(b)
     for a in g.arrows:
-        for b in g.arrows:
-            if g.composable(a, b):
-                if (a, b) not in g.mul:
-                    report.add("i:mul-total", (a, b), "composable pair missing from mul")
-                    continue
-                c = g.mul[(a, b)]
-                report.record("i:src", g.src[c] == g.src[b], (a, b),
-                              "s(a.b) != s(b)")
-                report.record("i:tgt", g.tgt[c] == g.tgt[a], (a, b),
-                              "t(a.b) != t(a)")
-            elif (a, b) in g.mul:
+        bs = fibres[src[a]]
+        if a in strays:
+            bs = sorted(bs + tuple(strays[a]))
+        for b in bs:
+            if src[a] != tgt[b]:
                 report.add("i:mul-domain", (a, b), "mul defined on non-composable pair")
+            elif (a, b) not in mul:
+                report.add("i:mul-total", (a, b), "composable pair missing from mul")
+            else:
+                c = mul[(a, b)]
+                report.record("i:src", src[c] == src[b], (a, b), "s(a.b) != s(b)")
+                report.record("i:tgt", tgt[c] == tgt[a], (a, b), "t(a.b) != t(a)")
     for a in g.arrows:
-        for b in g.arrows:
-            if not g.composable(a, b) or (a, b) not in g.mul:
+        for b in fibres[src[a]]:
+            ab = mul.get((a, b))
+            if ab is None:
                 continue
-            for c in g.arrows:
-                if not g.composable(b, c) or (b, c) not in g.mul:
+            for c in fibres[src[b]]:
+                bc = mul.get((b, c))
+                if bc is None:
                     continue
-                left = g.mul.get((g.mul[(a, b)], c))
-                right = g.mul.get((a, g.mul[(b, c)]))
-                report.record("ii:assoc", left is not None and left == right,
+                left = mul.get((ab, c))
+                report.record("ii:assoc", left is not None and left == mul.get((a, bc)),
                               (a, b, c))
     for m in g.objects:
         e = g.unit[m]
@@ -215,51 +231,49 @@ class FiniteGroupAction:
                     h, self.inverse[h]))
 
 
+def _from_labels(labels, source, target, units, inverse, compose,
+                 object_labels=None):
+    """The finite groupoid whose arrows are labels, its structure given on them.
+
+    source and target send a label to an object id, units lists each
+    object's unit label, and inverse and compose act on labels.  mul is
+    filled by walking target fibres, each a with every b whose target is
+    src(a), so only composable pairs are formed and the keys come in
+    lexicographic order.  The label index built here is the one arrow_index
+    reads.
+    """
+    labels = tuple(labels)
+    ids = {x: k for k, x in enumerate(labels)}
+    g = FiniteGroupoid(len(units), map(source, labels), map(target, labels),
+                       [ids[u] for u in units], [ids[inverse(x)] for x in labels],
+                       {}, arrow_labels=labels, object_labels=object_labels)
+    g.mul.update(((a, b), ids[compose(x, labels[b])])
+                 for a, x in enumerate(labels) for b in g.target_fibres[g.src[a]])
+    g._arrow_ids = ids
+    return g
+
+
 def pair_groupoid(n):
     """The pair groupoid of an n-point set: one arrow (m2, m1) per ordered pair."""
-    labels = [(m2, m1) for m2 in range(n) for m1 in range(n)]
-    index = {lab: k for k, lab in enumerate(labels)}
-    src = [m1 for (_, m1) in labels]
-    tgt = [m2 for (m2, _) in labels]
-    unit = [index[(m, m)] for m in range(n)]
-    inv = [index[(m1, m2)] for (m2, m1) in labels]
-    mul = {}
-    for (m3, m2) in labels:
-        for (m2b, m1) in labels:
-            if m2 == m2b:
-                mul[(index[(m3, m2)], index[(m2, m1)])] = index[(m3, m1)]
-    return FiniteGroupoid(n, src, tgt, unit, inv, mul, arrow_labels=labels)
+    return fibred_pair_groupoid([range(n)])
 
 
 def action_groupoid(action):
     """The action groupoid of a FiniteGroupAction: arrows (g, m), s=m, t=g.m."""
-    labels = [(gg, m) for gg in action.elements for m in range(action.carrier_size)]
-    index = {lab: k for k, lab in enumerate(labels)}
-    src = [m for (_, m) in labels]
-    tgt = [action.act[(gg, m)] for (gg, m) in labels]
-    unit = [index[(action.identity, m)] for m in range(action.carrier_size)]
-    inv = [index[(action.inverse[gg], action.act[(gg, m)])] for (gg, m) in labels]
-    mul = {}
-    for (h, m2) in labels:
-        for (gg, m1) in labels:
-            # (h, g.m).(g, m) = (h*g, m)
-            if m2 == action.act[(gg, m1)]:
-                mul[(index[(h, m2)], index[(gg, m1)])] = index[(action.mult[(h, gg)], m1)]
-    return FiniteGroupoid(action.carrier_size, src, tgt, unit, inv, mul,
-                          arrow_labels=labels)
+    act = action.act
+    return _from_labels(
+        [(gg, m) for gg in action.elements for m in range(action.carrier_size)],
+        lambda x: x[1], act.__getitem__,
+        [(action.identity, m) for m in range(action.carrier_size)],
+        lambda x: (action.inverse[x[0]], act[x]),
+        # (h, g.m).(g, m) = (h*g, m)
+        lambda x, y: (action.mult[(x[0], y[0])], y[1]))
 
 
 def group_groupoid(elements, mult, identity, inverse):
     """A group as a one-object groupoid."""
-    labels = list(elements)
-    index = {lab: k for k, lab in enumerate(labels)}
-    n = len(labels)
-    src = [0] * n
-    tgt = [0] * n
-    unit = [index[identity]]
-    inv = [index[inverse[gg]] for gg in labels]
-    mul = {(index[a], index[b]): index[mult[(a, b)]] for a in labels for b in labels}
-    return FiniteGroupoid(1, src, tgt, unit, inv, mul, arrow_labels=labels)
+    return _from_labels(elements, lambda x: 0, lambda x: 0, [identity],
+                        inverse.__getitem__, lambda x, y: mult[(x, y)])
 
 
 def fibred_pair_groupoid(blocks):
@@ -267,37 +281,23 @@ def fibred_pair_groupoid(blocks):
     points = sorted(p for block in blocks for p in block)
     if points != list(range(len(points))):
         raise StructuralError("blocks must partition a dense range of object ids")
-    labels = [(m2, m1) for block in blocks for m2 in block for m1 in block]
-    index = {lab: k for k, lab in enumerate(labels)}
-    src = [m1 for (_, m1) in labels]
-    tgt = [m2 for (m2, _) in labels]
-    unit = [index[(m, m)] for m in range(len(points))]
-    inv = [index[(m1, m2)] for (m2, m1) in labels]
-    mul = {}
-    for (m3, m2) in labels:
-        for m1 in range(len(points)):
-            if (m2, m1) in index:
-                mul[(index[(m3, m2)], index[(m2, m1)])] = index[(m3, m1)]
-    return FiniteGroupoid(len(points), src, tgt, unit, inv, mul, arrow_labels=labels)
+    return _from_labels(
+        [(m2, m1) for block in blocks for m2 in block for m1 in block],
+        lambda x: x[1], lambda x: x[0], [(m, m) for m in points],
+        lambda x: (x[1], x[0]), lambda x, y: (x[0], y[1]))
 
 
 def product_groupoid(g1, g2):
-    """The product groupoid: componentwise structure on pairs of arrows."""
-    n1, n2 = g1.n_arrows, g2.n_arrows
-    def aid(a1, a2):
-        return a1 * n2 + a2
-    def oid(m1, m2):
-        return m1 * g2.n_objects + m2
-    src = [oid(g1.src[a1], g2.src[a2]) for a1 in g1.arrows for a2 in g2.arrows]
-    tgt = [oid(g1.tgt[a1], g2.tgt[a2]) for a1 in g1.arrows for a2 in g2.arrows]
-    unit = [aid(g1.unit[m1], g2.unit[m2])
-            for m1 in g1.objects for m2 in g2.objects]
-    inv = [aid(g1.inv[a1], g2.inv[a2]) for a1 in g1.arrows for a2 in g2.arrows]
-    mul = {}
-    for (a1, b1), c1 in g1.mul.items():
-        for (a2, b2), c2 in g2.mul.items():
-            mul[(aid(a1, a2), aid(b1, b2))] = aid(c1, c2)
-    return FiniteGroupoid(g1.n_objects * g2.n_objects, src, tgt, unit, inv, mul)
+    """The product groupoid: componentwise structure on pairs (a1, a2) of
+    arrows, over objects m1 * |Ob g2| + m2."""
+    n2 = g2.n_objects
+    return _from_labels(
+        [(a1, a2) for a1 in g1.arrows for a2 in g2.arrows],
+        lambda x: g1.src[x[0]] * n2 + g2.src[x[1]],
+        lambda x: g1.tgt[x[0]] * n2 + g2.tgt[x[1]],
+        [(g1.unit[m1], g2.unit[m2]) for m1 in g1.objects for m2 in g2.objects],
+        lambda x: (g1.inv[x[0]], g2.inv[x[1]]),
+        lambda x, y: (g1.compose(x[0], y[0]), g2.compose(x[1], y[1])))
 
 
 def z2_swap_action():

@@ -4,7 +4,8 @@ import pytest
 
 from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
                         FiniteGroupoid, MomentMismatch,
-                        enumerate_projectable_bisections, validate_groupoid,
+                        enumerate_projectable_bisections, pair_groupoid,
+                        product_groupoid, validate_groupoid,
                         verify_atiyah_sequence, verify_trident)
 from groupoidal.atiyah import AtElement
 
@@ -72,6 +73,21 @@ def test_chain_table_matches_all_pairs_construction(
         request, chain_bundle, fibre, k):
     g = request.getfixturevalue(fibre)
     assert_table_matches_all_pairs(AtiyahGroupoid(chain_bundle(g, k, seed=k)))
+
+
+def test_table_is_pair_groupoid_times_fibre(three_point_bundle, chain_bundle,
+                                           z2_groupoid, pair3):
+    # with canonical charts At(P) over a finite base is Pair(B) x G, arrow
+    # for arrow and in the same mul order
+    bundles = [three_point_bundle] + [chain_bundle(g, k, seed=k)
+                                      for g in (z2_groupoid, pair3)
+                                      for k in (3, 4, 5)]
+    for bundle in bundles:
+        fg = AtiyahGroupoid(bundle).as_finite_groupoid()
+        product = product_groupoid(pair_groupoid(len(bundle.base.base)),
+                                   bundle.groupoid)
+        assert fg == product
+        assert list(fg.mul.items()) == list(product.mul.items())
 
 
 def test_table_is_built_once(at):

@@ -1,13 +1,15 @@
-"""The table-driven identity suite, the pruned bisection enumeration and
-the iterative commutant search, checked against the code they replaced.
+"""The table-driven identity suite, the pruned bisection enumeration, the
+iterative commutant search and the fibre-walking groupoid validation,
+checked against the code they replaced.
 
 The oracles below are the per-check loops: every action is recomputed
 through left_mult, right_mult and conjugate, fibres are found by scanning
-all arrows, and every section is tried before the filter.  The commutant
-oracle is the recursive search with its original predicates.  The fast
-paths must give the same report (check names, checks_run, violations with
-their witnesses, in order), the same bisections and commutants in the same
-order, and the same exception class where the oracle raises.
+all arrows, every section is tried before the filter, and validation tries
+every pair and triple of arrows.  The commutant oracle is the recursive
+search with its original predicates.  The fast paths must give the same
+report (check names, checks_run, violations with their witnesses, in
+order), the same bisections and commutants in the same order, and the same
+exception class where the oracle raises.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from groupoidal import (Bisection, CompositionError, EnumerationBound,
                         enumerate_bisections, fibred_pair_groupoid,
                         group_groupoid, left_mult, pair_groupoid,
                         product_groupoid, r_equivariant_commutant,
-                        right_mult)
+                        right_mult, validate_groupoid)
 from groupoidal.bisection import _translations, shadow_inverse
 
 
@@ -111,6 +113,51 @@ def oracle_identities(g, cap=100000):
                 report.record("e3-ii:r-vs-R",
                               g.compose(h, a) == right_mult(h, b),
                               (b.assign, a, h))
+    return report
+
+
+def oracle_validate(g):
+    """The groupoid axioms over every pair and triple of arrows."""
+    report = ValidationReport()
+    for a in g.arrows:
+        for b in g.arrows:
+            if g.composable(a, b):
+                if (a, b) not in g.mul:
+                    report.add("i:mul-total", (a, b), "composable pair missing from mul")
+                    continue
+                c = g.mul[(a, b)]
+                report.record("i:src", g.src[c] == g.src[b], (a, b),
+                              "s(a.b) != s(b)")
+                report.record("i:tgt", g.tgt[c] == g.tgt[a], (a, b),
+                              "t(a.b) != t(a)")
+            elif (a, b) in g.mul:
+                report.add("i:mul-domain", (a, b), "mul defined on non-composable pair")
+    for a in g.arrows:
+        for b in g.arrows:
+            if not g.composable(a, b) or (a, b) not in g.mul:
+                continue
+            for c in g.arrows:
+                if not g.composable(b, c) or (b, c) not in g.mul:
+                    continue
+                left = g.mul.get((g.mul[(a, b)], c))
+                right = g.mul.get((a, g.mul[(b, c)]))
+                report.record("ii:assoc", left is not None and left == right,
+                              (a, b, c))
+    for m in g.objects:
+        e = g.unit[m]
+        report.record("iii:unit-src", g.src[e] == m, m)
+        report.record("iii:unit-tgt", g.tgt[e] == m, m)
+    for a in g.arrows:
+        e_t = g.unit[g.tgt[a]]
+        e_s = g.unit[g.src[a]]
+        report.record("iii:unit-left", g.mul.get((e_t, a)) == a, a)
+        report.record("iii:unit-right", g.mul.get((a, e_s)) == a, a)
+    for a in g.arrows:
+        b = g.inv[a]
+        report.record("iv:inv-src", g.src[b] == g.tgt[a], a)
+        report.record("iv:inv-tgt", g.tgt[b] == g.src[a], a)
+        report.record("iv:inv-right", g.mul.get((a, b)) == g.unit[g.tgt[a]], a)
+        report.record("iv:inv-left", g.mul.get((b, a)) == g.unit[g.src[a]], a)
     return report
 
 
@@ -224,14 +271,26 @@ def permutation_group(gens, d):
     return elements, mult, identity, inverse
 
 
+CORRUPTIONS = ("mul", "inv", "unit", "drop", "stray")
+
+
 def corrupt(g, kind, i, j):
-    """g with one structure entry wrong: two mul values swapped, or one inv
-    or unit entry moved to another arrow."""
+    """g with one structure entry wrong: two mul values swapped, one inv or
+    unit entry moved to another arrow, one composable pair dropped from mul,
+    or one stray mul entry on a non-composable pair (g is left whole when it
+    has no such pair)."""
     mul, inv, unit = dict(g.mul), list(g.inv), list(g.unit)
     if kind == "mul":
         keys = list(mul)
         k1, k2 = keys[i % len(keys)], keys[j % len(keys)]
         mul[k1], mul[k2] = mul[k2], mul[k1]
+    elif kind == "drop":
+        del mul[list(mul)[i % len(mul)]]
+    elif kind == "stray":
+        off = [(a, b) for a in g.arrows for b in g.arrows
+               if not g.composable(a, b)]
+        if off:
+            mul[off[i % len(off)]] = j % g.n_arrows
     elif kind == "inv":
         a = i % g.n_arrows
         inv[a] = (inv[a] + 1 + j % (g.n_arrows - 1)) % g.n_arrows
@@ -335,3 +394,53 @@ def test_cap_bounds_candidates_examined(pair3):
     assert len(enumerate_bisections(pair3, cap=30)) == 6
     with pytest.raises(EnumerationBound, match="cap 29"):
         enumerate_bisections(pair3, cap=29)
+
+
+def assert_validation_matches_oracle(g):
+    report = validate_groupoid(g)
+    assert report.to_dict() == oracle_validate(g).to_dict()
+    return report
+
+
+@given(groupoids, st.lists(st.tuples(st.sampled_from(CORRUPTIONS),
+                                      st.integers(0, 1000), st.integers(0, 1000)),
+                            max_size=3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_validation_matches_oracle(g, corruptions):
+    # several faults can share a row of mul, so their order is compared too
+    for kind, i, j in corruptions:
+        if g.n_arrows > 1 and g.mul:  # drops can empty a small table
+            g = corrupt(g, kind, i, j)
+    assert_validation_matches_oracle(g)
+
+
+def test_fixture_validation_matches_oracle(z2_groupoid, pair3):
+    z3 = group_groupoid([0, 1, 2], {(a, b): (a + b) % 3 for a in range(3)
+                                    for b in range(3)},
+                        0, {a: (-a) % 3 for a in range(3)})
+    caught_as = {"drop": "i:mul-total", "stray": "i:mul-domain"}
+    for g in (z2_groupoid, pair3, z3, fibred_pair_groupoid([[0], [1, 2]])):
+        assert assert_validation_matches_oracle(g).ok
+        for kind in CORRUPTIONS:
+            if kind == "stray" and g.n_objects == 1:
+                continue  # every pair of a group composes
+            report = assert_validation_matches_oracle(corrupt(g, kind, 1, 2))
+            assert not report.ok, (g, kind)
+            if kind in caught_as:
+                assert caught_as[kind] in {v.check for v in report.violations}
+    # two strays in the first row of mul, stored in reverse order
+    report = assert_validation_matches_oracle(
+        corrupt(corrupt(z2_groupoid, "stray", 1, 0), "stray", 0, 0))
+    assert [v.check for v in report.violations][:2] == ["i:mul-domain"] * 2
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 3), ("z2_groupoid", 4),
+                                     ("pair3", 3)])
+def test_atiyah_validation_matches_oracle(request, chain_bundle, fibre, k):
+    from groupoidal import AtiyahGroupoid
+    g = AtiyahGroupoid(chain_bundle(request.getfixturevalue(fibre), k,
+                                    seed=k)).as_finite_groupoid()
+    assert assert_validation_matches_oracle(g).ok
+    for n, kind in enumerate(CORRUPTIONS):
+        assert not assert_validation_matches_oracle(corrupt(g, kind, 7 * n + 1, 11 * n + 2))

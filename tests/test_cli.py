@@ -122,6 +122,17 @@ def test_base_map_checked_before_use(capsys, tmp_path, three_point_bundle):
         assert [v["check"] for v in check["violations"]] == ["aut:f-bijection"]
 
 
+def test_base_map_values_checked_before_inversion(capsys, tmp_path,
+                                                  three_point_bundle):
+    # two points sent to one, and a value that cannot be a base point
+    for k, value in enumerate(("a", [1])):
+        doc = automorphism_doc(three_point_bundle)
+        doc["f"]["c"] = value
+        path = write(tmp_path, "inv{}.json".format(k), doc)
+        assert main(["validate", path]) == 2, value
+        assert "base map is not a bijection" in capsys.readouterr().err
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0

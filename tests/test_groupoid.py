@@ -55,6 +55,23 @@ def test_product_groupoid(z2_groupoid, pair3):
     assert g.n_objects == 6
     assert g.n_arrows == 36
     assert validate_groupoid(g).ok
+    assert g.arrow_index((3, 5)) == 3 * 9 + 5
+
+
+def test_pair_groupoid_is_one_block_fibred():
+    for n in range(4):
+        g, h = pair_groupoid(n), fibred_pair_groupoid([list(range(n))])
+        assert g == h
+        assert g.arrow_labels == h.arrow_labels
+
+
+def test_stock_tables_fill_mul_in_sorted_order(z2_groupoid, pair3):
+    z3 = group_groupoid([0, 1, 2], {(a, b): (a + b) % 3 for a in range(3)
+                                    for b in range(3)},
+                        0, {a: (-a) % 3 for a in range(3)})
+    for g in (pair3, z2_groupoid, z3, fibred_pair_groupoid([[0, 3], [1, 2, 4]]),
+              product_groupoid(z2_groupoid, pair3)):
+        assert list(g.mul) == sorted(g.mul)
 
 
 def test_construct_standard_dispatch(z2_groupoid):
