@@ -134,9 +134,6 @@ class AdjointBundle:
         """The injection into the symmetry groupoid over the unit pair."""
         return AtElement(e.sigma, e.chart, e.arrow, e.sigma, e.chart)
 
-    def project_source(self, e):
-        return FPoint(e.sigma, e.chart, self.bundle.groupoid.src[e.arrow])
-
 
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     """Exactness over the pair groupoid of the base, checked element by element."""

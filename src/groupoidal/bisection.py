@@ -162,75 +162,32 @@ def enumerate_bisections(g, cap=100000):
             for assign in _search(g.source_fibres, g.tgt, cap)]
 
 
-def _match(adjacency, forced=None):
-    """Maximum bipartite matching by augmenting paths; forced pins one edge.
-
-    adjacency maps each left vertex to a list of right vertices.  Returns a
-    dict left -> right covering all left vertices, or None.
-    """
-    match_right = {}
-    if forced is not None:
-        left0, right0 = forced
-        match_right[right0] = left0
-
-    def augment(u, seen):
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            w = match_right.get(v)
-            if w is None or (w != forced_left and augment(w, seen)):
-                match_right[v] = u
-                return True
-        return False
-
-    forced_left = forced[0] if forced is not None else None
-    for u in adjacency:
-        if u == forced_left:
-            continue
-        if not augment(u, set()):
-            return None
-    return {u: v for v, u in match_right.items()}
-
-
-def bisection_through(g, a, restrict=None):
+def bisection_through(g, a):
     """A global bisection beta with beta(s(a)) = a, or None.
 
-    With restrict given (an explicit list of bisections), the search is a
-    scan of that list.  Unrestricted, the section is completed by bipartite
-    matching between objects and shadow targets, with the edge through a
-    pinned.
+    For a: m0 -> t0 it takes a on m0, the least arrow t0 -> m0 on t0 and the
+    least loop on every other object, so its shadow is the transposition
+    (m0 t0).  None means a hom-set it needs is empty, which cannot happen in
+    a groupoid.
     """
-    if restrict is not None:
-        for b in restrict:
-            if b(g.src[a]) == a:
-                return b
-        return None
     m0, t0 = g.src[a], g.tgt[a]
-    adjacency = {}
-    for m in g.objects:
-        targets = sorted({g.tgt[x] for x in g.source_fibres[m]})
-        if m != m0:
-            targets = [t for t in targets if t != t0]
-        adjacency[m] = targets
-    matching = _match(adjacency, forced=(m0, t0))
-    if matching is None:
-        return None
-    matching[m0] = t0
     assign = []
     for m in g.objects:
         if m == m0:
             assign.append(a)
             continue
-        assign.append(min(x for x in g.source_fibres[m] if g.tgt[x] == matching[m]))
+        want = m0 if m == t0 else m
+        x = next((x for x in g.source_fibres[m] if g.tgt[x] == want), None)
+        if x is None:
+            return None
+        assign.append(x)
     b = Bisection(g, assign)
     if not validate_bisection(g, b):
-        raise InternalError("matching gave {!r}, not a bisection through {}".format(
-            b, a))
+        raise InternalError("{!r} is not a bisection through {}".format(b, a))
     return b
 
 
-def is_id_reducible(g, restrict=None):
+def is_id_reducible(g):
     """Whether every arrow admits a global bisection through it.
 
     Returns (flag, witness): a map arrow -> bisection when True, else the
@@ -238,7 +195,7 @@ def is_id_reducible(g, restrict=None):
     """
     witness = {}
     for a in g.arrows:
-        b = bisection_through(g, a, restrict=restrict)
+        b = bisection_through(g, a)
         if b is None:
             return False, a
         witness[a] = b

@@ -127,13 +127,6 @@ class PrincipaloidBundle:
         b = self.cocycle.beta(i, chart, sigma)
         return PPoint(sigma, i, left_mult(b, arrow))
 
-    def canonical_shadow_point(self, sigma, chart, obj):
-        i = self.base.canonical_chart(sigma)
-        if i == chart:
-            return FPoint(sigma, i, obj)
-        b = self.cocycle.beta(i, chart, sigma)
-        return FPoint(sigma, i, b.shadow()[obj])
-
     def in_chart(self, p, chart):
         """The fibre coordinate of a canonical point, read in another chart."""
         if chart == p.chart:

@@ -3,8 +3,14 @@ hangs off it: the gluing law, the vertical projectors, Christoffel forms,
 parallel transport, gauge transformations, and covariant derivatives.
 
 All Lie-algebra values are plain matrices, identified across fibres by right
-translation at the unit.  Derivatives are central finite differences with
-the scenario's step unless a closed form is exact.
+translation at the unit.  Chart changes and gauge transformations act on the
+local data by one affine law, X -> TC_b(X) - mc(b).  The adjoint part of TC,
+the anchor and the Christoffel forms are closed-form.  Derivatives of the
+user's callables, which have no closed form here, are central differences
+with the module step FD_STEP: the base derivative in mc_right, the fibre
+derivative in tangent_conjugation (exactly zero for a family that does not
+depend on m), the anchor derivatives in algebroid_bracket, and d_u phi in
+covariant_derivative.
 """
 
 import numpy as np
@@ -12,41 +18,29 @@ import numpy as np
 from .report import NumericFailure, StructuralError
 from .scenario import BisectionFamily
 
+FD_STEP = 1e-5
+
 
 def mc_right(scenario, fam, m, sigma, u):
     """Right-logarithmic base derivative (d_u g(sigma, m)) g(sigma, m)^{-1}."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
-    h = scenario.fd_step
+    h = FD_STEP
     dg = (fam(sigma + h * u, m) - fam(sigma - h * u, m)) / (2 * h)
     return dg @ np.linalg.inv(fam(sigma, m))
 
 
 def tangent_conjugation(scenario, b, m, X):
-    """The derivative of conjugation by the bisection b at the unit over m.
-
-    Computed from the full conjugated curve t -> b(exp(tX).m) exp(tX) b(m)^{-1};
-    the result is attached at the shadow point b(m).m.
+    """The derivative of conjugation by the bisection b at the unit over m,
+    (b(m) X + d_{X.m} b) b(m)^{-1}: Ad_{b(m)} X plus the derivative of b
+    along the anchor X.m.  The result is attached at the shadow point b(m).m.
     """
     m = np.asarray(m, dtype=float)
-    h = scenario.fd_step
-    gminv = np.linalg.inv(b(m))
-
-    def curve(t):
-        e = scenario.exp(t * X)
-        return b(e @ m) @ e @ gminv
-
-    return (curve(h) - curve(-h)) / (2 * h)
-
-
-def tangent_conjugation_split(scenario, b, m, X):
-    """The same map as the sum Ad_{b(m)} X + (d_{X.m} b) b(m)^{-1}."""
-    m = np.asarray(m, dtype=float)
-    h = scenario.fd_step
+    h = FD_STEP
     g = b(m)
     v = X @ m
     db = (b(m + h * v) - b(m - h * v)) / (2 * h)
-    return g @ X @ np.linalg.inv(g) + db @ np.linalg.inv(g)
+    return (g @ X + db) @ np.linalg.inv(g)
 
 
 def anchor(scenario, m, X):
@@ -60,7 +54,7 @@ def algebroid_bracket(scenario, s1, s2):
     Pointwise matrix commutator plus the anchor-directional derivatives of
     the coefficient fields.
     """
-    h = scenario.fd_step
+    h = FD_STEP
 
     def out(m):
         m = np.asarray(m, dtype=float)
@@ -109,10 +103,12 @@ def gluing_residual(scenario, A, i, j, sigma, m, u):
 def construct_connection(scenario, partition=None):
     """Glue the flat chart data through a partition of unity.
 
-    The flat datum of chart k, read in chart j, is the tangent-conjugation
-    transport of the Maurer-Cartan derivative of beta_kj; the convex
-    combination satisfies the gluing law because the law is affine with a
-    shared inhomogeneous term.
+    Chart k's zero datum, carried into chart j by the gluing law, is
+    -mc(beta_jk) at the point beta_kj|>m; the convex combination
+    A_j(sigma, m)(u) = -sum_k w_k(sigma) mc_right(beta_jk; beta_kj|>m, sigma, u)
+    glues because the law is affine with a shared inhomogeneous term.  The
+    cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
+    transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
     """
     partition = partition if partition is not None else scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -134,11 +130,8 @@ def construct_connection(scenario, partition=None):
                 w = partition[k](sigma)
                 if w == 0.0:
                     continue
-                fam_kj = scenario.beta(k, j)
-                m_k = fam_kj.shadow(sigma, m)
-                X = mc_right(scenario, fam_kj, m, sigma, u)
-                out += w * tangent_conjugation(
-                    scenario, scenario.beta(j, k).at(sigma), m_k, X)
+                m_k = scenario.beta(k, j).shadow(sigma, m)
+                out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
             return out
         return A_j
 
@@ -269,7 +262,7 @@ def covariant_derivative(scenario, A, phi, i, sigma, u):
     """d_u phi + rho(A_i(sigma, phi(sigma))(u)) at phi(sigma)."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
-    h = scenario.fd_step
+    h = FD_STEP
     m = np.asarray(phi(sigma), dtype=float)
     dphi = (np.asarray(phi(sigma + h * u), dtype=float)
             - np.asarray(phi(sigma - h * u), dtype=float)) / (2 * h)

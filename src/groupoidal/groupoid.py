@@ -13,6 +13,11 @@ from functools import cached_property
 from .report import CompositionError, StructuralError, ValidationReport
 
 
+def _is_id(x, n):
+    """Whether x is a dense id below n: an int, not a bool or a float."""
+    return type(x) is int and 0 <= x < n
+
+
 class FiniteGroupoid:
     """A small category with all morphisms invertible, on finite data.
 
@@ -44,19 +49,22 @@ class FiniteGroupoid:
 
     def _check_shape(self):
         n = self.n_arrows
+        if type(self.n_objects) is not int:
+            raise StructuralError("object count is not an int: {!r}".format(
+                self.n_objects))
         if len(self.tgt) != n or len(self.inv) != n:
             raise StructuralError("src/tgt/inv tables disagree in length")
         if len(self.unit) != self.n_objects:
             raise StructuralError("unit table length differs from object count")
         for a in itertools.chain(self.inv, self.unit):
-            if not (0 <= a < n):
-                raise StructuralError("arrow id out of range: {}".format(a))
+            if not _is_id(a, n):
+                raise StructuralError("arrow id not an int in range: {!r}".format(a))
         for m in itertools.chain(self.src, self.tgt):
-            if not (0 <= m < self.n_objects):
-                raise StructuralError("object id out of range: {}".format(m))
+            if not _is_id(m, self.n_objects):
+                raise StructuralError("object id not an int in range: {!r}".format(m))
         for (a, b), c in self.mul.items():
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise StructuralError("mul entry out of range: {}".format((a, b, c)))
+            if not (_is_id(a, n) and _is_id(b, n) and _is_id(c, n)):
+                raise StructuralError("mul entry not ints in range: {!r}".format((a, b, c)))
 
     @property
     def n_arrows(self):

@@ -95,8 +95,7 @@ class BisectionFamily:
 class MatrixGroupScenario:
     """Group data, carrier, covered base, and the overlap cocycle."""
 
-    def __init__(self, name, algebra, n, charts, cocycle, partition=None,
-                 fd_step=1e-5):
+    def __init__(self, name, algebra, n, charts, cocycle, partition=None):
         self.name = name
         self.algebra = [np.asarray(t, dtype=float) for t in algebra]
         self.n = n
@@ -104,7 +103,6 @@ class MatrixGroupScenario:
         self.d = len(charts[0].intervals)
         self.cocycle = dict(cocycle)
         self.partition = partition
-        self.fd_step = fd_step
 
     def exp(self, X):
         return rotation_exp(X)
@@ -175,7 +173,7 @@ def so2_angle_grad(u):
     return u[0] + 0.5 * u[1]
 
 
-def so2_two_chart_scenario(fd_step=1e-5):
+def so2_two_chart_scenario():
     """Rotations of the plane over a 2-dimensional base with two charts
     overlapping in 0.3 < sigma_0 < 0.7; the cocycle is the rotation by a
     base-dependent angle, constant in m."""
@@ -191,16 +189,16 @@ def so2_two_chart_scenario(fd_step=1e-5):
 
     partition = [lambda s: 1.0 - h1(s), h1]
     return MatrixGroupScenario("so2-two-chart", [J2], 2, charts, cocycle,
-                               partition, fd_step)
+                               partition)
 
 
-def so2_single_chart_scenario(fd_step=1e-5):
+def so2_single_chart_scenario():
     charts = [Box([(-2.0, 2.0), (-2.0, 2.0)])]
     return MatrixGroupScenario("so2-single-chart", [J2], 2, charts, {},
-                               [lambda s: 1.0], fd_step)
+                               [lambda s: 1.0])
 
 
-def so3_two_chart_scenario(fd_step=1e-5):
+def so3_two_chart_scenario():
     """Rotations of R^3 over the same two-chart base; the cocycle mixes two
     generators so the adjoint and Maurer-Cartan terms are nontrivial."""
     charts = [Box([(-1.0, 0.7), (-1.0, 1.0)]),
@@ -219,4 +217,4 @@ def so3_two_chart_scenario(fd_step=1e-5):
 
     partition = [lambda s: 1.0 - h1(s), h1]
     return MatrixGroupScenario("so3-two-chart", [L_X, L_Y, L_Z], 3, charts,
-                               cocycle, partition, fd_step)
+                               cocycle, partition)

@@ -106,23 +106,13 @@ def test_bisection_through_every_arrow(z2_groupoid, pair3):
 
 
 def test_bisection_through_checks_its_result(monkeypatch, pair3):
-    # a matching that sends every object to 0 completes to no bisection;
-    # that is a bug in the library, not bad input, and -O keeps the check
+    # a result that fails validation is a bug in the library, not bad
+    # input, and -O keeps the check
     import groupoidal.bisection as bisection
-    monkeypatch.setattr(bisection, "_match", lambda adjacency, forced: {
-        m: 0 for m in adjacency})
+    monkeypatch.setattr(bisection, "validate_bisection", lambda g, b: False)
     with pytest.raises(InternalError) as info:
         bisection_through(pair3, 0)
     assert not isinstance(info.value, ValueError)
-
-
-def test_bisection_through_restricted_list(z2_groupoid):
-    g = z2_groupoid
-    bis = list(enumerate_bisections(g))
-    a = g.arrow_index(("r", 0))
-    b = bisection_through(g, a, restrict=bis)
-    assert b is not None and b(0) == a
-    assert bisection_through(g, a, restrict=[unit_bisection(g)]) is None
 
 
 def test_id_reducibility(z2_groupoid, pair3):

@@ -1,12 +1,14 @@
 """The table-driven identity suite, the pruned bisection enumeration, the
-iterative commutant search and the fibre-walking groupoid validation,
-checked against the code they replaced.
+iterative commutant search, the fibre-walking groupoid validation and the
+closed-form bisection through an arrow, checked against the code they
+replaced.
 
 The oracles below are the per-check loops: every action is recomputed
 through left_mult, right_mult and conjugate, fibres are found by scanning
 all arrows, every section is tried before the filter, and validation tries
 every pair and triple of arrows.  The commutant oracle is the recursive
-search with its original predicates.  The fast paths must give the same
+search with its original predicates; the id-reducibility oracle completes
+each section by bipartite matching.  The fast paths must give the same
 report (check names, checks_run, violations with their witnesses, in
 order), the same bisections and commutants in the same order, and the same
 exception class where the oracle raises.
@@ -16,16 +18,17 @@ import itertools
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from groupoidal import (Bisection, CompositionError, EnumerationBound,
                         FiniteGroupAction, FiniteGroupoid, ValidationReport,
                         action_groupoid, bisection_inverse,
                         check_structure_identities, conjugate,
                         enumerate_bisections, fibred_pair_groupoid,
-                        group_groupoid, left_mult, pair_groupoid,
-                        product_groupoid, r_equivariant_commutant,
-                        right_mult, validate_groupoid)
+                        group_groupoid, is_id_reducible, left_mult,
+                        pair_groupoid, product_groupoid,
+                        r_equivariant_commutant, right_mult,
+                        validate_bisection, validate_groupoid)
 from groupoidal.bisection import _translations, shadow_inverse
 
 
@@ -444,3 +447,61 @@ def test_atiyah_validation_matches_oracle(request, chain_bundle, fibre, k):
     assert assert_validation_matches_oracle(g).ok
     for n, kind in enumerate(CORRUPTIONS):
         assert not assert_validation_matches_oracle(corrupt(g, kind, 7 * n + 1, 11 * n + 2))
+
+
+def oracle_bisection_through(g, a):
+    """A bisection through a: m0 -> t0 by maximum bipartite matching of
+    objects to shadow targets, with m0 pinned to t0; None if none exists."""
+    m0, t0 = g.src[a], g.tgt[a]
+    adjacency = {m: sorted({g.tgt[x] for x in source_fibre(g, m)} - {t0})
+                 for m in g.objects}
+    adjacency[m0] = [t0]
+    match_right = {}
+
+    def augment(u, seen):
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in match_right or augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    if not all(augment(m, set()) for m in g.objects):
+        return None
+    match = {u: v for v, u in match_right.items()}
+    return Bisection(g, [a if m == m0 else
+                         min(x for x in source_fibre(g, m) if g.tgt[x] == match[m])
+                         for m in g.objects])
+
+
+def assert_id_reducible_matches_oracle(g):
+    flag, witness = is_id_reducible(g)
+    assert flag == all(oracle_bisection_through(g, a) is not None
+                       for a in g.arrows)
+    if flag:
+        assert sorted(witness) == list(g.arrows)
+        for a, b in witness.items():
+            assert validate_bisection(g, b) and b(g.src[a]) == a
+    return flag
+
+
+@given(groupoids)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_id_reducible_matches_oracle(g):
+    assume(validate_groupoid(g).ok)
+    assert assert_id_reducible_matches_oracle(g)
+
+
+def test_fixture_id_reducible_matches_oracle(z2_groupoid, pair3,
+                                             three_point_bundle):
+    from groupoidal import AtiyahGroupoid
+    for g in (z2_groupoid, pair3, fibred_pair_groupoid([[0], [1, 2]]),
+              AtiyahGroupoid(three_point_bundle).as_finite_groupoid()):
+        assert assert_id_reducible_matches_oracle(g)
+    # not a groupoid: arrow 2 runs 0 -> 1 and nothing runs back
+    one_way = FiniteGroupoid(2, [0, 1, 0], [0, 1, 1], [0, 1], [0, 1, 2],
+                             {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2})
+    assert not assert_id_reducible_matches_oracle(one_way)
+    assert is_id_reducible(one_way) == (False, 2)

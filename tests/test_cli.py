@@ -133,6 +133,18 @@ def test_base_map_values_checked_before_inversion(capsys, tmp_path,
         assert "base map is not a bijection" in capsys.readouterr().err
 
 
+def test_ids_must_be_ints(capsys, tmp_path, z2_groupoid):
+    # a float passes 0 <= a < n but cannot index a table
+    for key in ("units", "inv", "mul"):
+        doc = z2_groupoid.to_json()
+        row = doc[key][-1] if key == "mul" else doc[key]
+        row[-1] = float(row[-1])
+        path = write(tmp_path, key + ".json", doc)
+        assert main(["validate", path]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and repr(row[-1]) in err
+
+
 def test_validate_bundle_doc(capsys, bundle_doc):
     code, out = run(capsys, ["validate", bundle_doc])
     assert code == 0
@@ -224,6 +236,26 @@ def test_transport_closed_form(capsys, tmp_path):
     from groupoidal.scenario import J2
     assert np.linalg.norm(np.array(report["endpoint"]) - expm(-J2)) < 1e-8
     assert 3.7 < report["convergence_order"] < 4.3
+    assert report["convergence_order_note"] is None
+
+
+def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
+    # at this step the so3 endpoints agree to roundoff, and the constructed
+    # so2 field vanishes left of the overlap, so RK4 is exact there
+    flat = write(tmp_path, "flat.json",
+                 {"waypoints": [[-0.5, 0.0], [0.2, 0.0]], "charts": [0]})
+    for argv, note in ((["so3-two-chart", "--step", "5e-4"], "roundoff"),
+                       (["so2-two-chart", "--path", flat], "is 0")):
+        code, out = run(capsys, ["transport"] + argv)
+        report = json.loads(out)
+        assert code == 0 and report["convergence_order"] is None, argv
+        assert note in report["convergence_order_note"]
+
+
+def test_fd_step_flag_removed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["transport", "so2-single-chart", "--fd-step", "1e-4"])
+    assert info.value.code == 2
 
 
 def test_numeric_failure_exits_4(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from groupoidal.connection import (BasePath, LocalConnectionData,
                                    gauge_transform_connection, gluing_residual,
                                    inverse_gauge, mc_right, parallel_transport,
                                    shadow_theta, tangent_conjugation,
-                                   tangent_conjugation_split, zero_connection)
+                                   zero_connection)
 from groupoidal.report import StructuralError
 from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z,
                                  compose_arrow, conjugate_arrow, inv_arrow,
@@ -39,6 +39,38 @@ def overlap_sample(rng):
 
 def random_algebra(scenario, rng):
     return sum(rng.normal() * t for t in scenario.algebra)
+
+
+def curve_tangent_conjugation(scenario, b, m, X, h=1e-5):
+    """Oracle for tangent_conjugation: the central difference of the
+    conjugated curve t -> b(exp(tX).m) exp(tX) b(m)^{-1} at t = 0."""
+    gminv = np.linalg.inv(b(m))
+
+    def curve(t):
+        e = scenario.exp(t * X)
+        return b(e @ m) @ e @ gminv
+
+    return (curve(h) - curve(-h)) / (2 * h)
+
+
+def tc_mc_connection(scenario):
+    """Oracle for construct_connection: each chart k's flat datum as the
+    tangent-conjugation transport TC_{beta_jk}(mc(beta_kj)), by the curve."""
+    def field(j):
+        def A_j(sigma, m, u):
+            out = np.zeros((scenario.n, scenario.n))
+            for k, chart in enumerate(scenario.charts):
+                if k == j or not chart.contains(sigma):
+                    continue
+                fam_kj = scenario.beta(k, j)
+                X = mc_right(scenario, fam_kj, m, sigma, u)
+                out += scenario.partition[k](sigma) * curve_tangent_conjugation(
+                    scenario, scenario.beta(j, k).at(sigma),
+                    fam_kj.shadow(sigma, m), X)
+            return out
+        return A_j
+    return LocalConnectionData(scenario,
+                               [field(j) for j in range(len(scenario.charts))])
 
 
 # --- closed-form exp ---------------------------------------------------------
@@ -139,10 +171,11 @@ def test_tangent_conjugation_constant_is_ad(so3):
     for _ in range(10):
         X = random_algebra(so3, RNG)
         got = tangent_conjugation(so3, b, RNG.normal(size=3), X)
-        assert np.linalg.norm(got - g0 @ X @ np.linalg.inv(g0)) < 1e-7
+        # the fibre-derivative term vanishes exactly for a constant family
+        assert np.linalg.norm(got - g0 @ X @ np.linalg.inv(g0)) < 1e-12
 
 
-def test_tangent_conjugation_vs_split(so2, so3):
+def test_tangent_conjugation_vs_curve(so2, so3):
     for sc in (so2, so3):
         fam = sc.cocycle[(0, 1)]
         for _ in range(20):
@@ -150,8 +183,22 @@ def test_tangent_conjugation_vs_split(so2, so3):
             m = RNG.normal(size=sc.n)
             X = random_algebra(sc, RNG)
             d = np.linalg.norm(tangent_conjugation(sc, fam.at(s), m, X)
-                               - tangent_conjugation_split(sc, fam.at(s), m, X))
+                               - curve_tangent_conjugation(sc, fam.at(s), m, X))
             assert d < 1e-7
+
+
+def test_tangent_conjugation_m_dependent(so3):
+    # the family of test_newton_shadow_inverse: the fibre derivative counts
+    def b(m):
+        return expm(0.2 * np.tanh(m[0]) * L_Z)
+    fibre_terms = []
+    for _ in range(20):
+        m = RNG.normal(size=3)
+        X = random_algebra(so3, RNG)
+        got = tangent_conjugation(so3, b, m, X)
+        assert np.linalg.norm(got - curve_tangent_conjugation(so3, b, m, X)) < 1e-7
+        fibre_terms.append(np.linalg.norm(got - b(m) @ X @ b(m).T))
+    assert max(fibre_terms) > 1e-3
 
 
 def test_anchor(so2, so3):
@@ -221,6 +268,15 @@ def test_constructed_connection_glues(so2, so3):
             m = RNG.normal(size=sc.n)
             assert gluing_residual(sc, A, 0, 1, s, m, u) < 1e-7
             assert gluing_residual(sc, A, 1, 0, s, m, u) < 1e-7
+
+
+def test_constructed_connection_matches_tc_of_mc(so3):
+    A, oracle = construct_connection(so3), tc_mc_connection(so3)
+    for _ in range(25):
+        s, u = overlap_sample(RNG), RNG.normal(size=2)
+        m = RNG.normal(size=3)
+        for j in (0, 1):
+            assert np.linalg.norm(A(j, s, m, u) - oracle(j, s, m, u)) < 1e-8
 
 
 def test_so2_closed_form(so2):
