@@ -15,8 +15,9 @@ multiplication, element lookup and every battery here read that table.
 """
 
 from collections import Counter, namedtuple
+from itertools import product
 
-from .bisection import left_mult, right_mult, conjugate
+from .bisection import Bisection, _search, conjugate, left_mult, right_mult
 from .bundle import FPoint, PPoint, MomentMismatch
 from .groupoid import _from_labels
 from .report import ValidationReport
@@ -140,9 +141,9 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     at = at or AtiyahGroupoid(bundle)
     adjoint = adjoint or AdjointBundle(bundle)
     report = ValidationReport()
-    pairs = {(s1, s2) for s1 in bundle.base.base for s2 in bundle.base.base}
+    pairs = list(product(bundle.base.base, repeat=2))
     report.record("sequence:surjective",
-                  {at.project(e) for e in at.elements} == pairs)
+                  {at.project(e) for e in at.elements} == set(pairs))
     for (k1, k2), k in at.as_finite_groupoid().mul.items():
         e1, e2 = at.elements[k1], at.elements[k2]
         report.record("sequence:morphism",
@@ -154,11 +155,9 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     report.record("sequence:embedding-injective",
                   len(image) == len(adjoint.elements))
     fibre_sizes = Counter(at.project(e) for e in at.elements)
-    for s1 in bundle.base.base:
-        for s2 in bundle.base.base:
-            report.record("sequence:fibre-size",
-                          fibre_sizes[(s1, s2)] == bundle.groupoid.n_arrows,
-                          (s1, s2))
+    for pair in pairs:
+        report.record("sequence:fibre-size",
+                      fibre_sizes[pair] == bundle.groupoid.n_arrows, pair)
     return report
 
 
@@ -208,24 +207,25 @@ def enumerate_projectable_bisections(bundle, at=None, cap=1_000_000):
     Returns (projectable, vertical): bisections whose projection sends every
     shadow point over sigma to a fixed f(sigma), and the subset with f = id.
     """
-    from .bisection import enumerate_bisections
-
     at = at or AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
-    bis = enumerate_bisections(fg, cap=cap)
-    fpoints = bundle.shadow_points
-    projectable, vertical = [], []
-    for b in bis:
-        base_map = {}
-        ok = True
-        for k, f in enumerate(fpoints):
-            e = at.elements[b(k)]
-            if base_map.setdefault(f.sigma, e.sigma1) != e.sigma1:
-                ok = False
-                break
-        if not ok or len(set(base_map.values())) != len(base_map):
-            continue
-        projectable.append(b)
-        if all(s1 == s for s, s1 in base_map.items()):
-            vertical.append(b)
-    return projectable, vertical
+    n = bundle.groupoid.n_objects
+    sigma1 = [e.sigma1 for e in at.elements]
+
+    def covers_base_map(prefix):
+        # shadow points come n to a sigma; k - k % n is the first over k's sigma
+        k = len(prefix) - 1
+        return sigma1[prefix[k]] == sigma1[prefix[k - k % n]]
+
+    # f is injective: the n points over sigma fill the n points over f(sigma)
+    projectable = [Bisection(fg, assign) for assign in
+                   _search(fg.source_fibres, fg.tgt, cap, covers_base_map)]
+    return projectable, _vertical_bisections(at, cap)
+
+
+def _vertical_bisections(at, cap):
+    """The bisections covering the identity: those of the kernel over the diagonal."""
+    fg = at.as_finite_groupoid()
+    choices = [[a for a in fibre if at.elements[a].sigma1 == at.elements[a].sigma2]
+               for fibre in fg.source_fibres]
+    return [Bisection(fg, assign) for assign in _search(choices, fg.tgt, cap)]

@@ -10,9 +10,10 @@ the symmetry groupoid.
 
 from itertools import product as iproduct
 
-from .atiyah import AtElement
+from .atiyah import AtElement, AtiyahGroupoid, _vertical_bisections
 from .bisection import (Bisection, bisection_inverse, bisection_product,
-                        enumerate_bisections, left_mult, validate_bisection)
+                        conjugate, enumerate_bisections, left_mult,
+                        unit_bisection, validate_bisection)
 from .bundle import FPoint, PPoint
 from .report import EnumerationBound, StructuralError, ValidationReport
 
@@ -64,7 +65,6 @@ class BundleAutomorphism:
         """Conjugation on the adjoint bundle; only defined when f = id."""
         if not self.is_vertical():
             raise StructuralError("adjoint push-forward needs a vertical map")
-        from .bisection import conjugate
         g = self.gamma_at(e.chart, e.chart, e.sigma)
         return type(e)(e.sigma, e.chart, conjugate(g, e.arrow))
 
@@ -101,7 +101,6 @@ class BundleAutomorphism:
 
 
 def identity_automorphism(bundle):
-    from .bisection import unit_bisection
     gamma = {}
     for sigma in bundle.base.base:
         i = bundle.base.canonical_chart(sigma)
@@ -233,13 +232,13 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
 
 def verify_gauge_group(bundle, gauge=None, cap=1_000_000):
     """Closure, identity, inverses, and agreement with the vertical
-    projectable bisections of the symmetry groupoid."""
-    from .atiyah import enumerate_projectable_bisections
-
-    gauge = gauge or enumerate_gauge_group(bundle, cap=cap)
-    # the projectable enumeration carries the cap: refuse before the
-    # |gauge|^2 closure loop rather than after it
-    _, vertical = enumerate_projectable_bisections(bundle, cap=cap)
+    bisections of the symmetry groupoid; closure costs |gauge|^2 products."""
+    if gauge is None:
+        gauge = enumerate_gauge_group(bundle, cap=cap)
+    if len(gauge) ** 2 > cap:
+        raise EnumerationBound(
+            "{}^2 gauge products exceed cap {}".format(len(gauge), cap))
+    vertical = _vertical_bisections(AtiyahGroupoid(bundle), cap)
     report = ValidationReport()
     keys = {aut.action_key(): aut for aut in gauge}
     ident = identity_automorphism(bundle)

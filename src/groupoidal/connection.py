@@ -7,18 +7,16 @@ translation at the unit.  Chart changes and gauge transformations act on the
 local data by one affine law, X -> TC_b(X) - mc(b).  The adjoint part of TC,
 the anchor and the Christoffel forms are closed-form.  Derivatives of the
 user's callables, which have no closed form here, are central differences
-with the module step FD_STEP: the base derivative in mc_right, the fibre
-derivative in tangent_conjugation (exactly zero for a family that does not
-depend on m), the anchor derivatives in algebroid_bracket, and d_u phi in
-covariant_derivative.
+with FD_STEP, the step scenario also uses: the base derivative in mc_right,
+the fibre derivative in tangent_conjugation (exactly zero for a family that
+does not depend on m), the anchor derivatives in algebroid_bracket, and
+d_u phi in covariant_derivative.
 """
 
 import numpy as np
 
 from .report import NumericFailure, StructuralError
-from .scenario import BisectionFamily
-
-FD_STEP = 1e-5
+from .scenario import FD_STEP, BisectionFamily
 
 
 def mc_right(scenario, fam, m, sigma, u):

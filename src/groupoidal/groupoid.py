@@ -140,7 +140,11 @@ class FiniteGroupoid:
                 raise StructuralError("arrow ids are not dense")
             src = [e["src"] for e in arrows]
             tgt = [e["tgt"] for e in arrows]
-            mul = {(a, b): c for a, b, c in doc["mul"]}
+            mul = {}
+            for a, b, c in doc["mul"]:
+                if (a, b) in mul:
+                    raise StructuralError("mul repeats the pair {!r}".format((a, b)))
+                mul[a, b] = c
             return cls(n_objects, src, tgt, doc["units"], doc["inv"], mul)
         except (KeyError, TypeError) as exc:
             raise StructuralError("malformed groupoid document: {}".format(exc))

@@ -16,6 +16,9 @@ from .report import NumericFailure, StructuralError
 
 _EYE = {(2, 2): np.eye(2), (3, 3): np.eye(3)}
 
+# the one central-difference step of the numeric engine, here and in connection
+FD_STEP = 1e-5
+
 
 def rotation_exp(X):
     """exp(X) for X in so(2) or so(3), in closed form:
@@ -54,7 +57,7 @@ class BisectionFamily:
     """A base-parametrized bisection sigma -> (m -> g(sigma, m)).
 
     The shadow is m -> g(sigma, m).m; its inverse is exact when g does not
-    depend on m and is found by Newton iteration otherwise.
+    depend on m, and otherwise found by Newton iteration on FD_STEP differences.
     """
 
     def __init__(self, g, constant_in_m=True):
@@ -77,17 +80,12 @@ class BisectionFamily:
         if self.constant_in_m:
             return np.linalg.solve(self(sigma, mp), mp)
         m = np.linalg.solve(self(sigma, mp), mp)
-        h = 1e-7
         for _ in range(max_iter):
             r = self.shadow(sigma, m) - mp
             if np.linalg.norm(r) < tol:
                 return m
-            jac = np.empty((len(mp), len(m)))
-            for k in range(len(m)):
-                dm = np.zeros_like(m)
-                dm[k] = h
-                jac[:, k] = (self.shadow(sigma, m + dm)
-                             - self.shadow(sigma, m - dm)) / (2 * h)
+            jac = np.column_stack([self.shadow(sigma, m + d) - self.shadow(sigma, m - d)
+                                   for d in FD_STEP * np.eye(len(m))]) / (2 * FD_STEP)
             m = m - np.linalg.solve(jac, r)
         raise NumericFailure("shadow inversion did not converge")
 

@@ -136,7 +136,8 @@ def test_gauge_maps_act_distinctly(request, chain_bundle, fibre, k):
 
 
 def test_gauge_verification_within_cap(chain_bundle, z2_groupoid):
-    # the projectable search examines about 554k candidates, under the cap
+    # the vertical search examines 90 candidates and the closure forms 256
+    # products, both under the cap
     bundle = chain_bundle(z2_groupoid, 4)
     gauge = enumerate_gauge_group(bundle)
     assert verify_gauge_group(bundle, gauge).ok
@@ -145,11 +146,47 @@ def test_gauge_verification_within_cap(chain_bundle, z2_groupoid):
 
 
 def test_gauge_verification_refuses_before_closure(chain_bundle, pair3):
-    # 6^4 gauge maps would take 1.7M products to close; the projectable
-    # enumeration (12^12 candidates) refuses first
+    # 6^4 gauge maps would take 1.68M products to close, more than the
+    # cap, so the closure count refuses before the first product
     bundle = chain_bundle(pair3, 4)
     gauge = enumerate_gauge_group(bundle)
     start = time.perf_counter()
     with pytest.raises(EnumerationBound):
         verify_gauge_group(bundle, gauge)
     assert time.perf_counter() - start < 10
+
+
+def test_empty_gauge_list_fails(three_point_bundle):
+    # [] is a gauge list like any other, not a request to enumerate one
+    report = verify_gauge_group(three_point_bundle, [])
+    assert [v.check for v in report.violations] == [
+        "gauge:has-identity", "gauge:matches-vertical-bisections"]
+    assert report.violations[1].detail == "8 bisections vs 0 gauge maps"
+
+
+@pytest.mark.parametrize("k,bound", [(2, 18), (3, 64), (4, 256), (5, 1024)])
+def test_gauge_verification_cap_boundary(chain_bundle, z2_groupoid, k, bound):
+    # the closure forms |gauge|^2 products; over 2 points the vertical
+    # search examines 18 candidates, more than the 16 products, and sets
+    # the bound instead
+    bundle = chain_bundle(z2_groupoid, k)
+    gauge = enumerate_gauge_group(bundle)
+    assert bound == (18 if k == 2 else len(gauge) ** 2)
+    assert verify_gauge_group(bundle, gauge, cap=bound).ok
+    with pytest.raises(EnumerationBound, match="cap {}$".format(bound - 1)):
+        verify_gauge_group(bundle, gauge, cap=bound - 1)
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 5), ("z2_groupoid", 6),
+                                     ("pair3", 3)])
+def test_gauge_verification_answers_at_default_cap(request, chain_bundle,
+                                                   fibre, k):
+    # |Bis|^k gauge maps, as many vertical bisections, |Bis|^2k products
+    g = request.getfixturevalue(fibre)
+    bundle = chain_bundle(g, k, seed=k)
+    gauge = enumerate_gauge_group(bundle)
+    n = len(enumerate_bisections(g)) ** k
+    report = verify_gauge_group(bundle, gauge)
+    assert len(gauge) == n
+    assert report.ok
+    assert report.checks_run == 2 + n + n * n

@@ -1,15 +1,16 @@
 """The table-driven identity suite, the pruned bisection enumeration, the
-iterative commutant search, the fibre-walking groupoid validation and the
-closed-form bisection through an arrow, checked against the code they
-replaced.
+iterative commutant search, the fibre-walking groupoid validation, the
+closed-form bisection through an arrow and the direct projectable and
+vertical bisection searches, checked against the code they replaced.
 
 The oracles below are the per-check loops: every action is recomputed
 through left_mult, right_mult and conjugate, fibres are found by scanning
 all arrows, every section is tried before the filter, and validation tries
 every pair and triple of arrows.  The commutant oracle is the recursive
 search with its original predicates; the id-reducibility oracle completes
-each section by bipartite matching.  The fast paths must give the same
-report (check names, checks_run, violations with their witnesses, in
+each section by bipartite matching; projectable bisections are filtered out
+of all bisections of the symmetry groupoid.  The fast paths must give the
+same report (check names, checks_run, violations with their witnesses, in
 order), the same bisections and commutants in the same order, and the same
 exception class where the oracle raises.
 """
@@ -20,15 +21,19 @@ import math
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from groupoidal import (Bisection, CompositionError, EnumerationBound,
+from groupoidal import (AtiyahGroupoid, Bisection, CechBase, Cocycle,
+                        CompositionError, EnumerationBound,
                         FiniteGroupAction, FiniteGroupoid, ValidationReport,
-                        action_groupoid, bisection_inverse,
+                        action_groupoid, bisection_inverse, build_bundle,
                         check_structure_identities, conjugate,
-                        enumerate_bisections, fibred_pair_groupoid,
-                        group_groupoid, is_id_reducible, left_mult,
+                        enumerate_bisections, enumerate_gauge_group,
+                        enumerate_projectable_bisections,
+                        fibred_pair_groupoid, group_groupoid,
+                        identity_automorphism, is_id_reducible, left_mult,
                         pair_groupoid, product_groupoid,
                         r_equivariant_commutant, right_mult,
-                        validate_bisection, validate_groupoid)
+                        validate_bisection, validate_groupoid,
+                        verify_gauge_group, z2_swap_action)
 from groupoidal.bisection import _translations, shadow_inverse
 
 
@@ -505,3 +510,105 @@ def test_fixture_id_reducible_matches_oracle(z2_groupoid, pair3,
                              {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2})
     assert not assert_id_reducible_matches_oracle(one_way)
     assert is_id_reducible(one_way) == (False, 2)
+
+
+def oracle_projectable(bundle, at=None, cap=1_000_000):
+    """Every bisection of the symmetry groupoid, kept when it sends all the
+    shadow points over each sigma over one f(sigma) and f is injective;
+    vertical when f is the identity."""
+    at = at or AtiyahGroupoid(bundle)
+    projectable, vertical = [], []
+    for b in enumerate_bisections(at.as_finite_groupoid(), cap=cap):
+        base_map = {}
+        ok = True
+        for k, f in enumerate(bundle.shadow_points):
+            e = at.elements[b(k)]
+            if base_map.setdefault(f.sigma, e.sigma1) != e.sigma1:
+                ok = False
+                break
+        if not ok or len(set(base_map.values())) != len(base_map):
+            continue
+        projectable.append(b)
+        if all(s1 == s for s, s1 in base_map.items()):
+            vertical.append(b)
+    return projectable, vertical
+
+
+def oracle_gauge_report(bundle, gauge, cap=1_000_000):
+    """The gauge battery with the vertical count read off oracle_projectable
+    and an uncounted closure loop."""
+    _, vertical = oracle_projectable(bundle, cap=cap)
+    report = ValidationReport()
+    keys = {aut.action_key() for aut in gauge}
+    report.record("gauge:has-identity",
+                  identity_automorphism(bundle).action_key() in keys)
+    for a in gauge:
+        report.record("gauge:inverse-closed",
+                      a.inverse().action_key() in keys, a.f)
+        for b in gauge:
+            report.record("gauge:product-closed",
+                          a.compose(b).action_key() in keys)
+    report.record("gauge:matches-vertical-bisections",
+                  len(vertical) == len(gauge),
+                  detail="{} bisections vs {} gauge maps".format(
+                      len(vertical), len(gauge)))
+    return report
+
+
+Z2 = action_groupoid(z2_swap_action())
+
+
+@st.composite
+def chain_bundles(draw):
+    """A bundle over the points s0..s(k-1), k = 2..4, covered by the charts
+    {s_i, s_(i+1)}, each overlap glued by a drawn fibre bisection.  The fibre
+    is z2, pair(3), a fibred pair groupoid or a group groupoid; the Atiyah
+    table has at most 8 objects, and at most 64 gauge maps keep the closure
+    oracle quick."""
+    g = draw(st.one_of(st.just(Z2), st.just(pair_groupoid(3)),
+                       fibred(max_points=3), groups))
+    k = draw(st.integers(2, 4))
+    bis = enumerate_bisections(g)
+    assume(k * g.n_objects <= 8 and len(bis) ** k <= 64)
+    base = ["s{}".format(i) for i in range(k)]
+    cover = [[base[i], base[i + 1]] for i in range(k - 1)]
+    entries = {(i, i + 1, base[i + 1]): draw(st.sampled_from(bis))
+               for i in range(k - 1)}
+    return build_bundle(CechBase(base, cover), Cocycle(g, entries), g)
+
+
+def assert_projectable_matches_oracle(bundle):
+    """Both lists equal the oracle's in order, their sizes are k!.|Bis|^k
+    and |Bis|^k, and the gauge battery reports what it reported before."""
+    at = AtiyahGroupoid(bundle)
+    got = enumerate_projectable_bisections(bundle, at)
+    expected = oracle_projectable(bundle, at)
+    for g_list, e_list in zip(got, expected):
+        assert [b.assign for b in g_list] == [b.assign for b in e_list]
+    k = len(bundle.base.base)
+    n_bis = len(enumerate_bisections(bundle.groupoid))
+    assert [len(x) for x in got] == [math.factorial(k) * n_bis ** k, n_bis ** k]
+    gauge = enumerate_gauge_group(bundle)
+    report = verify_gauge_group(bundle, gauge)
+    assert report.ok
+    assert report.to_dict() == oracle_gauge_report(bundle, gauge).to_dict()
+    assert verify_gauge_group(bundle).to_dict() == report.to_dict()
+
+
+@given(chain_bundles())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_generated_projectable_match_oracle(bundle):
+    assert_projectable_matches_oracle(bundle)
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 2), ("z2_groupoid", 3),
+                                     ("z2_groupoid", 4), ("pair3", 2)])
+def test_chain_projectable_match_oracle(request, chain_bundle, fibre, k):
+    assert_projectable_matches_oracle(
+        chain_bundle(request.getfixturevalue(fibre), k, seed=k))
+
+
+def test_running_example_projectable_match_oracle(three_point_bundle):
+    assert_projectable_matches_oracle(three_point_bundle)

@@ -50,6 +50,13 @@ def test_validate_corrupted_inverse(capsys, tmp_path, z2_groupoid):
                for v in checks["groupoid-axioms"]["violations"])
 
 
+def test_validate_repeated_mul_pair(capsys, tmp_path, z2_groupoid):
+    doc = z2_groupoid.to_json()
+    doc["mul"].insert(doc["mul"].index([0, 0, 0]), [0, 0, 3])
+    assert main(["validate", write(tmp_path, "dup.json", doc)]) == 2
+    assert "repeats the pair (0, 0)" in capsys.readouterr().err
+
+
 def test_validate_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -200,9 +207,24 @@ def test_check_identities_refuses_large_commutant(capsys, tmp_path):
 
 
 def test_bundle_gauge_cap_bounds_every_search(capsys, bundle_doc):
-    # 8 gauge maps fit under the cap; the projectable-bisection search
-    # behind the gauge check examines 7,422 candidates and does not
-    assert main(["bundle", bundle_doc, "--report", "gauge", "--cap", "100"]) == 3
+    # 8 gauge maps and the vertical search's 42 candidates fit under the
+    # cap; closing the gauge group takes 64 products and does not
+    assert main(["bundle", bundle_doc, "--report", "gauge", "--cap", "63"]) == 3
+    assert main(["bundle", bundle_doc, "--report", "gauge", "--cap", "64"]) == 0
+
+
+def test_bundle_gauge_on_chain_bundles(capsys, tmp_path, chain_bundle,
+                                       z2_groupoid, pair3):
+    import time
+    path = write(tmp_path, "z2.json", bundle_to_json(chain_bundle(z2_groupoid, 5)))
+    code, out = run(capsys, ["bundle", path, "--report", "gauge"])
+    assert code == 0
+    assert json.loads(out)["gauge_order"] == 32
+    # 6^4 gauge maps take 1.68M products to close, more than the cap
+    path = write(tmp_path, "pair3.json", bundle_to_json(chain_bundle(pair3, 4)))
+    start = time.perf_counter()
+    assert main(["bundle", path, "--report", "gauge"]) == 3
+    assert time.perf_counter() - start < 10
 
 
 def test_bundle_counts(capsys, bundle_doc):

@@ -157,6 +157,14 @@ def test_json_rejects_sparse_ids(z2_groupoid):
         FiniteGroupoid.from_json(doc)
 
 
+def test_json_rejects_repeated_mul_pair(z2_groupoid):
+    # a row [0, 0, 3] ahead of [0, 0, 0] says 0.0 is both 3 and 0
+    doc = z2_groupoid.to_json()
+    doc["mul"].insert(doc["mul"].index([0, 0, 0]), [0, 0, 3])
+    with pytest.raises(StructuralError, match=r"repeats the pair \(0, 0\)"):
+        FiniteGroupoid.from_json(doc)
+
+
 def test_validation_collects_all_violations(z2_groupoid):
     g = z2_groupoid
     bad_unit = [g.unit[1], g.unit[0]]
