@@ -230,15 +230,15 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     return out
 
 
-def verify_gauge_group(bundle, gauge=None, cap=1_000_000):
+def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
     """Closure, identity, inverses, and agreement with the vertical
-    bisections of the symmetry groupoid; closure costs |gauge|^2 products."""
+    bisections of at, the Atiyah groupoid; closure costs |gauge|^2 products."""
     if gauge is None:
         gauge = enumerate_gauge_group(bundle, cap=cap)
     if len(gauge) ** 2 > cap:
         raise EnumerationBound(
             "{}^2 gauge products exceed cap {}".format(len(gauge), cap))
-    vertical = _vertical_bisections(AtiyahGroupoid(bundle), cap)
+    vertical = _vertical_bisections(at or AtiyahGroupoid(bundle), cap)
     report = ValidationReport()
     keys = {aut.action_key(): aut for aut in gauge}
     ident = identity_automorphism(bundle)

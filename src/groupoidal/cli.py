@@ -135,8 +135,9 @@ def cmd_bundle(args):
     elif mode == "gauge":
         gauge = enumerate_gauge_group(bundle, cap=args.cap)
         report["gauge_order"] = len(gauge)
-        ok &= _push(report, "gauge-group", verify_gauge_group(bundle, gauge, cap=args.cap))
         at = AtiyahGroupoid(bundle)
+        ok &= _push(report, "gauge-group",
+                    verify_gauge_group(bundle, gauge, cap=args.cap, at=at))
         for aut in gauge:
             ok &= _push(report, "bisection-correspondence",
                         verify_bisection_correspondence(bundle, at, aut))

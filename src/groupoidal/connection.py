@@ -8,9 +8,9 @@ local data by one affine law, X -> TC_b(X) - mc(b).  The adjoint part of TC,
 the anchor and the Christoffel forms are closed-form.  Derivatives of the
 user's callables, which have no closed form here, are central differences
 with FD_STEP, the step scenario also uses: the base derivative in mc_right,
-the fibre derivative in tangent_conjugation (exactly zero for a family that
-does not depend on m), the anchor derivatives in algebroid_bracket, and
-d_u phi in covariant_derivative.
+the fibre derivative in tangent_conjugation (exactly zero, and skipped, for a
+bisection that declares constant_in_m), the anchor derivatives in
+algebroid_bracket, and d_u phi in covariant_derivative.
 """
 
 import numpy as np
@@ -31,11 +31,14 @@ def mc_right(scenario, fam, m, sigma, u):
 def tangent_conjugation(scenario, b, m, X):
     """The derivative of conjugation by the bisection b at the unit over m,
     (b(m) X + d_{X.m} b) b(m)^{-1}: Ad_{b(m)} X plus the derivative of b
-    along the anchor X.m.  The result is attached at the shadow point b(m).m.
+    along the anchor X.m, skipped as exactly zero when b carries a true
+    constant_in_m.  The result is attached at the shadow point b(m).m.
     """
     m = np.asarray(m, dtype=float)
-    h = FD_STEP
     g = b(m)
+    if getattr(b, "constant_in_m", False):
+        return g @ X @ np.linalg.inv(g)
+    h = FD_STEP
     v = X @ m
     db = (b(m + h * v) - b(m - h * v)) / (2 * h)
     return (g @ X + db) @ np.linalg.inv(g)
@@ -107,6 +110,8 @@ def construct_connection(scenario, partition=None):
     glues because the law is affine with a shared inhomogeneous term.  The
     cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
     transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
+    When every beta_jk (k != j) is constant_in_m, A_j skips the shadow and
+    keeps its last (sigma, u) and value, read-only: RK4 asks twice per node.
     """
     partition = partition if partition is not None else scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -120,7 +125,13 @@ def construct_connection(scenario, partition=None):
             raise StructuralError("partition does not sum to 1")
 
     def field(j):
+        constant = all(f.constant_in_m for (a, _), f in scenario.cocycle.items() if a == j)
+        last = [None, None]
+
         def A_j(sigma, m, u):
+            key = (sigma.tobytes(), u.tobytes())
+            if constant and last[0] == key:
+                return last[1]
             out = np.zeros((scenario.n, scenario.n))
             for k in range(len(scenario.charts)):
                 if k == j or not scenario.charts[k].contains(sigma):
@@ -128,8 +139,11 @@ def construct_connection(scenario, partition=None):
                 w = partition[k](sigma)
                 if w == 0.0:
                     continue
-                m_k = scenario.beta(k, j).shadow(sigma, m)
+                m_k = m if constant else scenario.beta(k, j).shadow(sigma, m)
                 out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
+            if constant:
+                out.flags.writeable = False
+                last[:] = key, out
             return out
         return A_j
 
@@ -157,7 +171,8 @@ class BasePath:
     """A piecewise-smooth base path with a chart itinerary.
 
     Segments are (chart, sigma(t), dsigma(t), t0, t1) with matching
-    endpoints; each segment stays inside its chart.
+    endpoints; each segment stays inside its chart.  sigma and dsigma must be
+    pure functions of t: transport evaluates them once per RK4 node.
     """
 
     def __init__(self, segments):
@@ -165,14 +180,16 @@ class BasePath:
 
     @classmethod
     def polyline(cls, waypoints, charts):
-        """Straight segments between consecutive waypoints, one chart each."""
+        """Straight segments between consecutive waypoints, one chart each; a
+        field that writes into the read-only velocity u fails loudly."""
         segs = []
         for k, chart in enumerate(charts):
             p = np.asarray(waypoints[k], dtype=float)
-            q = np.asarray(waypoints[k + 1], dtype=float)
+            d = np.asarray(waypoints[k + 1], dtype=float) - p
+            d.flags.writeable = False
             segs.append((chart,
-                         (lambda p, q: lambda t: p + t * (q - p))(p, q),
-                         (lambda p, q: lambda t: q - p)(p, q),
+                         (lambda p, d: lambda t: p + t * d)(p, d),
+                         (lambda d: lambda t: d)(d),
                          0.0, 1.0))
         return cls(segs)
 
@@ -182,30 +199,38 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
 
     The fibre label m never moves; the group part solves
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
-    multiplication with the cocycle value.  Returns ((a, m), shadow endpoint).
+    multiplication with the cocycle value.  The step must be finite and
+    positive.  Returns ((a, m), shadow endpoint).
     """
+    if not (np.isfinite(step) and step > 0):
+        raise StructuralError("transport step must be finite and > 0, not {}"
+                              .format(step))
     a, m = start
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     chart = path.segments[0][0]
     for (i, sig, dsig, t0, t1) in path.segments:
+        s0, d0 = sig(t0), dsig(t0)
         if i != chart:
-            a = scenario.beta(i, chart)(sig(t0), a @ m) @ a
+            a = scenario.beta(i, chart)(s0, a @ m) @ a
             chart = i
-
-        def rhs(t, a):
-            return -A(i, sig(t), a @ m, dsig(t)) @ a
-
         n_steps = max(1, int(round((t1 - t0) / step)))
         h = (t1 - t0) / n_steps
         t = t0
+        # the slopes k are A a; the ODE's minus sign sits in the updates
         for _ in range(n_steps):
-            k1 = rhs(t, a)
-            k2 = rhs(t + h / 2, a + h / 2 * k1)
-            k3 = rhs(t + h / 2, a + h / 2 * k2)
-            k4 = rhs(t + h, a + h * k3)
-            a = a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            sh, dh = sig(t + h / 2), dsig(t + h / 2)
+            s1, d1 = sig(t + h), dsig(t + h)
+            k1 = A(i, s0, a @ m, d0) @ a
+            b = a - h / 2 * k1
+            k2 = A(i, sh, b @ m, dh) @ b
+            b = a - h / 2 * k2
+            k3 = A(i, sh, b @ m, dh) @ b
+            b = a - h * k3
+            k4 = A(i, s1, b @ m, d1) @ b
+            a = a - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
+            s0, d0 = s1, d1
         if not np.all(np.isfinite(a)):
             raise NumericFailure("transport diverged")
     return (a, m), a @ m

@@ -69,7 +69,11 @@ class BisectionFamily:
 
     def at(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
-        return lambda m: self.g(sigma, np.asarray(m, dtype=float))
+
+        def b(m):  # the bisection at sigma, carrying the family's flag
+            return self.g(sigma, np.asarray(m, dtype=float))
+        b.constant_in_m = self.constant_in_m
+        return b
 
     def shadow(self, sigma, m):
         m = np.asarray(m, dtype=float)

@@ -47,6 +47,12 @@ def test_gauge_group_structure(three_point_bundle, gauge):
     assert verify_gauge_group(three_point_bundle, gauge).ok
 
 
+def test_gauge_group_reads_a_given_atiyah_groupoid(three_point_bundle, gauge):
+    at = AtiyahGroupoid(three_point_bundle)
+    assert verify_gauge_group(three_point_bundle, gauge, at=at).to_dict() == \
+        verify_gauge_group(three_point_bundle, gauge).to_dict()
+
+
 def test_inverse_and_compose(three_point_bundle, gauge):
     ident_key = identity_automorphism(three_point_bundle).action_key()
     for aut in gauge:

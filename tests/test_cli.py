@@ -227,6 +227,18 @@ def test_bundle_gauge_on_chain_bundles(capsys, tmp_path, chain_bundle,
     assert time.perf_counter() - start < 10
 
 
+def test_bundle_gauge_builds_atiyah_groupoid_once(capsys, bundle_doc, monkeypatch):
+    from groupoidal.atiyah import AtiyahGroupoid
+    built, init = [], AtiyahGroupoid.__init__
+
+    def counted(self, bundle):
+        built.append(bundle)
+        init(self, bundle)
+    monkeypatch.setattr(AtiyahGroupoid, "__init__", counted)
+    assert main(["bundle", bundle_doc, "--report", "gauge"]) == 0
+    assert len(built) == 1
+
+
 def test_bundle_counts(capsys, bundle_doc):
     code, out = run(capsys, ["bundle", bundle_doc, "--report", "counts"])
     assert code == 0
@@ -272,6 +284,14 @@ def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
         report = json.loads(out)
         assert code == 0 and report["convergence_order"] is None, argv
         assert note in report["convergence_order_note"]
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "inf", "nan"])
+def test_transport_step_must_be_finite_and_positive(capsys, step):
+    assert main(["transport", "so2-two-chart", "--step=" + step]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: transport step must be finite and > 0, not {}\n".format(
+        float(step))
 
 
 def test_fd_step_flag_removed(capsys):

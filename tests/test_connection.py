@@ -73,6 +73,70 @@ def tc_mc_connection(scenario):
                                [field(j) for j in range(len(scenario.charts))])
 
 
+def oracle_constructed_field(scenario):
+    """Oracle for construct_connection: the gluing-law field evaluated in
+    full at every call, shadow point included, with no memo."""
+    def field(j):
+        def A_j(sigma, m, u):
+            out = np.zeros((scenario.n, scenario.n))
+            for k in range(len(scenario.charts)):
+                if k == j or not scenario.charts[k].contains(sigma):
+                    continue
+                w = scenario.partition[k](sigma)
+                if w == 0.0:
+                    continue
+                m_k = scenario.beta(k, j).shadow(sigma, m)
+                out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
+            return out
+        return A_j
+    return LocalConnectionData(scenario,
+                               [field(j) for j in range(len(scenario.charts))])
+
+
+def oracle_transport(scenario, A, path, start, step=1e-3):
+    """Oracle for parallel_transport: classical RK4 on the right side
+    -A(sigma(t), a.m)(dsigma(t)) a, with the path evaluated at every stage."""
+    a, m = start
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(m, dtype=float)
+    chart = path.segments[0][0]
+    for (i, sig, dsig, t0, t1) in path.segments:
+        if i != chart:
+            a = scenario.beta(i, chart)(sig(t0), a @ m) @ a
+            chart = i
+
+        def rhs(t, a):
+            return -A(i, sig(t), a @ m, dsig(t)) @ a
+
+        n_steps = max(1, int(round((t1 - t0) / step)))
+        h = (t1 - t0) / n_steps
+        t = t0
+        for _ in range(n_steps):
+            k1 = rhs(t, a)
+            k2 = rhs(t + h / 2, a + h / 2 * k1)
+            k3 = rhs(t + h / 2, a + h / 2 * k2)
+            k4 = rhs(t + h, a + h * k3)
+            a = a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return (a, m), a @ m
+
+
+def so2_m_dependent_scenario():
+    """so2-two-chart with a cocycle that depends on m through |m|, which the
+    rotations preserve: beta_01 = rot(angle(sigma) (1 + 0.3 |m|^2)), and
+    beta_10 its pointwise inverse at the shadow point."""
+    sc = so2_two_chart_scenario()
+
+    def angle(s, m):
+        return so2_angle(s) * (1.0 + 0.3 * float(m @ m))
+
+    sc.cocycle = {
+        (0, 1): BisectionFamily(lambda s, m: rot2(angle(s, m)), constant_in_m=False),
+        (1, 0): BisectionFamily(lambda s, m: rot2(-angle(s, m)), constant_in_m=False),
+    }
+    return sc
+
+
 # --- closed-form exp ---------------------------------------------------------
 
 @pytest.mark.parametrize("scenario", [so2_single_chart_scenario(),
@@ -187,6 +251,29 @@ def test_tangent_conjugation_vs_curve(so2, so3):
             assert d < 1e-7
 
 
+def test_tangent_conjugation_constant_family_called_once(so2, so3):
+    # a family declared constant in m skips the fibre difference, whose
+    # value is exactly zero: the result equals the bare callable's
+    for sc in (so2, so3):
+        for constant, want_calls in ((True, 1), (False, 3)):
+            calls = []
+
+            def g(s, m, g01=sc.cocycle[(0, 1)].g):
+                calls.append(1)
+                return g01(s, m)
+            fam = BisectionFamily(g, constant_in_m=constant)
+            for _ in range(5):
+                s, m = overlap_sample(RNG), RNG.normal(size=sc.n)
+                X = random_algebra(sc, RNG)
+                b = fam.at(s)
+                assert b.constant_in_m is constant
+                del calls[:]
+                got = tangent_conjugation(sc, b, m, X)
+                assert len(calls) == want_calls
+                assert np.array_equal(got, tangent_conjugation(
+                    sc, lambda m: b(m), m, X))
+
+
 def test_tangent_conjugation_m_dependent(so3):
     # the family of test_newton_shadow_inverse: the fibre derivative counts
     def b(m):
@@ -277,6 +364,47 @@ def test_constructed_connection_matches_tc_of_mc(so3):
         m = RNG.normal(size=3)
         for j in (0, 1):
             assert np.linalg.norm(A(j, s, m, u) - oracle(j, s, m, u)) < 1e-8
+
+
+@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario,
+                                   so2_single_chart_scenario,
+                                   so2_m_dependent_scenario],
+                         ids=lambda b: b.__name__)
+def test_constructed_field_matches_oracle(build):
+    # the calls walk through every kind of change, so a memo that keys on
+    # too little, or one kept where the field reads m, serves a stale value
+    sc = build()
+    A, oracle = construct_connection(sc), oracle_constructed_field(sc)
+    rng = np.random.default_rng(3)
+    s, u, m = overlap_sample(rng), rng.normal(size=2), rng.normal(size=sc.n)
+    for change in ["none", "m", "m", "sigma", "u", "none", "m", "u", "sigma",
+                   "sigma-and-u", "none"] * 3:
+        if change == "m":
+            m = rng.normal(size=sc.n)
+        if change in ("sigma", "sigma-and-u"):
+            s = overlap_sample(rng)
+        if change in ("u", "sigma-and-u"):
+            u = rng.normal(size=2)
+        for j in range(len(sc.charts)):
+            assert np.array_equal(A(j, s, m, u), oracle(j, s, m, u)), change
+
+
+def test_m_dependent_field_reads_m():
+    sc = so2_m_dependent_scenario()
+    A = construct_connection(sc)
+    s, u = np.array([0.5, 0.1]), np.array([1.0, 0.0])
+    m = np.array([1.0, 0.0])
+    assert not np.array_equal(A(0, s, m, u), A(0, s, 2 * m, u))
+    assert gluing_residual(sc, A, 0, 1, s, m, u) < 1e-7
+
+
+def test_memoised_value_is_read_only(so3):
+    A = construct_connection(so3)
+    s, m, u = np.array([0.5, 0.1]), np.ones(3), np.array([1.0, 0.0])
+    value = A(0, s, m, u)
+    with pytest.raises(ValueError):
+        value[0, 0] = 1.0
+    assert np.array_equal(A(0, s, m, u), oracle_constructed_field(so3)(0, s, m, u))
 
 
 def test_so2_closed_form(so2):
@@ -429,6 +557,45 @@ def test_transport_order_and_equivariance():
                                      (a0 @ g0, np.linalg.solve(g0, m0)),
                                      step=1e-3)
     assert np.linalg.norm(a1h - a1 @ g0) < 1e-6
+
+
+def transport_connections(sc):
+    field = J2 if sc.n == 2 else L_Z
+    return {"constructed": construct_connection(sc),
+            "rotation": LocalConnectionData(sc, [lambda s, m, u: u[0] * field] * 2),
+            "flat": zero_connection(sc),
+            "m-dependent": LocalConnectionData(
+                sc, [lambda s, m, u: u[0] * m[0] * field] * 2)}
+
+
+@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
+                         ids=lambda b: b.__name__)
+def test_transport_matches_oracle(build):
+    sc = build()
+    n = sc.n
+    path = BasePath.polyline([[-0.5, -0.7], [0.5, 0.1], [1.5, 0.8]], [0, 1])
+    h_rot = rot2(0.37) if n == 2 else expm(0.37 * L_X)
+    starts = [(np.eye(n), np.eye(n)[0]), (h_rot, np.linalg.solve(h_rot, np.eye(n)[0]))]
+    for kind, A in transport_connections(sc).items():
+        for step in (8e-3, 4e-3, 2e-3, 1e-3):
+            for start in starts[:2 if step == 1e-3 else 1]:  # as cmd_transport
+                (a, m), shadow = parallel_transport(sc, A, path, start, step=step)
+                (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=step)
+                assert np.array_equal(a, a_o), (kind, step)
+                assert np.array_equal(m, m_o) and np.array_equal(shadow, shadow_o)
+
+
+def test_polyline_velocity_is_read_only(so2):
+    path = BasePath.polyline([[0.0, 0.0], [1.0, 0.5]], [0])
+    _, sig, dsig, _, _ = path.segments[0]
+    assert np.array_equal(sig(0.25), [0.25, 0.125]) and np.array_equal(dsig(0.5), [1.0, 0.5])
+
+    def bends(s, m, u):
+        u *= 2.0
+        return u[0] * J2
+    with pytest.raises(ValueError):
+        parallel_transport(so2, LocalConnectionData(so2, [bends] * 2), path,
+                           (np.eye(2), np.array([1.0, 0.0])))
 
 
 def test_transport_across_charts(so2):
