@@ -127,13 +127,6 @@ class PrincipaloidBundle:
         b = self.cocycle.beta(i, chart, sigma)
         return PPoint(sigma, i, left_mult(b, arrow))
 
-    def in_chart(self, p, chart):
-        """The fibre coordinate of a canonical point, read in another chart."""
-        if chart == p.chart:
-            return p.arrow
-        b = self.cocycle.beta(chart, p.chart, p.sigma)
-        return left_mult(b, p.arrow)
-
     def moment(self, p):
         return self.groupoid.src[p.arrow]
 

@@ -149,12 +149,12 @@ def cmd_bundle(args):
 
 
 def _coordinate_rotation_connection(scenario):
-    """A(sigma, m)(u) = u_0 J on every chart; the closed-form test field."""
+    """A(sigma, m)(u) = u_0 J, J the last generator; the closed-form field."""
     from .connection import LocalConnectionData
-    from .scenario import J2
+    J = scenario.algebra[-1]
 
     def field(s, m, u):
-        return u[0] * J2
+        return u[0] * J
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 

@@ -3,8 +3,7 @@
 A scenario is a matrix Lie group acting linearly on R^n, a base covered by
 open boxes, and a cocycle of smooth bisection families on the overlaps.  A
 bisection of the action structure is a map m -> g(m); its arrows are pairs
-(a, m) with source m and target a.m, and the fibrewise operations below are
-the exact arrow formulas, no discretization involved.
+(a, m) with source m and target a.m.
 """
 
 import math
@@ -120,33 +119,6 @@ class MatrixGroupScenario:
         if (i, j) in self.cocycle:
             return self.cocycle[(i, j)]
         raise StructuralError("no cocycle family for ({}, {})".format(i, j))
-
-
-def compose_arrow(arrow1, arrow2):
-    """(a1, a2.m).(a2, m) = (a1 a2, m); source of arrow1 must be a2.m."""
-    a1, m1 = arrow1
-    a2, m2 = arrow2
-    if not np.allclose(m1, a2 @ m2):
-        raise StructuralError("arrows not composable")
-    return (a1 @ a2, m2)
-
-
-def inv_arrow(arrow):
-    a, m = arrow
-    ai = np.linalg.inv(a)
-    return (ai, a @ m)
-
-
-def left_mult_arrow(b, arrow):
-    """L_b(a, m) = (b(a.m) a, m): the bisection value at the target, composed."""
-    a, m = arrow
-    return (b(a @ m) @ a, m)
-
-
-def conjugate_arrow(b, arrow):
-    """C_b(a, m) = b(a.m) . (a, m) . b(m)^{-1}."""
-    a, m = arrow
-    return (b(a @ m) @ a @ np.linalg.inv(b(m)), b(m) @ m)
 
 
 def smoothstep(x):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from groupoidal import (Bisection, CechBase, Cocycle, action_groupoid,
-                        build_bundle, enumerate_bisections, pair_groupoid,
-                        z2_swap_action)
+                        bisection_inverse, bisection_product, build_bundle,
+                        enumerate_bisections, pair_groupoid, z2_swap_action)
 
 
 @pytest.fixture(scope="session")
@@ -40,5 +40,26 @@ def chain_bundle():
         cover = [[base[i], base[i + 1]] for i in range(k - 1)]
         entries = {(i, i + 1, base[i + 1]): rng.choice(bis)
                    for i in range(k - 1)}
+        return build_bundle(CechBase(base, cover), Cocycle(g, entries), g)
+    return build
+
+
+@pytest.fixture(scope="session")
+def triple_overlap_bundle():
+    """A factory for bundles over n = 3..5 points whose three charts all
+    contain the hub s0 and share nothing else; the other points are dealt
+    to the charts at random.  beta_01 and beta_02 at the hub are seeded
+    choices and beta_12 = beta_01^-1 . beta_02, so the triple condition
+    holds where all three charts meet."""
+    def build(g, n, seed=0):
+        rng = random.Random(seed)
+        bis = list(enumerate_bisections(g))
+        base = ["s{}".format(i) for i in range(n)]
+        cover = [["s0"], ["s0"], ["s0"]]
+        for sigma in base[1:]:
+            cover[rng.randrange(3)].append(sigma)
+        b01, b02 = rng.choice(bis), rng.choice(bis)
+        entries = {(0, 1, "s0"): b01, (0, 2, "s0"): b02,
+                   (1, 2, "s0"): bisection_product(bisection_inverse(b01), b02)}
         return build_bundle(CechBase(base, cover), Cocycle(g, entries), g)
     return build

@@ -24,11 +24,12 @@ from groupoidal.connection import (BasePath, LocalConnectionData, apply_theta,
                                    gauge_transform_connection, gluing_residual,
                                    inverse_gauge, mc_right, parallel_transport,
                                    shadow_theta, tangent_conjugation, anchor)
-from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z,
-                                 left_mult_arrow, rot2,
+from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z, rot2,
                                  so2_single_chart_scenario,
                                  so2_two_chart_scenario,
                                  so3_two_chart_scenario)
+
+from arrow_formulas import left_mult_arrow
 
 
 def report(num, description, ok, budget, elapsed):

@@ -74,6 +74,39 @@ def test_nonvertical_automorphism(three_point_bundle):
         aut.apply_adjoint(None)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_broken_gamma_entry_on_triple_overlap(request, triple_overlap_bundle,
+                                              fibre, n):
+    bundle = triple_overlap_bundle(request.getfixturevalue(fibre), n, seed=n)
+    gauge = enumerate_gauge_group(bundle)
+    aut = gauge[n % len(gauge)]
+    # chart data stored for every pair of charts at the hub, so that each
+    # entry is tied to the others by the gluing relations
+    gamma = dict(aut.gamma)
+    gamma.update({(j, i, "s0"): aut.gamma_at(j, i, "s0")
+                  for i in range(3) for j in range(3)})
+    assert validate_automorphism(bundle, BundleAutomorphism(bundle, aut.f,
+                                                            gamma)).ok
+    good = gamma[(2, 1, "s0")]
+    gamma[(2, 1, "s0")] = next(b for b in enumerate_bisections(bundle.groupoid)
+                               if b != good)
+    report = validate_automorphism(bundle, BundleAutomorphism(bundle, aut.f, gamma))
+    assert {v.check for v in report.violations} == {"aut:gluing"}
+    for v in report.violations:
+        i, j, k, l, sigma = v.witness
+        assert sigma == "s0" and ((j, i) == (2, 1)) != ((l, k) == (2, 1))
+
+
+def test_broken_f_entry_on_triple_overlap(triple_overlap_bundle, z2_groupoid):
+    bundle = triple_overlap_bundle(z2_groupoid, 4, seed=1)
+    ident = identity_automorphism(bundle)
+    f = dict(ident.f, s1="s9")  # injective, but leaves the base
+    report = validate_automorphism(bundle, BundleAutomorphism(bundle, f,
+                                                              ident.gamma))
+    assert [v.check for v in report.violations] == ["aut:f-bijection"]
+
+
 def test_base_map_must_be_bijection(three_point_bundle):
     with pytest.raises(StructuralError):
         BundleAutomorphism(three_point_bundle,

@@ -443,6 +443,119 @@ def test_fixture_validation_matches_oracle(z2_groupoid, pair3):
     assert [v.check for v in report.violations][:2] == ["i:mul-domain"] * 2
 
 
+@st.composite
+def typed_magmas(draw):
+    """Tables that pass axiom (i) but are mostly not associative: 1-3
+    objects, every hom-set of 1-3 arrows, and each composable pair's product
+    drawn from the hom-set it must land in.  unit and inv take the first
+    arrow of the right hom-set."""
+    n = draw(st.integers(1, 3))
+    src, tgt, hom = [], [], {}
+    for m in range(n):
+        for m2 in range(n):
+            size = draw(st.integers(1, 3))
+            hom[m, m2] = range(len(src), len(src) + size)
+            src += [m] * size
+            tgt += [m2] * size
+    arrows = range(len(src))
+    mul = {(a, b): draw(st.sampled_from(hom[src[b], tgt[a]]))
+           for a in arrows for b in arrows if src[a] == tgt[b]}
+    return FiniteGroupoid(n, src, tgt, [hom[m, m][0] for m in range(n)],
+                          [hom[tgt[a], src[a]][0] for a in arrows], mul)
+
+
+@given(typed_magmas(), st.lists(st.tuples(st.sampled_from(CORRUPTIONS),
+                                          st.integers(0, 1000),
+                                          st.integers(0, 1000)),
+                                max_size=2))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_typed_magma_validation_matches_oracle(g, corruptions):
+    for kind, i, j in corruptions:
+        if g.n_arrows > 1 and g.mul:
+            g = corrupt(g, kind, i, j)
+    assert_validation_matches_oracle(g)
+
+
+def test_uncovered_generators_are_not_trusted():
+    # arrows 4, 5: 1 -> 1 lie outside S = {0, 1, 2, 3} (root 0); every triple
+    # with its middle in S associates, but no product is 5, and (3, 5, 5)
+    # does not associate
+    src, tgt = [0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 1, 1]
+    mul = {(0, 0): 0, (0, 2): 2, (0, 3): 2, (1, 0): 1, (1, 2): 4, (1, 3): 4,
+           (2, 1): 0, (2, 4): 2, (2, 5): 2, (3, 1): 0, (3, 4): 2, (3, 5): 3,
+           (4, 1): 1, (4, 4): 4, (4, 5): 4, (5, 1): 1, (5, 4): 4, (5, 5): 4}
+    g = FiniteGroupoid(2, src, tgt, [0, 4], [0, 2, 1, 1, 4, 4], mul)
+    report = assert_validation_matches_oracle(g)
+    assert any(v.check == "ii:assoc" for v in report.violations)
+
+
+def test_generators_not_trusted_when_axiom_i_fails():
+    # arrows 0: 0 -> 0, 1: 0 -> 1, 2: 1 -> 0 and 3, 4: 1 -> 1, so S = {0, 1,
+    # 2} (root 0); 2.1 = 4 lands in the wrong hom-set, so products over S
+    # reach every arrow, and stray entries define every product the
+    # generators look up.  They would vouch for the table, which (3, 3, 1)
+    # and seven more triples break.
+    mul = {(0, 0): 0, (0, 2): 2, (0, 4): 4, (1, 0): 1, (1, 2): 3, (1, 4): 2,
+           (2, 0): 2, (2, 1): 4, (2, 2): 3, (2, 3): 2, (2, 4): 2, (3, 1): 2,
+           (3, 3): 3, (3, 4): 3, (4, 0): 4, (4, 1): 2, (4, 2): 2, (4, 3): 3,
+           (4, 4): 1}
+    g = FiniteGroupoid(2, [0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [0, 3],
+                       [0, 2, 1, 3, 4], mul)
+    report = assert_validation_matches_oracle(g)
+    assert [v.witness for v in report.violations if v.check == "ii:assoc"] == [
+        (2, 3, 1), (2, 4, 1), (2, 4, 4), (3, 3, 1), (3, 4, 1), (3, 4, 4),
+        (4, 4, 1), (4, 4, 3)]
+
+
+@pytest.fixture
+def walk_forbidden(monkeypatch):
+    """validate_groupoid with the triple walk made to fail, and the report
+    it gives with the certificate turned off instead."""
+    import groupoidal.groupoid as groupoid_module
+    real_walk = groupoid_module._assoc_walk
+
+    def walked(g):
+        with monkeypatch.context() as m:
+            m.setattr(groupoid_module, "_assoc_on_generators",
+                      lambda g, report: False)
+            m.setattr(groupoid_module, "_assoc_walk", real_walk)
+            return validate_groupoid(g)
+
+    def walk(g, report):
+        raise AssertionError("associativity was walked, not certified")
+    monkeypatch.setattr(groupoid_module, "_assoc_walk", walk)
+    return walked
+
+
+def test_certificate_taken_on_stock_fixtures(walk_forbidden, z2_groupoid, pair3,
+                                             three_point_bundle):
+    z4 = group_groupoid(list(range(4)), {(a, b): (a + b) % 4 for a in range(4)
+                                         for b in range(4)},
+                        0, {a: (-a) % 4 for a in range(4)})
+    fixtures = [z2_groupoid, pair3, z4, pair_groupoid(1),
+                fibred_pair_groupoid([[0], [1, 2]]),
+                fibred_pair_groupoid([[2, 0], [1], [3, 4]]),
+                product_groupoid(z2_groupoid, pair3),
+                group_groupoid(*permutation_group([(1, 2, 0), (1, 0, 2)], 3)),
+                AtiyahGroupoid(three_point_bundle).as_finite_groupoid()]
+    for g in fixtures:
+        report = validate_groupoid(g)
+        assert report.ok, g
+        assert report.to_dict() == walk_forbidden(g).to_dict()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_certificate_taken_on_atiyah_tables(walk_forbidden, request,
+                                            chain_bundle, fibre, k):
+    g = AtiyahGroupoid(chain_bundle(request.getfixturevalue(fibre), k,
+                                    seed=k)).as_finite_groupoid()
+    report = validate_groupoid(g)
+    assert report.ok
+    assert report.to_dict() == walk_forbidden(g).to_dict()
+
+
 @pytest.mark.parametrize("fibre,k", [("z2_groupoid", 3), ("z2_groupoid", 4),
                                      ("pair3", 3)])
 def test_atiyah_validation_matches_oracle(request, chain_bundle, fibre, k):

@@ -1,5 +1,7 @@
 """Clutching construction, canonical forms, and the principal axioms."""
 
+import itertools
+
 import pytest
 
 from groupoidal import (Bisection, CechBase, Cocycle, DivisionError,
@@ -7,7 +9,7 @@ from groupoidal import (Bisection, CechBase, Cocycle, DivisionError,
                         bundle_from_json, bundle_to_json, enumerate_bisections,
                         unit_bisection, validate_cocycle,
                         verify_principal_axioms)
-from groupoidal.bisection import bisection_inverse
+from groupoidal.bisection import bisection_inverse, left_mult
 
 
 def test_base_shape():
@@ -52,6 +54,22 @@ def test_bad_cocycle_rejected(z2_groupoid):
     assert any(v.check == "cocycle:diag" for v in report.violations)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_broken_cocycle_value_on_triple_overlap(request, triple_overlap_bundle,
+                                                fibre, n):
+    bundle = triple_overlap_bundle(request.getfixturevalue(fibre), n, seed=n)
+    entries = dict(bundle.cocycle.entries)
+    good = entries[(1, 2, "s0")]
+    entries[(1, 2, "s0")] = next(b for b in enumerate_bisections(bundle.groupoid)
+                                 if b != good)
+    report = validate_cocycle(bundle.base, Cocycle(bundle.groupoid, entries))
+    assert {v.check for v in report.violations} == {"cocycle:triple"}
+    # every ordering of the three charts at the hub breaks, and nothing else
+    assert sorted(v.witness for v in report.violations) == \
+        [ijk + ("s0",) for ijk in itertools.permutations(range(3))]
+
+
 def test_canonical_point_gluing(three_point_bundle):
     bundle = three_point_bundle
     g = bundle.groupoid
@@ -61,7 +79,7 @@ def test_canonical_point_gluing(three_point_bundle):
     assert p.chart == 0
     assert p.arrow == g.arrow_index(("r", 0))
     # reading it back in chart 1 inverts the transport
-    assert bundle.in_chart(p, 1) == a
+    assert left_mult(bundle.cocycle.beta(1, 0, "b"), p.arrow) == a
     # chart-0 coordinates are untouched
     assert bundle.canonical_point("a", 0, a) == PPoint("a", 0, a)
 

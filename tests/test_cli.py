@@ -273,6 +273,23 @@ def test_transport_closed_form(capsys, tmp_path):
     assert report["convergence_order_note"] is None
 
 
+def test_transport_coordinate_rotation_on_so3(capsys, tmp_path):
+    # the field is u_0 L_Z, the scenario's last generator, so a straight
+    # path of x-extent 0.9 inside chart 0 ends at exp(-0.9 L_Z)
+    cfg = write(tmp_path, "cfg.json", {"scenario": "so3-two-chart",
+                                       "connection": "coordinate-rotation"})
+    pd = write(tmp_path, "path.json",
+               {"waypoints": [[-0.6, 0.1], [0.3, 0.1]], "charts": [0]})
+    code, out = run(capsys, ["transport", cfg, "--path", pd])
+    assert code == 0, out
+    report = json.loads(out)
+    import numpy as np
+    from scipy.linalg import expm
+    from groupoidal.scenario import L_Z
+    assert np.linalg.norm(np.array(report["endpoint"]) - expm(-0.9 * L_Z)) < 1e-8
+    assert 3.7 < report["convergence_order"] < 4.3
+
+
 def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
     # at this step the so3 endpoints agree to roundoff, and the constructed
     # so2 field vanishes left of the overlap, so RK4 is exact there

@@ -13,12 +13,14 @@ from groupoidal.connection import (BasePath, LocalConnectionData,
                                    shadow_theta, tangent_conjugation,
                                    zero_connection)
 from groupoidal.report import StructuralError
-from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z,
-                                 compose_arrow, conjugate_arrow, inv_arrow,
-                                 left_mult_arrow, rot2, smoothstep, so2_angle,
-                                 so2_angle_grad, so2_single_chart_scenario,
+from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z, rot2,
+                                 smoothstep, so2_angle, so2_angle_grad,
+                                 so2_single_chart_scenario,
                                  so2_two_chart_scenario,
                                  so3_two_chart_scenario)
+
+from arrow_formulas import (compose_arrow, conjugate_arrow, inv_arrow,
+                            left_mult_arrow)
 
 RNG = np.random.default_rng(7)
 
