@@ -56,11 +56,9 @@ class AtiyahGroupoid:
         base = self.bundle.base
         i = base.canonical_chart(sigma1)
         j = base.canonical_chart(sigma2)
-        a = arrow
-        if i != chart_k:
-            a = left_mult(self.bundle.cocycle.beta(i, chart_k, sigma1), a)
-        if j != chart_l:
-            a = right_mult(a, self.bundle.cocycle.beta(chart_l, j, sigma2))
+        c = self.bundle.cocycle
+        a = right_mult(left_mult(c.beta(i, chart_k, sigma1), arrow),
+                       c.beta(chart_l, j, sigma2))
         return AtElement(sigma1, i, a, sigma2, j)
 
     def index(self, e):
@@ -126,8 +124,6 @@ class AdjointBundle:
     def canonical(self, sigma, chart, arrow):
         """(sigma, arrow, chart) glued by conjugation into the least chart."""
         i = self.bundle.base.canonical_chart(sigma)
-        if i == chart:
-            return AdElement(sigma, i, arrow)
         b = self.bundle.cocycle.beta(i, chart, sigma)
         return AdElement(sigma, i, conjugate(b, arrow))
 
@@ -180,7 +176,7 @@ def verify_trident(bundle, at=None):
             report.record("trident:shadow-intertwines",
                           at.act_on_shadow(e, bundle.sitting_duck(p))
                           == bundle.sitting_duck(q), (e, p))
-            for h in g.target_fibre(bundle.moment(p)):
+            for h in g.target_fibres[bundle.moment(p)]:
                 lhs = at.act_on_bundle(e, bundle.right_action(p, h))
                 rhs = bundle.right_action(q, h)
                 report.record("trident:actions-commute", lhs == rhs, (e, p, h))

@@ -8,6 +8,7 @@ checks are the gluing relations and the correspondence with bisections of
 the symmetry groupoid.
 """
 
+from functools import cached_property
 from itertools import product as iproduct
 
 from .atiyah import AtElement, AtiyahGroupoid, _vertical_bisections
@@ -19,7 +20,7 @@ from .report import EnumerationBound, StructuralError, ValidationReport
 
 
 class BundleAutomorphism:
-    """A base bijection with bisection-valued chart data."""
+    """A base map with chart data, kept as given, read in canonical charts."""
 
     def __init__(self, bundle, f, gamma):
         self.bundle = bundle
@@ -33,111 +34,106 @@ class BundleAutomorphism:
         self.gamma = dict(gamma)
 
     def gamma_at(self, j, i, sigma):
-        """gamma_(j,i)(sigma), derived from a stored entry by the gluing rule
+        """gamma_(j,i)(sigma): the stored entry, or one derived, and not
+        stored, from the first entry stored at sigma by the gluing rule
         gamma_(l,k) = beta_lj(f(sigma)) . gamma_(j,i) . beta_ik(sigma)."""
         if (j, i, sigma) in self.gamma:
             return self.gamma[(j, i, sigma)]
         fs = self.f[sigma]
         for (j0, i0, s0), g0 in self.gamma.items():
-            if s0 != sigma:
-                continue
-            c = self.bundle.cocycle
-            val = bisection_product(
-                c.beta(j, j0, fs), bisection_product(g0, c.beta(i0, i, sigma)))
-            self.gamma[(j, i, sigma)] = val
-            return val
+            if s0 == sigma:
+                c = self.bundle.cocycle
+                return bisection_product(
+                    c.beta(j, j0, fs), bisection_product(g0, c.beta(i0, i, sigma)))
         raise StructuralError("no chart data at {}".format(sigma))
+
+    @cached_property
+    def _local(self):
+        """sigma -> its bisection between canonical charts, in base order."""
+        chart = self.bundle.base.canonical_chart
+        return {s: self.gamma_at(chart(self.f[s]), chart(s), s)
+                for s in self.bundle.base.base}
 
     def apply(self, p):
         """The image of a canonical point, again in canonical form."""
         fs = self.f[p.sigma]
-        j = self.bundle.base.canonical_chart(fs)
-        g = self.gamma_at(j, p.chart, p.sigma)
-        return PPoint(fs, j, left_mult(g, p.arrow))
+        return PPoint(fs, self.bundle.base.canonical_chart(fs),
+                      left_mult(self._local[p.sigma], p.arrow))
 
     def apply_shadow(self, fp):
         fs = self.f[fp.sigma]
-        j = self.bundle.base.canonical_chart(fs)
-        g = self.gamma_at(j, fp.chart, fp.sigma)
-        return FPoint(fs, j, g.shadow()[fp.obj])
+        return FPoint(fs, self.bundle.base.canonical_chart(fs),
+                      self._local[fp.sigma].shadow()[fp.obj])
 
     def apply_adjoint(self, e):
         """Conjugation on the adjoint bundle; only defined when f = id."""
         if not self.is_vertical():
             raise StructuralError("adjoint push-forward needs a vertical map")
-        g = self.gamma_at(e.chart, e.chart, e.sigma)
+        g = self._local[e.sigma]
         return type(e)(e.sigma, e.chart, conjugate(g, e.arrow))
 
     def is_vertical(self):
         return all(v == k for k, v in self.f.items())
 
     def compose(self, other):
-        """self after other."""
-        bundle = self.bundle
-        f = {s: self.f[other.f[s]] for s in other.f}
-        gamma = {}
-        for sigma in bundle.base.base:
-            i = bundle.base.canonical_chart(sigma)
-            mid = other.f[sigma]
-            k = bundle.base.canonical_chart(mid)
-            j = bundle.base.canonical_chart(self.f[mid])
-            gamma[(j, i, sigma)] = bisection_product(
-                self.gamma_at(j, k, mid), other.gamma_at(k, i, sigma))
-        return BundleAutomorphism(bundle, f, gamma)
+        """self after other; at sigma, self(other.f(sigma)) . other(sigma)."""
+        mid = other.f
+        return _canonical(self.bundle, {s: self.f[mid[s]] for s in mid}, {
+            s: bisection_product(self._local[mid[s]], g)
+            for s, g in other._local.items()})
 
     def inverse(self):
-        bundle = self.bundle
-        gamma = {}
-        for sigma in bundle.base.base:
-            i = bundle.base.canonical_chart(sigma)
-            tau = self.f[sigma]
-            j = bundle.base.canonical_chart(tau)
-            gamma[(i, j, tau)] = bisection_inverse(self.gamma_at(j, i, sigma))
-        return BundleAutomorphism(bundle, self.f_inv, gamma)
+        """At f(sigma), the inverse of the bisection at sigma."""
+        return _canonical(self.bundle, self.f_inv, {
+            self.f[s]: bisection_inverse(g) for s, g in self._local.items()})
 
     def action_key(self):
-        """A hashable fingerprint of the action on all points."""
-        return tuple(self.apply(p) for p in self.bundle.points)
+        """f and the bisections in base order.  They fix the action (sigma, a)
+        -> (f(sigma), gamma_sigma(t(a)).a), which fixes them at unit arrows."""
+        return (tuple(self.f[s] for s in self._local),
+                tuple(g.assign for g in self._local.values()))
+
+
+def _canonical(bundle, f, local):
+    """The automorphism over f with local[sigma] in canonical charts."""
+    chart = bundle.base.canonical_chart
+    return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): g
+                                          for s, g in local.items()})
 
 
 def identity_automorphism(bundle):
-    gamma = {}
-    for sigma in bundle.base.base:
-        i = bundle.base.canonical_chart(sigma)
-        gamma[(i, i, sigma)] = unit_bisection(bundle.groupoid)
-    return BundleAutomorphism(bundle, {s: s for s in bundle.base.base}, gamma)
+    return _canonical(bundle, {s: s for s in bundle.base.base}, dict.fromkeys(
+        bundle.base.base, unit_bisection(bundle.groupoid)))
 
 
 def validate_automorphism(bundle, aut):
     """Bijectivity, bisection values, gluing relations, equivariance."""
     report = ValidationReport()
     base = bundle.base
-    f_ok = set(aut.f) == set(aut.f.values()) == set(base.base)
-    report.record("aut:f-bijection", f_ok)
-    gamma_ok = True
-    for key, g in list(aut.gamma.items()):
-        ok = validate_bisection(bundle.groupoid, g)
-        report.record("aut:gamma-bisection", ok, key)
-        gamma_ok &= ok
-    if not (f_ok and gamma_ok):  # the checks below read f and apply gamma
+    points = set(base.base)  # f is injective: check it maps base onto base
+    bad = ([s for s in base.base if s not in aut.f or aut.f[s] not in points]
+           or [s for s in aut.f if s not in points])
+    report.record("aut:f-bijection", not bad, bad[0] if bad else None)
+    for key, g in aut.gamma.items():
+        report.record("aut:gamma-bisection",
+                      validate_bisection(bundle.groupoid, g), key)
+    if not report.ok:  # the checks below read f and apply gamma
         return report
     for sigma in base.base:
         fs = aut.f[sigma]
-        charts_in = base.charts_containing(sigma)
-        charts_out = base.charts_containing(fs)
-        for i in charts_in:
-            for j in charts_out:
-                g_ji = aut.gamma_at(j, i, sigma)
-                for k in charts_in:
-                    for l in charts_out:
-                        lhs = aut.gamma_at(l, k, sigma)
-                        rhs = bisection_product(
-                            bundle.cocycle.beta(l, j, fs),
-                            bisection_product(g_ji, bundle.cocycle.beta(i, k, sigma)))
-                        report.record("aut:gluing", lhs == rhs, (i, j, k, l, sigma))
+        pairs = list(iproduct(base.charts_containing(sigma),
+                              base.charts_containing(fs)))
+        for i, j in pairs:
+            g_ji = aut.gamma_at(j, i, sigma)
+            for k, l in pairs:
+                lhs = aut.gamma_at(l, k, sigma)
+                rhs = bisection_product(
+                    bundle.cocycle.beta(l, j, fs),
+                    bisection_product(g_ji, bundle.cocycle.beta(i, k, sigma)))
+                report.record("aut:gluing", lhs == rhs, (i, j, k, l, sigma))
     for p in bundle.points:
         q = aut.apply(p)
-        for h in bundle.groupoid.target_fibre(bundle.moment(p)):
+        for h in bundle.groupoid.target_fibres[bundle.moment(p)]:
             report.record("aut:equivariance",
                           aut.apply(bundle.right_action(p, h))
                           == bundle.right_action(q, h), (p, h))
@@ -155,9 +151,8 @@ def automorphism_to_bisection(at, aut):
     assign = []
     for fp in bundle.shadow_points:
         fs = aut.f[fp.sigma]
-        j = bundle.base.canonical_chart(fs)
-        g = aut.gamma_at(j, fp.chart, fp.sigma)
-        e = AtElement(fs, j, g(fp.obj), fp.sigma, fp.chart)
+        e = AtElement(fs, bundle.base.canonical_chart(fs),
+                      aut._local[fp.sigma](fp.obj), fp.sigma, fp.chart)
         assign.append(at.index(e))
     return Bisection(at.as_finite_groupoid(), assign)
 
@@ -165,23 +160,16 @@ def automorphism_to_bisection(at, aut):
 def bisection_to_automorphism(bundle, at, b):
     """Recover the automorphism from a projectable bisection of the
     symmetry groupoid.  Raises if the bisection does not cover a base map."""
-    f, gamma = {}, {}
-    for sigma in bundle.base.base:
-        i = bundle.base.canonical_chart(sigma)
-        assign = [None] * bundle.groupoid.n_objects
-        fs = None
-        for m in bundle.groupoid.objects:
-            e = at.elements[b(at.shadow_index[FPoint(sigma, i, m)])]
-            if fs is None:
-                fs = e.sigma1
-            elif e.sigma1 != fs:
-                raise StructuralError(
-                    "bisection does not project over {}".format(sigma))
-            assign[m] = e.arrow
-        f[sigma] = fs
-        j = bundle.base.canonical_chart(fs)
-        gamma[(j, i, sigma)] = Bisection(bundle.groupoid, assign)
-    return BundleAutomorphism(bundle, f, gamma)
+    g = bundle.groupoid
+    f, local = {}, {}
+    for k, fp in enumerate(bundle.shadow_points):
+        e = at.elements[b(k)]
+        if f.setdefault(fp.sigma, e.sigma1) != e.sigma1:
+            raise StructuralError(
+                "bisection does not project over {}".format(fp.sigma))
+        local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = e.arrow
+    return _canonical(bundle, f, {s: Bisection(g, assign)
+                                  for s, assign in local.items()})
 
 
 def verify_bisection_correspondence(bundle, at, aut):
@@ -221,13 +209,10 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
         raise EnumerationBound(
             "{}^{} candidate gauge maps exceed cap {}".format(len(bis), n, cap))
     ident = {s: s for s in bundle.base.base}
-    charts = [(bundle.base.canonical_chart(sigma), sigma)
-              for sigma in bundle.base.base]
-    out = []
-    for choice in iproduct(bis, repeat=n):
-        gamma = {(i, i, sigma): g for (i, sigma), g in zip(charts, choice)}
-        out.append(BundleAutomorphism(bundle, ident, gamma))
-    return out
+    keys = [(bundle.base.canonical_chart(s), bundle.base.canonical_chart(s), s)
+            for s in bundle.base.base]
+    return [BundleAutomorphism(bundle, ident, dict(zip(keys, choice)))
+            for choice in iproduct(bis, repeat=n)]
 
 
 def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
@@ -240,7 +225,7 @@ def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
             "{}^2 gauge products exceed cap {}".format(len(gauge), cap))
     vertical = _vertical_bisections(at or AtiyahGroupoid(bundle), cap)
     report = ValidationReport()
-    keys = {aut.action_key(): aut for aut in gauge}
+    keys = {aut.action_key() for aut in gauge}
     ident = identity_automorphism(bundle)
     report.record("gauge:has-identity", ident.action_key() in keys)
     for a in gauge:

@@ -10,8 +10,7 @@ cover index containing the base point, so equality is plain tuple equality.
 from collections import namedtuple
 
 from .bisection import (Bisection, bisection_inverse, bisection_product,
-                        left_mult, right_mult, shadow_inverse, unit_bisection,
-                        validate_bisection)
+                        left_mult, right_mult, unit_bisection, validate_bisection)
 from .report import StructuralError, ValidationReport
 
 PPoint = namedtuple("PPoint", ["sigma", "chart", "arrow"])
@@ -37,6 +36,8 @@ class CechBase:
         covered = set().union(*self.cover)
         if covered != set(self.base):
             raise StructuralError("cover does not exhaust the base")
+        self._chart = {sigma: min(self.charts_containing(sigma))
+                       for sigma in self.base}
 
     @property
     def n_charts(self):
@@ -46,7 +47,7 @@ class CechBase:
         return [i for i, chart in enumerate(self.cover) if sigma in chart]
 
     def canonical_chart(self, sigma):
-        return min(self.charts_containing(sigma))
+        return self._chart[sigma]
 
     def overlap(self, i, j):
         return sorted(self.cover[i] & self.cover[j], key=self.base.index)
@@ -122,8 +123,6 @@ class PrincipaloidBundle:
     def canonical_point(self, sigma, chart, arrow):
         """Canonical representative of the class of (sigma, arrow, chart)."""
         i = self.base.canonical_chart(sigma)
-        if i == chart:
-            return PPoint(sigma, i, arrow)
         b = self.cocycle.beta(i, chart, sigma)
         return PPoint(sigma, i, left_mult(b, arrow))
 
@@ -163,7 +162,7 @@ class PrincipaloidBundle:
     def orbit(self, p):
         """The right-action orbit of a point."""
         out = {p}
-        for h in self.groupoid.target_fibre(self.moment(p)):
+        for h in self.groupoid.target_fibres[self.moment(p)]:
             out.add(self.right_action(p, h))
         return out
 
@@ -204,12 +203,12 @@ def verify_principal_axioms(bundle):
     for p in bundle.points:
         mu = bundle.moment(p)
         report.record("GrM2:unit", bundle.right_action(p, g.unit[mu]) == p, p)
-        for h in g.target_fibre(mu):
+        for h in g.target_fibres[mu]:
             q = bundle.right_action(p, h)
             report.record("GrM1:moment", bundle.moment(q) == g.src[h], (p, h))
             report.record("PGr2:duck-invariant",
                           bundle.sitting_duck(q) == bundle.sitting_duck(p), (p, h))
-            for k in g.target_fibre(g.src[h]):
+            for k in g.target_fibres[g.src[h]]:
                 report.record(
                     "GrM3:assoc",
                     bundle.right_action(q, k)
@@ -224,7 +223,7 @@ def verify_principal_axioms(bundle):
                               g.tgt[d] == bundle.moment(p1), (p1, p2))
                 report.record("PGr3:div-act",
                               bundle.right_action(p1, d) == p2, (p1, p2))
-            for h in g.target_fibre(bundle.moment(p1)):
+            for h in g.target_fibres[bundle.moment(p1)]:
                 report.record("PGr3:act-div",
                               bundle.division(p1, bundle.right_action(p1, h)) == h,
                               (p1, h))

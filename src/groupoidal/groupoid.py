@@ -93,15 +93,6 @@ class FiniteGroupoid:
         return CompositionError(
             "non-composable pair: src={} tgt={}".format(self.src[a], self.tgt[b]))
 
-    def inverse(self, a):
-        return self.inv[a]
-
-    def source_fibre(self, m):
-        return list(self.source_fibres[m])
-
-    def target_fibre(self, m):
-        return list(self.target_fibres[m])
-
     def arrow_index(self, label):
         """Look an arrow up by its label, when labels were supplied."""
         return self._arrow_ids[label]

@@ -78,14 +78,14 @@ class BisectionFamily:
         m = np.asarray(m, dtype=float)
         return self(sigma, m) @ m
 
-    def shadow_inv(self, sigma, mp, tol=1e-12, max_iter=50):
+    def shadow_inv(self, sigma, mp):
         mp = np.asarray(mp, dtype=float)
         if self.constant_in_m:
             return np.linalg.solve(self(sigma, mp), mp)
         m = np.linalg.solve(self(sigma, mp), mp)
-        for _ in range(max_iter):
+        for _ in range(50):
             r = self.shadow(sigma, m) - mp
-            if np.linalg.norm(r) < tol:
+            if np.linalg.norm(r) < 1e-12:
                 return m
             jac = np.column_stack([self.shadow(sigma, m + d) - self.shadow(sigma, m - d)
                                    for d in FD_STEP * np.eye(len(m))]) / (2 * FD_STEP)
@@ -101,15 +101,11 @@ class MatrixGroupScenario:
         self.algebra = [np.asarray(t, dtype=float) for t in algebra]
         self.n = n
         self.charts = charts
-        self.d = len(charts[0].intervals)
         self.cocycle = dict(cocycle)
         self.partition = partition
 
     def exp(self, X):
         return rotation_exp(X)
-
-    def charts_containing(self, sigma):
-        return [i for i, c in enumerate(self.charts) if c.contains(sigma)]
 
     def beta(self, i, j):
         """The family beta_ij; identity on the diagonal."""

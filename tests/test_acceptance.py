@@ -6,18 +6,16 @@ Each test prints a single pass/fail line; run with -s to see them live.
 import time
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
-from groupoidal import (AtiyahGroupoid, AdjointBundle, action_groupoid,
+from groupoidal import (AtiyahGroupoid, AdjointBundle,
                         automorphism_to_bisection, bisection_to_automorphism,
                         check_structure_identities, conjugate,
                         enumerate_bisections, enumerate_gauge_group,
-                        enumerate_projectable_bisections, pair_groupoid,
+                        enumerate_projectable_bisections,
                         r_equivariant_commutant, validate_groupoid,
                         verify_atiyah_sequence, verify_bisection_correspondence,
-                        verify_principal_axioms, verify_trident,
-                        z2_swap_action)
+                        verify_principal_axioms, verify_trident)
 from groupoidal.bisection import bisection_product
 from groupoidal.connection import (BasePath, LocalConnectionData, apply_theta,
                                    construct_connection, covariant_derivative,

@@ -105,6 +105,7 @@ def test_broken_f_entry_on_triple_overlap(triple_overlap_bundle, z2_groupoid):
     report = validate_automorphism(bundle, BundleAutomorphism(bundle, f,
                                                               ident.gamma))
     assert [v.check for v in report.violations] == ["aut:f-bijection"]
+    assert report.violations[0].witness == "s1"
 
 
 def test_base_map_must_be_bijection(three_point_bundle):

@@ -1,0 +1,233 @@
+"""Automorphisms held in canonical charts, checked against the chart-pair
+code they replaced.
+
+The oracle is the earlier BundleAutomorphism, kept here unchanged except
+that it works on its own copy of the chart data: gamma_at derives any
+chart pair from the first entry stored at sigma (and caches it), apply
+reads the pair (chart of f(sigma), chart of the point), compose and inverse
+key their chart data by hand, and the action key is the image of every
+bundle point.  The library must act as the oracle does on every point,
+give equal action keys exactly when the oracle's keys are equal, and never
+write into the chart data it was given.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from groupoidal import (AtiyahGroupoid, BundleAutomorphism, FPoint, PPoint,
+                        StructuralError, bisection_inverse, bisection_product,
+                        bisection_to_automorphism, enumerate_gauge_group,
+                        enumerate_projectable_bisections,
+                        identity_automorphism, left_mult, unit_bisection,
+                        validate_automorphism, verify_bisection_correspondence,
+                        verify_gauge_group)
+from test_bisection_tables import chain_bundles
+
+
+class Oracle:
+    """The automorphism as it was kept before: chart data keyed by any
+    chart pair, canonical entries derived and cached on use."""
+
+    def __init__(self, bundle, f, gamma):
+        self.bundle = bundle
+        self.f = dict(f)
+        self.f_inv = {v: k for k, v in self.f.items()}
+        self.gamma = dict(gamma)
+
+    def gamma_at(self, j, i, sigma):
+        if (j, i, sigma) in self.gamma:
+            return self.gamma[(j, i, sigma)]
+        fs = self.f[sigma]
+        for (j0, i0, s0), g0 in self.gamma.items():
+            if s0 != sigma:
+                continue
+            c = self.bundle.cocycle
+            val = bisection_product(
+                c.beta(j, j0, fs), bisection_product(g0, c.beta(i0, i, sigma)))
+            self.gamma[(j, i, sigma)] = val
+            return val
+        raise StructuralError("no chart data at {}".format(sigma))
+
+    def apply(self, p):
+        fs = self.f[p.sigma]
+        j = self.bundle.base.canonical_chart(fs)
+        g = self.gamma_at(j, p.chart, p.sigma)
+        return PPoint(fs, j, left_mult(g, p.arrow))
+
+    def apply_shadow(self, fp):
+        fs = self.f[fp.sigma]
+        j = self.bundle.base.canonical_chart(fs)
+        g = self.gamma_at(j, fp.chart, fp.sigma)
+        return FPoint(fs, j, g.shadow()[fp.obj])
+
+    def compose(self, other):
+        bundle = self.bundle
+        f = {s: self.f[other.f[s]] for s in other.f}
+        gamma = {}
+        for sigma in bundle.base.base:
+            i = bundle.base.canonical_chart(sigma)
+            mid = other.f[sigma]
+            k = bundle.base.canonical_chart(mid)
+            j = bundle.base.canonical_chart(self.f[mid])
+            gamma[(j, i, sigma)] = bisection_product(
+                self.gamma_at(j, k, mid), other.gamma_at(k, i, sigma))
+        return Oracle(bundle, f, gamma)
+
+    def inverse(self):
+        bundle = self.bundle
+        gamma = {}
+        for sigma in bundle.base.base:
+            i = bundle.base.canonical_chart(sigma)
+            tau = self.f[sigma]
+            j = bundle.base.canonical_chart(tau)
+            gamma[(i, j, tau)] = bisection_inverse(self.gamma_at(j, i, sigma))
+        return Oracle(bundle, self.f_inv, gamma)
+
+    def action_key(self):
+        return tuple(self.apply(p) for p in self.bundle.points)
+
+
+def oracle(aut):
+    return Oracle(aut.bundle, aut.f, aut.gamma)
+
+
+def rechart(aut, sigma, pairs):
+    """The same automorphism with its chart data at sigma stored at the
+    chart pairs (j, i) instead, in that order."""
+    gamma = {key: g for key, g in aut.gamma.items() if key[2] != sigma}
+    gamma.update({(j, i, sigma): oracle(aut).gamma_at(j, i, sigma)
+                  for j, i in pairs})
+    return BundleAutomorphism(aut.bundle, aut.f, gamma)
+
+
+def every_pair(aut, sigma):
+    """Every chart pair at sigma, the canonical one last."""
+    base = aut.bundle.base
+    return sorted(itertools.product(base.charts_containing(aut.f[sigma]),
+                                    base.charts_containing(sigma)),
+                  reverse=True)
+
+
+def acts(aut):
+    return [aut.apply(p) for p in aut.bundle.points]
+
+
+def nonvertical(bundle, limit=24):
+    """Up to limit automorphisms recovered from projectable bisections, spread
+    over the list."""
+    at = AtiyahGroupoid(bundle)
+    projectable, _ = enumerate_projectable_bisections(bundle, at)
+    step = max(1, len(projectable) // limit)
+    return [bisection_to_automorphism(bundle, at, b)
+            for b in projectable[::step]]
+
+
+def assert_matches_oracle(bundle, auts, sample=6):
+    """apply and apply_shadow agree with the oracle on every point; compose
+    and inverse act as the oracle's do on a sample; action keys are equal
+    exactly when the oracle's keys are equal."""
+    for aut in auts:
+        o = oracle(aut)
+        assert acts(aut) == [o.apply(p) for p in bundle.points]
+        assert ([aut.apply_shadow(fp) for fp in bundle.shadow_points]
+                == [o.apply_shadow(fp) for fp in bundle.shadow_points])
+    picked = auts[:sample] + auts[-sample:]
+    products = []
+    for a in picked:
+        assert acts(a.inverse()) == list(oracle(a).inverse().action_key())
+        for b in picked:
+            prod = a.compose(b)
+            assert acts(prod) == list(oracle(a).compose(oracle(b)).action_key())
+            products.append(prod)
+    everything = auts + products + [a.inverse() for a in picked]
+    keys = [a.action_key() for a in everything]
+    oracle_keys = [oracle(a).action_key() for a in everything]
+    assert len(set(zip(keys, oracle_keys))) == len(set(keys)) \
+        == len(set(oracle_keys))
+    assert len(set(keys)) < len(keys)  # some actions coincide
+
+
+@given(chain_bundles())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_generated_automorphisms_match_oracle(bundle):
+    gauge = enumerate_gauge_group(bundle)
+    assert_matches_oracle(bundle, gauge + nonvertical(bundle))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_triple_overlap_automorphisms_match_oracle(request, triple_overlap_bundle,
+                                                   fibre, n):
+    # chart data stored at every chart pair of the hub, the canonical pair
+    # last, and at one pair only, so that the canonical entry is derived
+    bundle = triple_overlap_bundle(request.getfixturevalue(fibre), n, seed=n)
+    auts = enumerate_gauge_group(bundle)[:12] + nonvertical(bundle, 12)
+    recharted = []
+    for aut in auts:
+        pairs = every_pair(aut, "s0")
+        recharted += [rechart(aut, "s0", pairs), rechart(aut, "s0", pairs[:1])]
+    for aut in recharted:
+        assert validate_automorphism(bundle, aut).ok
+    assert_matches_oracle(bundle, auts + recharted)
+
+
+def reflections(bundle):
+    """The running example's base reflection a <-> c, with its chart data at
+    b stored at each chart pair in turn, and at all four."""
+    e = unit_bisection(bundle.groupoid)
+    refl = BundleAutomorphism(bundle, {"a": "c", "b": "b", "c": "a"},
+                              {(1, 0, "a"): e, (0, 0, "b"): e, (0, 1, "c"): e})
+    pairs = every_pair(refl, "b")
+    return [refl] + [rechart(refl, "b", [p]) for p in pairs] \
+        + [rechart(refl, "b", pairs)]
+
+
+def test_running_example_reflection_matches_oracle(three_point_bundle):
+    bundle = three_point_bundle
+    gauge = enumerate_gauge_group(bundle)
+    refls = reflections(bundle)
+    for aut in refls:
+        assert validate_automorphism(bundle, aut).ok
+    mixed = [r.compose(g) for r in refls for g in gauge[:3]] \
+        + [g.compose(r) for r in refls for g in gauge[-3:]]
+    assert_matches_oracle(bundle, refls + gauge + mixed)
+
+
+def unconventional(bundle, triple_overlap_bundle, z2_groupoid):
+    """Automorphisms read at chart pairs they do not store: the running
+    example's identity (validation reads every pair at b), its reflection
+    recharted at b, and triple-overlap gauge maps stored at one pair of the
+    hub that is not canonical."""
+    tri = triple_overlap_bundle(z2_groupoid, 4, seed=4)
+    gauge = enumerate_gauge_group(tri)
+    return ([identity_automorphism(bundle)] + reflections(bundle)[1:]
+            + [rechart(a, "s0", every_pair(a, "s0")[:1]) for a in gauge[:4]])
+
+
+def test_validation_repeats_its_report(three_point_bundle,
+                                       triple_overlap_bundle, z2_groupoid):
+    for aut in unconventional(three_point_bundle, triple_overlap_bundle,
+                              z2_groupoid):
+        first = validate_automorphism(aut.bundle, aut).to_dict()
+        assert validate_automorphism(aut.bundle, aut).to_dict() == first
+
+
+def test_chart_data_is_never_written(three_point_bundle,
+                                     triple_overlap_bundle, z2_groupoid):
+    for aut in unconventional(three_point_bundle, triple_overlap_bundle,
+                              z2_groupoid):
+        bundle = aut.bundle
+        before = dict(aut.gamma)
+        validate_automorphism(bundle, aut)
+        acts(aut)
+        aut.compose(aut)
+        aut.inverse()
+        aut.action_key()
+        verify_bisection_correspondence(bundle, AtiyahGroupoid(bundle), aut)
+        if aut.is_vertical():
+            verify_gauge_group(bundle, [aut, identity_automorphism(bundle)])
+        assert aut.gamma == before

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from groupoidal import (Bisection, CechBase, Cocycle, DivisionError,
-                        MomentMismatch, PPoint, StructuralError, build_bundle,
+                        MomentMismatch, PPoint, StructuralError,
                         bundle_from_json, bundle_to_json, enumerate_bisections,
                         unit_bisection, validate_cocycle,
                         verify_principal_axioms)

@@ -127,6 +127,7 @@ def test_base_map_checked_before_use(capsys, tmp_path, three_point_bundle):
         assert code == 1, doc["f"]
         (check,) = json.loads(out)["checks"]
         assert [v["check"] for v in check["violations"]] == ["aut:f-bijection"]
+        assert check["violations"][0]["witness"] == "c"
 
 
 def test_base_map_values_checked_before_inversion(capsys, tmp_path,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupoidal import (CompositionError, FiniteGroupAction, FiniteGroupoid,
-                        StructuralError, action_groupoid, fibred_pair_groupoid, group_groupoid,
+                        StructuralError, fibred_pair_groupoid, group_groupoid,
                         pair_groupoid, product_groupoid, construct_standard,
                         validate_groupoid, z2_swap_action)
 
