@@ -9,17 +9,17 @@ The kernel of the projection onto the pair groupoid of the base is the
 conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
-The finite groupoid table over the shadow points is built once, when the
-groupoid is constructed, by the builder every finite groupoid shares;
-multiplication, element lookup and every battery here read that table.
+In canonical charts the table over the shadow points is the product
+Pair(B) x G, built once by arithmetic; multiplication, element lookup and
+every battery read it, the batteries as walks over int tables.
 """
 
 from collections import Counter, namedtuple
 from itertools import product
 
 from .bisection import Bisection, _search, conjugate, left_mult, right_mult
-from .bundle import FPoint, PPoint, MomentMismatch
-from .groupoid import _from_labels
+from .bundle import FPoint, PPoint, MomentMismatch, _tables
+from .groupoid import pair_groupoid, product_groupoid
 from .report import ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
@@ -30,22 +30,14 @@ class AtiyahGroupoid:
     """All canonical elements, with the structure maps over shadow points."""
 
     def __init__(self, bundle):
-        self.bundle = bundle
-        g = bundle.groupoid
+        self.bundle, base = bundle, bundle.base
         self.elements = [
-            AtElement(s1, bundle.base.canonical_chart(s1), a,
-                      s2, bundle.base.canonical_chart(s2))
-            for s1 in bundle.base.base for s2 in bundle.base.base for a in g.arrows]
+            AtElement(s1, base.canonical_chart(s1), a, s2, base.canonical_chart(s2))
+            for s1 in base.base for s2 in base.base for a in bundle.groupoid.arrows]
         self.shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
-        self._table = _from_labels(
-            self.elements,
-            lambda e: self.shadow_index[self.source(e)],
-            lambda e: self.shadow_index[self.target(e)],
-            [self.unit(f) for f in bundle.shadow_points], self.invert,
-            lambda e1, e2: AtElement(e1.sigma1, e1.chart_i,
-                                     g.compose(e1.arrow, e2.arrow),
-                                     e2.sigma2, e2.chart_j),
-            object_labels=bundle.shadow_points)
+        self._table = product_groupoid(pair_groupoid(len(base.base)), bundle.groupoid)
+        self._table.arrow_labels = tuple(self.elements)
+        self._table.object_labels = tuple(bundle.shadow_points)
 
     def canonical(self, sigma1, chart_k, arrow, sigma2, chart_l):
         """Transport (sigma1, arrow, sigma2) from charts (k, l) to canonical.
@@ -133,24 +125,26 @@ class AdjointBundle:
 
 
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
-    """Exactness over the pair groupoid of the base, checked element by element."""
+    """Exactness over the pair groupoid of the base, the projection of the
+    table's products checked as one column against the pair products."""
     at = at or AtiyahGroupoid(bundle)
     adjoint = adjoint or AdjointBundle(bundle)
     report = ValidationReport()
     pairs = list(product(bundle.base.base, repeat=2))
-    report.record("sequence:surjective",
-                  {at.project(e) for e in at.elements} == set(pairs))
-    for (k1, k2), k in at.as_finite_groupoid().mul.items():
-        e1, e2 = at.elements[k1], at.elements[k2]
-        report.record("sequence:morphism",
-                      at.project(at.elements[k]) == (e1.sigma1, e2.sigma2),
-                      (e1, e2))
+    proj = [at.project(e) for e in at.elements]
+    report.record("sequence:surjective", set(proj) == set(pairs))
+    mul = at.as_finite_groupoid().mul
+    factors = list(mul)
+    report.record_columns([(
+        "sequence:morphism", [proj[k] for k in mul.values()],
+        [(proj[k1][0], proj[k2][1]) for k1, k2 in factors], range(len(factors)),
+        lambda i: (at.elements[factors[i][0]], at.elements[factors[i][1]]))])
     kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
     image = {adjoint.embed(e) for e in adjoint.elements}
     report.record("sequence:kernel", kernel == image)
     report.record("sequence:embedding-injective",
                   len(image) == len(adjoint.elements))
-    fibre_sizes = Counter(at.project(e) for e in at.elements)
+    fibre_sizes = Counter(proj)
     for pair in pairs:
         report.record("sequence:fibre-size",
                       fibre_sizes[pair] == bundle.groupoid.n_arrows, pair)
@@ -158,42 +152,43 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
 
 
 def verify_trident(bundle, at=None):
-    """The commuting pair of actions on the bundle, both of them principal."""
+    """The commuting pair of actions on the bundle, both principal, checked on
+    the tables of _tables and at's left action (e, p) -> point and division
+    (p1, p2) -> element, by two routes each: act then right, right then act."""
     at = at or AtiyahGroupoid(bundle)
-    g = bundle.groupoid
-    report = ValidationReport()
+    g, points, elements = bundle.groupoid, bundle.points, at.elements
     fg = at.as_finite_groupoid()
-    duck_fibres = [bundle.duck_fibre(f) for f in bundle.shadow_points]
-    for k, e in enumerate(at.elements):
-        for p in duck_fibres[fg.src[k]]:
-            q = at.act_on_bundle(e, p)
-            report.record("trident:covers-pair",
-                          (q.sigma, p.sigma) == at.project(e), (e, p))
-            report.record("trident:duck-of-action",
-                          bundle.sitting_duck(q) == at.target(e), (e, p))
-            report.record("trident:moment-invariant",
-                          bundle.moment(q) == bundle.moment(p), (e, p))
-            report.record("trident:shadow-intertwines",
-                          at.act_on_shadow(e, bundle.sitting_duck(p))
-                          == bundle.sitting_duck(q), (e, p))
-            for h in g.target_fibres[bundle.moment(p)]:
-                lhs = at.act_on_bundle(e, bundle.right_action(p, h))
-                rhs = bundle.right_action(q, h)
-                report.record("trident:actions-commute", lhs == rhs, (e, p, h))
-            report.record("trident:division-inverts",
-                          at.division(q, p) == e, (e, p))
-    points_by_moment = [[] for _ in g.objects]
-    for p in bundle.points:
-        points_by_moment[bundle.moment(p)].append(p)
-    for p1 in bundle.points:
-        for p2 in points_by_moment[bundle.moment(p1)]:
-            e = at.division(p1, p2)
-            report.record("trident:act-after-division",
-                          at.act_on_bundle(e, p2) == p1, (p1, p2))
-    for p in bundle.points:
-        f = bundle.sitting_duck(p)
-        report.record("trident:unit-acts-trivially",
-                      at.act_on_bundle(at.unit(f), p) == p, p)
+    moment, duck, fibres, right = _tables(bundle)
+    # element (s1 * k + s2) * n + a carries point s2 * n + b to s1 * n + a.b
+    n, k = g.n_arrows, len(bundle.base.base)
+    act = {(e, p): e // n // k * n + g.compose(e % n, p % n)
+           for e in fg.arrows for p in fibres[fg.src[e]]}
+    div = {(p1, s * n + a): (p1 // n * k + s) * n + g.compose(p1 % n, g.inv[a])
+           for p1, m in enumerate(moment) for s in range(k) for a in g.source_fibres[m]}
+    ep, qs = list(act), list(act.values())
+    # keys in loop order: (e, p) before the h's at p, (e, p, h), (e, p, n) after
+    eph = [(e, p, h) for e, p in ep for h in g.target_fibres[moment[p]]]
+
+    def at_ep(key):
+        return elements[key[0]], points[key[1]]
+    report = ValidationReport()
+    report.record_columns([
+        ("trident:covers-pair", [q // n * k + p // n for (_, p), q in act.items()],
+         [e // n for e, _ in ep]),
+        ("trident:duck-of-action", [duck[q] for q in qs], [fg.tgt[e] for e, _ in ep]),
+        ("trident:moment-invariant", [moment[q] for q in qs], [moment[p] for _, p in ep]),
+        ("trident:shadow-intertwines", [fg.tgt[e] if fg.src[e] == duck[p] else None
+                                        for e, p in ep], [duck[q] for q in qs]),
+        ("trident:actions-commute", [act[e, right[p, h]] for e, p, h in eph],
+         [right[act[e, p], h] for e, p, h in eph], eph, lambda key: at_ep(key) + key[2:]),
+        ("trident:division-inverts", [div[q, p] for (_, p), q in act.items()],
+         [e for e, _ in ep], [(e, p, n) for e, p in ep])], ep, at_ep)
+    report.record_columns([(
+        "trident:act-after-division", [act[e, p2] for (_, p2), e in div.items()],
+        [p1 for p1, _ in div], list(div), lambda key: (points[key[0]], points[key[1]]))])
+    report.record_columns([(
+        "trident:unit-acts-trivially", [act[fg.unit[f], p] for p, f in enumerate(duck)],
+        list(range(len(points))), range(len(points)), points.__getitem__)])
     return report
 
 

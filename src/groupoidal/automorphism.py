@@ -117,7 +117,10 @@ def validate_automorphism(bundle, aut):
     for key, g in aut.gamma.items():
         report.record("aut:gamma-bisection",
                       validate_bisection(bundle.groupoid, g), key)
-    if not report.ok:  # the checks below read f and apply gamma
+    held = {key[2] for key in aut.gamma}
+    for sigma in (s for s in base.base if s not in held):
+        report.add("aut:chart-data", sigma, "no gamma entry at this base point")
+    if not report.ok:  # the checks below read f and gamma at every point
         return report
     for sigma in base.base:
         fs = aut.f[sigma]

@@ -217,35 +217,6 @@ def _translations(g, b, arrows):
         raise g.composition_error(*exc.args[0]) from None
 
 
-def _record_columns(report, columns, witness):
-    """Record check name at row i as lhs[i] == rhs[i], for each column
-    (name, lhs, rhs), row by row; witness(i) is called only after a failure."""
-    rows = len(columns[0][1])
-    report.record_all(
-        rows * len(columns), all(lhs == rhs for _, lhs, rhs in columns),
-        ((name, lhs[i] == rhs[i], witness(i))
-         for i in range(rows) for name, lhs, rhs in columns))
-
-
-def _vi_checks(assign, ws, ys, right_then, mul_then):
-    """The vi checks in per-arrow order, from iterators over the flat
-    (lhs, rhs) pairs of each family."""
-    for h, (fw, fy) in enumerate(zip(ws, ys)):
-        # zip takes the fibre first, so it stops without consuming a pair
-        for w, (lhs, rhs) in zip(fw, right_then):
-            yield "vi:right-then-mul", lhs == rhs, (assign, w, h)
-        for y, (lhs, rhs) in zip(fy, mul_then):
-            yield "vi:mul-then-left", lhs == rhs, (assign, h, y)
-
-
-def _e3_checks(a, t, fibre, prods, through):
-    """The e3 checks at arrow a, bisection by bisection."""
-    for assign, shinv, right in through:
-        yield "e3-i:through-target", assign[shinv[t]] == a, (assign, a)
-        for h, p in zip(fibre, prods):
-            yield "e3-ii:r-vs-R", p == right[h], (assign, a, h)
-
-
 def check_structure_identities(g, cap=100000):
     """Exhaustive check of the action-vs-structure-map identity suite.
 
@@ -274,7 +245,7 @@ def check_structure_identities(g, cap=100000):
             Linv, Rinv = _translations(g, bisection_inverse(b), inv)
             tables.append((A, shinv, R))
             sh_tgt = [sh[m] for m in tgt]
-            _record_columns(report, (
+            report.record_columns((
                 ("i:s-left", [src[x] for x in L], src_list),
                 ("i:s-right", [src[x] for x in R], [shinv[m] for m in src]),
                 ("ii:t-left", [tgt[x] for x in L], sh_tgt),
@@ -283,50 +254,51 @@ def check_structure_identities(g, cap=100000):
                 ("iv:inv-right", [inv[x] for x in R], Linv),
                 ("c-i:s", [src[x] for x in C], [sh[m] for m in src]),
                 ("c-ii:t", [tgt[x] for x in C], sh_tgt),
-                ("c-iv:inv", [inv[x] for x in C], [C[x] for x in inv]),
-            ), lambda h: (A, h))
-            _record_columns(report, (
+                ("c-iv:inv", [inv[x] for x in C], [C[x] for x in inv])),
+                g.arrows, lambda h: (A, h))
+            report.record_columns((
                 ("iii:unit-left", [L[e] for e in unit], list(A)),
                 ("iii:unit-right", [R[e] for e in unit], [A[m] for m in shinv]),
-                ("c-iii:unit", [C[e] for e in unit], [unit[m] for m in sh]),
-            ), lambda m: (A, m))
-            _record_columns(report, (
+                ("c-iii:unit", [C[e] for e in unit], [unit[m] for m in sh])),
+                g.objects, lambda m: (A, m))
+            report.record_columns((
                 ("v:left-vs-mul", [L[p] for p in prods],
                  [mul[L[u], h] for u, h in pairs]),
                 ("v:right-vs-mul", [R[p] for p in prods],
                  [mul[u, R[h]] for u, h in pairs]),
                 ("c-v:conj-vs-mul", [C[p] for p in prods],
-                 [mul[C[u], C[h]] for u, h in pairs]),
-            ), lambda i: (A,) + pairs[i])
+                 [mul[C[u], C[h]] for u, h in pairs])),
+                range(len(pairs)), lambda i: (A,) + pairs[i])
             # (w <| beta) . h = w . (beta |> h) for w in s^{-1}(shadow(t(h)))
             # h . (beta |> y) = (h <| beta) . y for y in t^{-1}(shadow^{-1}(s(h)))
             ws = [sources[m] for m in sh_tgt]
             ys = [targets[shinv[m]] for m in src]
-            right_then = ([mul[R[w], h] for h, fw in enumerate(ws) for w in fw],
-                          [mul[w, L[h]] for h, fw in enumerate(ws) for w in fw])
-            mul_then = ([mul[h, L[y]] for h, fy in enumerate(ys) for y in fy],
-                        [mul[R[h], y] for h, fy in enumerate(ys) for y in fy])
-            report.record_all(
-                len(right_then[0]) + len(mul_then[0]),
-                right_then[0] == right_then[1] and mul_then[0] == mul_then[1],
-                _vi_checks(A, ws, ys, zip(*right_then), zip(*mul_then)))
+            report.record_columns([
+                ("vi:right-then-mul",
+                 [mul[R[w], h] for h, fw in enumerate(ws) for w in fw],
+                 [mul[w, L[h]] for h, fw in enumerate(ws) for w in fw],
+                 lambda: [(h, 0, w) for h, fw in enumerate(ws) for w in fw],
+                 lambda key: (A, key[2], key[0])),
+                ("vi:mul-then-left",
+                 [mul[h, L[y]] for h, fy in enumerate(ys) for y in fy],
+                 [mul[R[h], y] for h, fy in enumerate(ys) for y in fy],
+                 lambda: [(h, 1, y) for h, fy in enumerate(ys) for y in fy],
+                 lambda key: (A, key[0], key[2]))])
         # r_g = R_{beta_g} on s^{-1}(t(g)) for every bisection through g;
         # beta(s(a)) = a exactly when a is one of beta's values
-        through = [[] for _ in g.arrows]
+        through = {}
         for entry in tables:
             for a in entry[0]:
-                through[a].append(entry)
-        for a, entries in enumerate(through):
-            if not entries:
-                continue
-            t = tgt[a]
-            fibre = sources[t]
-            prods_a = [mul[h, a] for h in fibre]
-            report.record_all(
-                len(entries) * (1 + len(fibre)),
-                all(A[shinv[t]] == a and [R[h] for h in fibre] == prods_a
-                    for A, shinv, R in entries),
-                _e3_checks(a, t, fibre, prods_a, entries))
+                through.setdefault(a, []).append(entry)
+        for a, entries in sorted(through.items()):
+            fibre = sources[tgt[a]]
+            report.record_columns([
+                ("e3-i:through-target", [A[shinv[tgt[a]]] for A, shinv, _ in entries],
+                 [a] * len(entries), lambda: [(j,) for j in range(len(entries))]),
+                ("e3-ii:r-vs-R", [R[h] for _, _, R in entries for h in fibre],
+                 [mul[h, a] for h in fibre] * len(entries),
+                 lambda: [(j, h) for j in range(len(entries)) for h in fibre])],
+                witness=lambda key: (entries[key[0]][0], a) + key[1:])
     except KeyError as exc:
         raise g.composition_error(*exc.args[0]) from None
     return report

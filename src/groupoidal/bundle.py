@@ -8,6 +8,7 @@ cover index containing the base point, so equality is plain tuple equality.
 """
 
 from collections import namedtuple
+from itertools import product
 
 from .bisection import (Bisection, bisection_inverse, bisection_product,
                         left_mult, right_mult, unit_bisection, validate_bisection)
@@ -80,28 +81,20 @@ def validate_cocycle(base, c):
     """All 1-cocycle conditions, with (i, j, k, sigma) witnesses."""
     report = ValidationReport()
     unit = unit_bisection(c.groupoid)
-    for i in range(base.n_charts):
-        for sigma in base.cover[i]:
-            if (i, i, sigma) in c.entries:
-                report.record("cocycle:diag", c.entries[(i, i, sigma)] == unit,
-                              (i, i, sigma))
-    for i in range(base.n_charts):
-        for j in range(base.n_charts):
-            if i == j:
-                continue
-            for sigma in base.overlap(i, j):
-                prod = bisection_product(c.beta(i, j, sigma), c.beta(j, i, sigma))
-                report.record("cocycle:inverse", prod == unit, (i, j, sigma))
-    for i in range(base.n_charts):
-        for j in range(base.n_charts):
-            for k in range(base.n_charts):
-                if len({i, j, k}) < 3:
-                    continue
-                triple = base.cover[i] & base.cover[j] & base.cover[k]
-                for sigma in triple:
-                    lhs = bisection_product(c.beta(i, j, sigma), c.beta(j, k, sigma))
-                    report.record("cocycle:triple", lhs == c.beta(i, k, sigma),
-                                  (i, j, k, sigma))
+    charts = range(base.n_charts)
+    for key in ((i, i, sigma) for i in charts for sigma in base.cover[i]):
+        if key in c.entries:
+            report.record("cocycle:diag", c.entries[key] == unit, key)
+    for i, j in product(charts, repeat=2):
+        for sigma in base.overlap(i, j) if i != j else ():
+            prod = bisection_product(c.beta(i, j, sigma), c.beta(j, i, sigma))
+            report.record("cocycle:inverse", prod == unit, (i, j, sigma))
+    for i, j, k in product(charts, repeat=3):
+        triple = base.cover[i] & base.cover[j] & base.cover[k]
+        for sigma in triple if len({i, j, k}) == 3 else ():
+            lhs = bisection_product(c.beta(i, j, sigma), c.beta(j, k, sigma))
+            report.record("cocycle:triple", lhs == c.beta(i, k, sigma),
+                          (i, j, k, sigma))
     return report
 
 
@@ -167,8 +160,7 @@ class PrincipaloidBundle:
         return out
 
 
-def build_bundle(base, cocycle, groupoid):
-    return PrincipaloidBundle(base, cocycle, groupoid)
+build_bundle = PrincipaloidBundle
 
 
 def bundle_to_json(bundle):
@@ -196,35 +188,47 @@ def bundle_from_json(doc):
     return PrincipaloidBundle(base, Cocycle(groupoid, entries), groupoid)
 
 
-def verify_principal_axioms(bundle):
-    """Exhaustive check of the module axioms and the principality bijection."""
+def _tables(bundle):
+    """The points s * |Ar G| + a as int tables: moment, sitting duck s * |Ob G|
+    + t(a), each duck fibre's points, and the right action (p, h) -> point."""
     g = bundle.groupoid
+    n, ks = g.n_arrows, range(len(bundle.base.base))
+    moment = [g.src[a] for _ in ks for a in g.arrows]
+    duck = [s * g.n_objects + g.tgt[a] for s in ks for a in g.arrows]
+    fibres = [[s * n + a for a in fibre] for s in ks for fibre in g.target_fibres]
+    rows = [[(h, g.compose(a, h)) for h in g.target_fibres[g.src[a]]] for a in g.arrows]
+    right = {(s * n + a, h): s * n + c for s in ks for a, row in enumerate(rows)
+             for h, c in row}
+    return moment, duck, fibres, right
+
+
+def verify_principal_axioms(bundle):
+    """The module axioms and the principality bijection on the tables of
+    _tables, keyed in the loops over p, h, k, then duck fibres f, p1, p2 or h;
+    each witness names the points and arrows of its key."""
+    g, points = bundle.groupoid, bundle.points
+    moment, duck, fibres, right = _tables(bundle)
+    ph, qs, pts = list(right), list(right.values()), range(len(points))
+    phk = [(p, h, k) for p, h in ph for k in g.target_fibres[g.src[h]]]
+    div = {(f, p1, 0, p2): g.compose(g.inv[p1 % g.n_arrows], p2 % g.n_arrows)
+           for f, fibre in enumerate(fibres) for p1 in fibre for p2 in fibre}
+    fph = [(f, p1, 1, h) for f, fibre in enumerate(fibres) for p1 in fibre
+           for h in g.target_fibres[moment[p1]]]
     report = ValidationReport()
-    for p in bundle.points:
-        mu = bundle.moment(p)
-        report.record("GrM2:unit", bundle.right_action(p, g.unit[mu]) == p, p)
-        for h in g.target_fibres[mu]:
-            q = bundle.right_action(p, h)
-            report.record("GrM1:moment", bundle.moment(q) == g.src[h], (p, h))
-            report.record("PGr2:duck-invariant",
-                          bundle.sitting_duck(q) == bundle.sitting_duck(p), (p, h))
-            for k in g.target_fibres[g.src[h]]:
-                report.record(
-                    "GrM3:assoc",
-                    bundle.right_action(q, k)
-                    == bundle.right_action(p, g.compose(h, k)),
-                    (p, h, k))
-    for f in bundle.shadow_points:
-        fibre = bundle.duck_fibre(f)
-        for p1 in fibre:
-            for p2 in fibre:
-                d = bundle.division(p1, p2)
-                report.record("PGr3:div-target",
-                              g.tgt[d] == bundle.moment(p1), (p1, p2))
-                report.record("PGr3:div-act",
-                              bundle.right_action(p1, d) == p2, (p1, p2))
-            for h in g.target_fibres[bundle.moment(p1)]:
-                report.record("PGr3:act-div",
-                              bundle.division(p1, bundle.right_action(p1, h)) == h,
-                              (p1, h))
+    report.record_columns([
+        ("GrM2:unit", [right[p, g.unit[m]] for p, m in enumerate(moment)], list(pts),
+         [(p,) for p in pts]),
+        ("GrM1:moment", [moment[q] for q in qs], [g.src[h] for _, h in ph]),
+        ("PGr2:duck-invariant", [duck[q] for q in qs], [duck[p] for p, _ in ph]),
+        ("GrM3:assoc", [right[right[p, h], k] for p, h, k in phk],
+         [right[p, g.compose(h, k)] for p, h, k in phk], phk)],
+        ph, lambda key: (points[key[0]],) + key[1:] if key[1:] else points[key[0]])
+    report.record_columns([
+        ("PGr3:div-target", [g.tgt[d] for d in div.values()],
+         [moment[key[1]] for key in div]),
+        ("PGr3:div-act", [right[key[1], d] for key, d in div.items()],
+         [key[3] for key in div]),
+        ("PGr3:act-div", [div[f, p1, 0, right[p1, h]] for f, p1, _, h in fph],
+         [h for *_, h in fph], fph)],
+        list(div), lambda key: (points[key[1]], points[key[3]] if key[2] == 0 else key[3]))
     return report

@@ -2,9 +2,9 @@
 
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
 the multiplication table is a dict keyed by composable pairs, since those
-are sparse in the square of the arrow set.  Every labelled table, the stock
-ones here and the symmetry groupoid's, comes from one builder that fills
-mul fibre by fibre, and validation walks the same fibres.
+are sparse in the square of the arrow set.  The labelled stock tables come
+from one builder that fills mul fibre by fibre, products (the symmetry
+groupoid's table among them) by arithmetic; validation walks the same fibres.
 """
 
 import itertools
@@ -268,8 +268,7 @@ class FiniteGroupAction:
                     h, self.inverse[h]))
 
 
-def _from_labels(labels, source, target, units, inverse, compose,
-                 object_labels=None):
+def _from_labels(labels, source, target, units, inverse, compose):
     """The finite groupoid whose arrows are labels, its structure given on them.
 
     source and target send a label to an object id, units lists each
@@ -283,7 +282,7 @@ def _from_labels(labels, source, target, units, inverse, compose,
     ids = {x: k for k, x in enumerate(labels)}
     g = FiniteGroupoid(len(units), map(source, labels), map(target, labels),
                        [ids[u] for u in units], [ids[inverse(x)] for x in labels],
-                       {}, arrow_labels=labels, object_labels=object_labels)
+                       {}, arrow_labels=labels)
     g.mul.update(((a, b), ids[compose(x, labels[b])])
                  for a, x in enumerate(labels) for b in g.target_fibres[g.src[a]])
     g._arrow_ids = ids
@@ -325,16 +324,23 @@ def fibred_pair_groupoid(blocks):
 
 
 def product_groupoid(g1, g2):
-    """The product groupoid: componentwise structure on pairs (a1, a2) of
-    arrows, over objects m1 * |Ob g2| + m2."""
-    n2 = g2.n_objects
-    return _from_labels(
-        [(a1, a2) for a1 in g1.arrows for a2 in g2.arrows],
-        lambda x: g1.src[x[0]] * n2 + g2.src[x[1]],
-        lambda x: g1.tgt[x[0]] * n2 + g2.tgt[x[1]],
-        [(g1.unit[m1], g2.unit[m2]) for m1 in g1.objects for m2 in g2.objects],
-        lambda x: (g1.inv[x[0]], g2.inv[x[1]]),
-        lambda x, y: (g1.compose(x[0], y[0]), g2.compose(x[1], y[1])))
+    """The product groupoid: arrows a1 * |Ar g2| + a2, labelled (a1, a2), over
+    objects m1 * |Ob g2| + m2.  mul is filled by arithmetic from each factor's
+    rows of products, keys in lexicographic order as _from_labels fills it."""
+    n2, k2 = g2.n_objects, g2.n_arrows
+    ids = list(range(g1.n_arrows * k2))  # one int object per arrow id, shared
+    g = FiniteGroupoid(
+        g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
+        [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
+        [ids[u1 * k2 + u2] for u1 in g1.unit for u2 in g2.unit],
+        [ids[i1 * k2 + i2] for i1 in g1.inv for i2 in g2.inv], {},
+        arrow_labels=itertools.product(g1.arrows, g2.arrows))
+    rows1, rows2 = ([[(b, f.compose(a, b)) for b in f.target_fibres[f.src[a]]]
+                     for a in f.arrows] for f in (g1, g2))
+    g.mul.update(((ids[a1 * k2 + a2], ids[b1 * k2 + b2]), ids[c1 * k2 + c2])
+                 for a1, row1 in enumerate(rows1) for a2, row2 in enumerate(rows2)
+                 for b1, c1 in row1 for b2, c2 in row2)
+    return g
 
 
 def z2_swap_action():

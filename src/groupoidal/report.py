@@ -41,6 +41,17 @@ class ValidationReport:
         for check, passed, witness in checks:
             self.record(check, passed, witness)
 
+    def record_columns(self, columns, keys=None, witness=None):
+        """Record columns (check, lhs, rhs[, keys[, witness]]) of the checks
+        lhs[i] == rhs[i] through record_all, a short column taking the call's
+        keys and witness.  Only after a failure are keys (a list, or a function
+        returning one) and witness(keys[i]) read, to record every check in the
+        per-check loops' order: by keys[i], then column."""
+        ok, count = True, 0
+        for column in columns:
+            ok, count = ok and column[1] == column[2], count + len(column[1])
+        self.record_all(count, ok, _replay(columns, keys, witness))
+
     def add(self, check, witness=None, detail=""):
         self.checks_run += 1
         self.violations.append(Violation(check, witness, detail))
@@ -61,6 +72,15 @@ class ValidationReport:
             "checks_run": self.checks_run,
             "violations": [v.to_dict() for v in self.violations],
         }
+
+
+def _replay(columns, keys, witness):
+    full = [column + (keys, witness)[len(column) - 3:] for column in columns]
+    order = sorted((key, c, i) for c, (_, _, _, ks, _) in enumerate(full)
+                   for i, key in enumerate(ks() if callable(ks) else ks))
+    for key, c, i in order:
+        check, lhs, rhs, _, at = full[c]
+        yield check, lhs[i] == rhs[i], at(key)
 
 
 class StructuralError(ValueError):

@@ -1,0 +1,105 @@
+"""The per-check loops of the principal, Atiyah-sequence and trident
+batteries, kept as test oracles.  Each walks namedtuple points and elements
+through the public structure maps and records every check one at a time, so
+its report fixes the check names, the witnesses and their order."""
+
+from collections import Counter
+from itertools import product
+
+from groupoidal import AdjointBundle, AtiyahGroupoid, ValidationReport
+
+
+def oracle_principal_axioms(bundle):
+    g = bundle.groupoid
+    report = ValidationReport()
+    for p in bundle.points:
+        mu = bundle.moment(p)
+        report.record("GrM2:unit", bundle.right_action(p, g.unit[mu]) == p, p)
+        for h in g.target_fibres[mu]:
+            q = bundle.right_action(p, h)
+            report.record("GrM1:moment", bundle.moment(q) == g.src[h], (p, h))
+            report.record("PGr2:duck-invariant",
+                          bundle.sitting_duck(q) == bundle.sitting_duck(p), (p, h))
+            for k in g.target_fibres[g.src[h]]:
+                report.record(
+                    "GrM3:assoc",
+                    bundle.right_action(q, k)
+                    == bundle.right_action(p, g.compose(h, k)),
+                    (p, h, k))
+    for f in bundle.shadow_points:
+        fibre = bundle.duck_fibre(f)
+        for p1 in fibre:
+            for p2 in fibre:
+                d = bundle.division(p1, p2)
+                report.record("PGr3:div-target",
+                              g.tgt[d] == bundle.moment(p1), (p1, p2))
+                report.record("PGr3:div-act",
+                              bundle.right_action(p1, d) == p2, (p1, p2))
+            for h in g.target_fibres[bundle.moment(p1)]:
+                report.record("PGr3:act-div",
+                              bundle.division(p1, bundle.right_action(p1, h)) == h,
+                              (p1, h))
+    return report
+
+
+def oracle_atiyah_sequence(bundle, at=None, adjoint=None):
+    at = at or AtiyahGroupoid(bundle)
+    adjoint = adjoint or AdjointBundle(bundle)
+    report = ValidationReport()
+    pairs = list(product(bundle.base.base, repeat=2))
+    report.record("sequence:surjective",
+                  {at.project(e) for e in at.elements} == set(pairs))
+    for (k1, k2), k in at.as_finite_groupoid().mul.items():
+        e1, e2 = at.elements[k1], at.elements[k2]
+        report.record("sequence:morphism",
+                      at.project(at.elements[k]) == (e1.sigma1, e2.sigma2),
+                      (e1, e2))
+    kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
+    image = {adjoint.embed(e) for e in adjoint.elements}
+    report.record("sequence:kernel", kernel == image)
+    report.record("sequence:embedding-injective",
+                  len(image) == len(adjoint.elements))
+    fibre_sizes = Counter(at.project(e) for e in at.elements)
+    for pair in pairs:
+        report.record("sequence:fibre-size",
+                      fibre_sizes[pair] == bundle.groupoid.n_arrows, pair)
+    return report
+
+
+def oracle_trident(bundle, at=None):
+    at = at or AtiyahGroupoid(bundle)
+    g = bundle.groupoid
+    report = ValidationReport()
+    fg = at.as_finite_groupoid()
+    duck_fibres = [bundle.duck_fibre(f) for f in bundle.shadow_points]
+    for k, e in enumerate(at.elements):
+        for p in duck_fibres[fg.src[k]]:
+            q = at.act_on_bundle(e, p)
+            report.record("trident:covers-pair",
+                          (q.sigma, p.sigma) == at.project(e), (e, p))
+            report.record("trident:duck-of-action",
+                          bundle.sitting_duck(q) == at.target(e), (e, p))
+            report.record("trident:moment-invariant",
+                          bundle.moment(q) == bundle.moment(p), (e, p))
+            report.record("trident:shadow-intertwines",
+                          at.act_on_shadow(e, bundle.sitting_duck(p))
+                          == bundle.sitting_duck(q), (e, p))
+            for h in g.target_fibres[bundle.moment(p)]:
+                lhs = at.act_on_bundle(e, bundle.right_action(p, h))
+                rhs = bundle.right_action(q, h)
+                report.record("trident:actions-commute", lhs == rhs, (e, p, h))
+            report.record("trident:division-inverts",
+                          at.division(q, p) == e, (e, p))
+    points_by_moment = [[] for _ in g.objects]
+    for p in bundle.points:
+        points_by_moment[bundle.moment(p)].append(p)
+    for p1 in bundle.points:
+        for p2 in points_by_moment[bundle.moment(p1)]:
+            e = at.division(p1, p2)
+            report.record("trident:act-after-division",
+                          at.act_on_bundle(e, p2) == p1, (p1, p2))
+    for p in bundle.points:
+        f = bundle.sitting_duck(p)
+        report.record("trident:unit-acts-trivially",
+                      at.act_on_bundle(at.unit(f), p) == p, p)
+    return report

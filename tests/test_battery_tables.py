@@ -1,0 +1,114 @@
+"""The principal, Atiyah-sequence and trident batteries walk int tables;
+their reports must equal those of the per-check loops in battery_oracles,
+check counts, violations and witnesses included, in order.
+
+Chain, triple-overlap and running-example bundles pass every check.
+Single-chart bundles over typed magmas (tables that are typed but need not
+associate, have units or inverses) fail many, so the witness path is
+compared too."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from groupoidal import (AtiyahGroupoid, CechBase, Cocycle, FiniteGroupoid,
+                        PrincipaloidBundle, ValidationReport,
+                        verify_atiyah_sequence, verify_principal_axioms,
+                        verify_trident)
+
+from battery_oracles import (oracle_atiyah_sequence, oracle_principal_axioms,
+                             oracle_trident)
+from test_bisection_tables import chain_bundles, typed_magmas
+
+
+def assert_batteries_match_oracle(bundle):
+    """Every battery's report equals the oracle's; returns the three."""
+    at = AtiyahGroupoid(bundle)
+    reports = []
+    for battery, oracle, args in (
+            (verify_principal_axioms, oracle_principal_axioms, ()),
+            (verify_atiyah_sequence, oracle_atiyah_sequence, (at,)),
+            (verify_trident, oracle_trident, (at,))):
+        got = battery(bundle, *args).to_dict()
+        assert got == oracle(bundle, *args).to_dict()
+        assert battery(bundle).to_dict() == got
+        reports.append(got)
+    return reports
+
+
+def single_chart_bundle(g, k):
+    """g over the points s0..s(k-1), all in one chart: no cocycle entries."""
+    base = ["s{}".format(i) for i in range(k)]
+    return PrincipaloidBundle(CechBase(base, [base]), Cocycle(g, {}), g)
+
+
+@given(chain_bundles())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_generated_chain_batteries_match_oracle(bundle):
+    assert all(r["ok"] for r in assert_batteries_match_oracle(bundle))
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_triple_overlap_batteries_match_oracle(request, triple_overlap_bundle,
+                                               fibre, n):
+    bundle = triple_overlap_bundle(request.getfixturevalue(fibre), n, seed=n)
+    assert all(r["ok"] for r in assert_batteries_match_oracle(bundle))
+
+
+def test_running_example_batteries_match_oracle(three_point_bundle):
+    assert all(r["ok"] for r in assert_batteries_match_oracle(three_point_bundle))
+
+
+@given(typed_magmas(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_typed_magma_batteries_match_oracle(g, k):
+    assert_batteries_match_oracle(single_chart_bundle(g, k))
+
+
+def test_magma_failures_carry_witnesses_in_order():
+    # one object, arrows 0 (unit) and 1 with 1.1 = 1: a monoid, not a group,
+    # so inverses, division and the principal bijection fail
+    g = FiniteGroupoid(1, [0, 0], [0, 0], [0], [0, 0],
+                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    principal, sequence, trident = assert_batteries_match_oracle(
+        single_chart_bundle(g, 2))
+    assert sequence["ok"]
+    assert {v["check"] for v in principal["violations"]} == {
+        "PGr3:div-act", "PGr3:act-div"}
+    assert "trident:division-inverts" in {v["check"] for v in trident["violations"]}
+
+
+def test_corrupted_product_fails_sequence_as_oracle(three_point_bundle):
+    # one product moved to the arrow over the next pair of base points
+    at = AtiyahGroupoid(three_point_bundle)
+    mul = at.as_finite_groupoid().mul
+    key = list(mul)[5]
+    mul[key] = (mul[key] + three_point_bundle.groupoid.n_arrows) % len(at.elements)
+    got = verify_atiyah_sequence(three_point_bundle, at).to_dict()
+    assert got == oracle_atiyah_sequence(three_point_bundle, at).to_dict()
+    assert [v["check"] for v in got["violations"]] == ["sequence:morphism"]
+
+
+def test_record_columns_replays_failures_in_loop_order():
+    built = []
+
+    def witness(key):
+        built.append(key)
+        return key
+
+    def keys():
+        built.append("keys")
+        return [(0, 1), (0, 2), (1, 0)]
+    report = ValidationReport()
+    report.record_columns([("a", [1, 2], [1, 2], [(0,), (1,)], witness),
+                           ("b", [0, 0, 0], [0, 0, 0], keys, witness)])
+    assert report.checks_run == 5 and report.ok and built == []
+    report.record_columns([("a", [1, 2], [1, 3], [(0,), (1,)], witness),
+                           ("b", [0, 5, 0], [0, 6, 0], keys, witness)])
+    assert report.checks_run == 10
+    assert built == ["keys", (0,), (0, 1), (0, 2), (1,), (1, 0)]
+    assert [(v.check, v.witness) for v in report.violations] == [("b", (0, 2)),
+                                                                 ("a", (1,))]

@@ -130,6 +130,24 @@ def test_base_map_checked_before_use(capsys, tmp_path, three_point_bundle):
         assert check["violations"][0]["witness"] == "c"
 
 
+def test_missing_chart_data_is_a_violation(capsys, tmp_path, three_point_bundle):
+    # the base reflection a <-> c with every gamma entry at b dropped
+    doc = automorphism_doc(three_point_bundle)
+    doc["f"] = {"a": "c", "b": "b", "c": "a"}
+    doc["gamma"] = [{"j": j, "i": i, "sigma": s, "bisection": [0, 1]}
+                    for j, i, s in ((1, 0, "a"), (0, 0, "b"), (0, 1, "c"))]
+    path = write(tmp_path, "refl.json", doc)
+    code, out = run(capsys, ["validate", path])
+    assert code == 0 and json.loads(out)["ok"] is True
+    doc["gamma"] = [e for e in doc["gamma"] if e["sigma"] != "b"]
+    path = write(tmp_path, "refl-no-b.json", doc)
+    code, out = run(capsys, ["validate", path])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["violations"] == [{"check": "aut:chart-data", "witness": "b",
+                                    "detail": "no gamma entry at this base point"}]
+
+
 def test_base_map_values_checked_before_inversion(capsys, tmp_path,
                                                   three_point_bundle):
     # two points sent to one, and a value that cannot be a base point

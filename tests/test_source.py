@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package reads what it imports."""
+"""Source hygiene: every module of the package, and every helper module
+the tests import, reads what it imports."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "groupoidal"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+HELPERS = [Path(__file__).resolve().parent / name
+           for name in ("arrow_formulas.py", "battery_oracles.py")]
 
 
 def unused_imports(tree):
@@ -31,6 +34,6 @@ def test_unused_imports_are_found():
     assert unused_imports(tree) == ["a", "d", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + HELPERS, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
