@@ -36,9 +36,12 @@ SCENARIOS = {
 }
 
 
-def _emit(report, args):
+def _emit(report, ok, args):
+    """Write the report with its verdict and return the exit code."""
+    report["ok"] = bool(ok)
     indent = None if getattr(args, "json", False) else 2
     sys.stdout.write(json.dumps(report, indent=indent, default=str) + "\n")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _load_json(path):
@@ -82,9 +85,7 @@ def cmd_validate(args):
         ok &= _push(report, "groupoid-axioms", validate_groupoid(g))
     else:
         raise StructuralError("unrecognized document shape")
-    report["ok"] = ok
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(report, ok, args)
 
 
 def cmd_check_identities(args):
@@ -104,14 +105,15 @@ def cmd_check_identities(args):
         ok &= comm["r_equals_left_translations"]
         reducible, _ = is_id_reducible(g)
         report["checks"].append({"name": "id-reducible", "value": reducible})
-    report["ok"] = ok
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(report, ok, args)
 
 
 def cmd_bundle(args):
     report = _base_report("bundle", args)
     bundle = bundle_from_json(_load_json(args.path))
+    # every battery below reads the fibre's tables as a groupoid's
+    if not _push(report, "fibre-groupoid", validate_groupoid(bundle.groupoid)):
+        return _emit(report, False, args)
     ok = True
     mode = args.report or "axioms"
     if mode == "counts":
@@ -143,9 +145,7 @@ def cmd_bundle(args):
                         verify_bisection_correspondence(bundle, at, aut))
     else:
         raise StructuralError("unknown report mode {!r}".format(mode))
-    report["ok"] = ok
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(report, ok, args)
 
 
 def _coordinate_rotation_connection(scenario):
@@ -155,6 +155,7 @@ def _coordinate_rotation_connection(scenario):
 
     def field(s, m, u):
         return u[0] * J
+    field.constant_in_m = True
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 
@@ -232,9 +233,7 @@ def cmd_transport(args):
         "elapsed_s": time.perf_counter() - t0,
     })
     ok = equivariance < args.tol and np.all(np.isfinite(a1))
-    report["ok"] = bool(ok)
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(report, ok, args)
 
 
 def build_parser():

@@ -69,7 +69,9 @@ def algebroid_bracket(scenario, s1, s2):
 
 
 class LocalConnectionData:
-    """Per-chart fields A_i(sigma, m)(u), linear in u."""
+    """Per-chart fields A_i(sigma, m)(u), linear in u, each returning a fresh
+    or unchanging array.  A field that never reads m may declare
+    constant_in_m = True, and transport then takes its propagator path."""
 
     def __init__(self, scenario, fields):
         self.scenario = scenario
@@ -83,8 +85,11 @@ class LocalConnectionData:
 
 def zero_connection(scenario):
     z = np.zeros((scenario.n, scenario.n))
-    return LocalConnectionData(
-        scenario, [lambda s, m, u: z for _ in scenario.charts])
+
+    def field(s, m, u):
+        return z
+    field.constant_in_m = True
+    return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 
 def gluing_residual(scenario, A, i, j, sigma, m, u):
@@ -111,7 +116,7 @@ def construct_connection(scenario, partition=None):
     cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
     transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
     When every beta_jk (k != j) is constant_in_m, A_j skips the shadow and
-    keeps its last (sigma, u) and value, read-only: RK4 asks twice per node.
+    carries constant_in_m itself, so transport takes the propagator path.
     """
     partition = partition if partition is not None else scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -126,12 +131,8 @@ def construct_connection(scenario, partition=None):
 
     def field(j):
         constant = all(f.constant_in_m for (a, _), f in scenario.cocycle.items() if a == j)
-        last = [None, None]
 
         def A_j(sigma, m, u):
-            key = (sigma.tobytes(), u.tobytes())
-            if constant and last[0] == key:
-                return last[1]
             out = np.zeros((scenario.n, scenario.n))
             for k in range(len(scenario.charts)):
                 if k == j or not scenario.charts[k].contains(sigma):
@@ -141,10 +142,8 @@ def construct_connection(scenario, partition=None):
                     continue
                 m_k = m if constant else scenario.beta(k, j).shadow(sigma, m)
                 out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
-            if constant:
-                out.flags.writeable = False
-                last[:] = key, out
             return out
+        A_j.constant_in_m = constant
         return A_j
 
     return LocalConnectionData(scenario, [field(j) for j in
@@ -194,13 +193,19 @@ class BasePath:
         return cls(segs)
 
 
+# steps per batch of the propagator path; its arrays never grow past this
+BLOCK = 512
+
+
 def parallel_transport(scenario, A, path, start, step=1e-3):
     """Horizontal lift along the path by classical Runge-Kutta.
 
     The fibre label m never moves; the group part solves
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
-    multiplication with the cocycle value.  The step must be finite and
-    positive.  Returns ((a, m), shadow endpoint).
+    multiplication with the cocycle value.  A segment whose field declares
+    a true constant_in_m takes the propagator path (see _propagate), whose
+    endpoints agree with the step-by-step loop at roundoff, not bitwise.
+    The step must be finite and positive.  Returns ((a, m), shadow endpoint).
     """
     if not (np.isfinite(step) and step > 0):
         raise StructuralError("transport step must be finite and > 0, not {}"
@@ -217,23 +222,49 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
         n_steps = max(1, int(round((t1 - t0) / step)))
         h = (t1 - t0) / n_steps
         t = t0
-        # the slopes k are A a; the ODE's minus sign sits in the updates
-        for _ in range(n_steps):
-            sh, dh = sig(t + h / 2), dsig(t + h / 2)
-            s1, d1 = sig(t + h), dsig(t + h)
-            k1 = A(i, s0, a @ m, d0) @ a
-            b = a - h / 2 * k1
-            k2 = A(i, sh, b @ m, dh) @ b
-            b = a - h / 2 * k2
-            k3 = A(i, sh, b @ m, dh) @ b
-            b = a - h * k3
-            k4 = A(i, s1, b @ m, d1) @ b
-            a = a - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            s0, d0 = s1, d1
+        if getattr(A.fields[i], "constant_in_m", False):
+            a = _propagate(A, i, sig, dsig, m, a, t, h, n_steps)
+        else:
+            # the slopes k are A a; the ODE's minus sign sits in the updates
+            for _ in range(n_steps):
+                sh, dh = sig(t + h / 2), dsig(t + h / 2)
+                s1, d1 = sig(t + h), dsig(t + h)
+                k1 = A(i, s0, a @ m, d0) @ a
+                b = a - h / 2 * k1
+                k2 = A(i, sh, b @ m, dh) @ b
+                b = a - h / 2 * k2
+                k3 = A(i, sh, b @ m, dh) @ b
+                b = a - h * k3
+                k4 = A(i, s1, b @ m, d1) @ b
+                a = a - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                t += h
+                s0, d0 = s1, d1
         if not np.all(np.isfinite(a)):
             raise NumericFailure("transport diverged")
     return (a, m), a @ m
+
+
+def _propagate(A, i, sig, dsig, m, a, t, h, n_steps):
+    """RK4 steps a <- P a for a field X(t) that does not read m.  With X1,
+    X2 = X3, X4 the field at the loop's nodes t, t + h/2, t + h:
+    P = I - h/6 (X1 + 2 X2 B1 + 2 X2 B2 + X4 B3), B1 = I - h/2 X1,
+    B2 = I - h/2 X2 B1, B3 = I - h X2 B2; batched over BLOCK steps, each
+    block starting from the last one's end node."""
+    eye = np.eye(len(a))
+    ends = [A(i, sig(t), m, dsig(t))]
+    for done in range(0, n_steps, BLOCK):
+        ends, mids = ends[-1:], []
+        for _ in range(min(BLOCK, n_steps - done)):
+            mids.append(A(i, sig(t + h / 2), m, dsig(t + h / 2)))
+            ends.append(A(i, sig(t + h), m, dsig(t + h)))
+            t += h
+        X, X2 = np.array(ends), np.array(mids)
+        X2B1 = X2 @ (eye - h / 2 * X[:-1])
+        X2B2 = X2 @ (eye - h / 2 * X2B1)
+        X4B3 = X[1:] @ (eye - h * X2B2)
+        for p in eye - h / 6 * (X[:-1] + 2 * X2B1 + 2 * X2B2 + X4B3):
+            a = p @ a
+    return a
 
 
 def shadow_theta(scenario, A, i, sigma, m, tangent):

@@ -271,6 +271,29 @@ def test_bundle_batteries(capsys, bundle_doc):
         assert json.loads(out)["ok"] is True
 
 
+@pytest.fixture()
+def broken_fibre_doc(tmp_path, three_point_bundle):
+    # 0.3 = 0 instead of 3: s(0.3) is 0, not s(3) = 1
+    doc = bundle_to_json(three_point_bundle)
+    rows = doc["groupoid"]["mul"]
+    rows[rows.index([0, 3, 3])] = [0, 3, 0]
+    return write(tmp_path, "b.json", doc)
+
+
+@pytest.mark.parametrize("mode", ["counts", "axioms", "atiyah", "trident", "gauge"])
+def test_bundle_validates_fibre_first(capsys, broken_fibre_doc, mode):
+    code, out = run(capsys, ["bundle", broken_fibre_doc, "--report", mode])
+    assert code == 1, mode
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert [c["name"] for c in report["checks"]] == ["fibre-groupoid"]
+    violations = report["checks"][0]["violations"]
+    assert {"i:src", "ii:assoc"} <= {v["check"] for v in violations}
+    # the same violations validate reports on the same document
+    code, out = run(capsys, ["validate", broken_fibre_doc])
+    assert code == 1 and json.loads(out)["checks"][0]["violations"] == violations
+
+
 def test_transport_flat(capsys):
     code, out = run(capsys, ["transport", "so2-two-chart", "--step", "5e-3"])
     assert code == 0
@@ -347,6 +370,33 @@ def test_numeric_failure_exits_4(capsys, monkeypatch):
 
     monkeypatch.setattr(groupoidal.connection, "parallel_transport", diverge)
     assert main(["transport", "so2-single-chart"]) == 4
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_on_propagator_path(capsys, tmp_path, monkeypatch):
+    import numpy as np
+    import groupoidal.cli
+    from groupoidal.connection import (BasePath, LocalConnectionData,
+                                       parallel_transport)
+    from groupoidal.report import NumericFailure
+    from groupoidal.scenario import J2, so2_two_chart_scenario
+
+    def huge_connection(scenario):
+        def field(s, m, u):
+            return 1e200 * J2
+        field.constant_in_m = True
+        return LocalConnectionData(scenario, [field] * len(scenario.charts))
+
+    sc = so2_two_chart_scenario()
+    path = BasePath.polyline([[0.0, 0.0], [0.5, 0.0]], [0])
+    with pytest.raises(NumericFailure):
+        parallel_transport(sc, huge_connection(sc), path, (np.eye(2), np.array([1.0, 0.0])))
+    monkeypatch.setattr(groupoidal.cli, "_coordinate_rotation_connection", huge_connection)
+    cfg = write(tmp_path, "cfg.json", {"scenario": "so2-two-chart",
+                                       "connection": "coordinate-rotation"})
+    assert main(["transport", cfg]) == 4
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 

@@ -1,5 +1,7 @@
 """Numeric connection engine against closed forms and independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -77,7 +79,7 @@ def tc_mc_connection(scenario):
 
 def oracle_constructed_field(scenario):
     """Oracle for construct_connection: the gluing-law field evaluated in
-    full at every call, shadow point included, with no memo."""
+    full at every call, shadow point included."""
     def field(j):
         def A_j(sigma, m, u):
             out = np.zeros((scenario.n, scenario.n))
@@ -373,8 +375,8 @@ def test_constructed_connection_matches_tc_of_mc(so3):
                                    so2_m_dependent_scenario],
                          ids=lambda b: b.__name__)
 def test_constructed_field_matches_oracle(build):
-    # the calls walk through every kind of change, so a memo that keys on
-    # too little, or one kept where the field reads m, serves a stale value
+    # the calls walk through every kind of change, so a value that does not
+    # follow one of the arguments shows
     sc = build()
     A, oracle = construct_connection(sc), oracle_constructed_field(sc)
     rng = np.random.default_rng(3)
@@ -398,15 +400,6 @@ def test_m_dependent_field_reads_m():
     m = np.array([1.0, 0.0])
     assert not np.array_equal(A(0, s, m, u), A(0, s, 2 * m, u))
     assert gluing_residual(sc, A, 0, 1, s, m, u) < 1e-7
-
-
-def test_memoised_value_is_read_only(so3):
-    A = construct_connection(so3)
-    s, m, u = np.array([0.5, 0.1]), np.ones(3), np.array([1.0, 0.0])
-    value = A(0, s, m, u)
-    with pytest.raises(ValueError):
-        value[0, 0] = 1.0
-    assert np.array_equal(A(0, s, m, u), oracle_constructed_field(so3)(0, s, m, u))
 
 
 def test_so2_closed_form(so2):
@@ -583,8 +576,13 @@ def test_transport_matches_oracle(build):
             for start in starts[:2 if step == 1e-3 else 1]:  # as cmd_transport
                 (a, m), shadow = parallel_transport(sc, A, path, start, step=step)
                 (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=step)
-                assert np.array_equal(a, a_o), (kind, step)
-                assert np.array_equal(m, m_o) and np.array_equal(shadow, shadow_o)
+                if kind == "constructed":  # the propagator reassociates RK4
+                    assert np.abs(a - a_o).max() <= 1e-13, (kind, step)
+                    assert np.abs(shadow - shadow_o).max() <= 1e-13
+                else:
+                    assert np.array_equal(a, a_o), (kind, step)
+                    assert np.array_equal(shadow, shadow_o)
+                assert np.array_equal(m, m_o)
 
 
 def test_polyline_velocity_is_read_only(so2):
@@ -598,6 +596,88 @@ def test_polyline_velocity_is_read_only(so2):
     with pytest.raises(ValueError):
         parallel_transport(so2, LocalConnectionData(so2, [bends] * 2), path,
                            (np.eye(2), np.array([1.0, 0.0])))
+
+
+def random_polyline(rng):
+    """Three straight segments in charts 0, 1, 0: both switches sit in the
+    overlap, and every segment stays inside its chart."""
+    xs = [rng.uniform(0.0, 0.65), rng.uniform(0.35, 0.65),
+          rng.uniform(0.35, 1.3), rng.uniform(0.35, 0.65)]
+    return BasePath.polyline([[x, rng.uniform(-0.9, 0.9)] for x in xs], [0, 1, 0])
+
+
+def declared_fields(sc):
+    """The constructed field and a field that reads sigma and u in two
+    generators, both declaring constant_in_m."""
+    X, Y = sc.algebra[0], sc.algebra[-1]
+
+    def varying(s, m, u):
+        return np.sin(3.0 * s[0]) * u[0] * X + (0.5 + s[1]) * u[1] * Y
+    varying.constant_in_m = True
+    return {"constructed": construct_connection(sc),
+            "varying": LocalConnectionData(sc, [varying] * 2)}
+
+
+@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1100])
+def test_propagator_matches_oracle(build, n_steps):
+    # the step counts straddle the propagator's block of 512 steps
+    sc = build()
+    rng = np.random.default_rng(n_steps)
+    path = random_polyline(rng)
+    a0 = sc.exp(random_algebra(sc, rng))
+    start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
+    for kind, A in declared_fields(sc).items():
+        assert all(f.constant_in_m for f in A.fields)
+        (a, m), shadow = parallel_transport(sc, A, path, start, step=1.0 / n_steps)
+        (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=1.0 / n_steps)
+        assert np.abs(a - a_o).max() <= 1e-13, kind
+        assert np.array_equal(m, m_o) and np.abs(shadow - shadow_o).max() <= 1e-13
+
+
+def declared_and_undeclared(A):
+    """A and the same fields behind bare lambdas, which take the RK4 loop."""
+    return [A, LocalConnectionData(A.scenario, [lambda s, m, u, f=f: f(s, m, u)
+                                                for f in A.fields])]
+
+
+@pytest.mark.parametrize("x1, waypoints, charts", [
+    (0.6, [[0.2, -0.5], [0.6, -0.5], [0.6, 0.5], [0.2, 0.5], [0.2, -0.5]], [0, 0, 0, 0]),
+    (1.0, [[0.2, -0.5], [0.5, -0.5], [1.0, -0.5], [1.0, 0.5], [0.5, 0.5], [0.2, 0.5],
+           [0.2, -0.5]], [0, 1, 1, 1, 0, 0])], ids=["chart-0", "two-chart"])
+def test_so2_holonomy_closed_form(so2, x1, waypoints, charts):
+    # A_0 = -h1 dtheta J with theta = s0 + s1/2, so by Stokes the loop
+    # around [0.2, x1] x [-0.5, 0.5], counterclockwise, is the rotation by
+    # 1/2 (h1(x1) - h1(0.2)) (0.5 - (-0.5)); it is 1/2 for x1 = 1.0
+    h1 = so2.partition[1]
+    want = rot2(0.5 * (h1([x1, 0.0]) - h1([0.2, 0.0])))
+    path = BasePath.polyline(waypoints, charts)
+    for A in declared_and_undeclared(construct_connection(so2)):
+        (a, _), _ = parallel_transport(so2, A, path, (np.eye(2), np.array([1.0, 0.0])))
+        assert np.abs(a - want).max() < 1e-11
+
+
+def test_so3_retrace_is_identity(so3):
+    out = [[0.2, -0.5], [0.5, -0.5], [1.0, 0.3]]
+    path = BasePath.polyline(out + out[-2::-1], [0, 1, 1, 0])
+    for A in declared_and_undeclared(construct_connection(so3)):
+        (a, _), _ = parallel_transport(so3, A, path, (np.eye(3), np.eye(3)[0]))
+        assert np.abs(a - np.eye(3)).max() < 1e-12
+
+
+def test_propagator_memory_is_bounded(so3):
+    # 20,000 flat steps: the batched arrays stay one block long
+    path = BasePath.polyline([[-0.9, 0.0], [-0.2, 0.0], [0.5, 0.0]], [0, 0])
+    tracemalloc.start()
+    try:
+        (a, _), _ = parallel_transport(so3, zero_connection(so3), path,
+                                       (np.eye(3), np.eye(3)[0]), step=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, np.eye(3))
+    assert peak < 1e6
 
 
 def test_transport_across_charts(so2):
