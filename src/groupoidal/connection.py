@@ -5,24 +5,27 @@ parallel transport, gauge transformations, and covariant derivatives.
 All Lie-algebra values are plain matrices, identified across fibres by right
 translation at the unit.  Chart changes and gauge transformations act on the
 local data by one affine law, X -> TC_b(X) - mc(b).  The adjoint part of TC,
-the anchor and the Christoffel forms are closed-form.  Derivatives of the
-user's callables, which have no closed form here, are central differences
-with FD_STEP, the step scenario also uses: the base derivative in mc_right,
-the fibre derivative in tangent_conjugation (exactly zero, and skipped, for a
-bisection that declares constant_in_m), the anchor derivatives in
-algebroid_bracket, and d_u phi in covariant_derivative.
+the anchor, the Christoffel forms and mc of an exp_of family (one dexp) are
+closed-form.  Other derivatives of the user's callables are central
+differences with FD_STEP, the step scenario also uses: the base derivative
+in mc_right, the fibre derivative in tangent_conjugation (exactly zero, and
+skipped, for a bisection that declares constant_in_m), the anchor
+derivatives in algebroid_bracket, and d_u phi in covariant_derivative.
 """
 
 import numpy as np
 
-from .report import NumericFailure, StructuralError
+from .report import EnumerationBound, NumericFailure, StructuralError
 from .scenario import FD_STEP, BisectionFamily
 
 
 def mc_right(scenario, fam, m, sigma, u):
-    """Right-logarithmic base derivative (d_u g(sigma, m)) g(sigma, m)^{-1}."""
+    """Right-logarithmic base derivative (d_u g(sigma, m)) g(sigma, m)^{-1},
+    exact for a family that carries mc and a central difference otherwise."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
+    if getattr(fam, "mc", None) is not None:
+        return fam.mc(sigma, u)
     h = FD_STEP
     dg = (fam(sigma + h * u, m) - fam(sigma - h * u, m)) / (2 * h)
     return dg @ np.linalg.inv(fam(sigma, m))
@@ -195,8 +198,10 @@ class BasePath:
 
 # steps per batch of the propagator path; its arrays never grow past this
 BLOCK = 512
+MAX_STEPS = 10**7  # RK4 steps of one parallel_transport call, all segments
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def parallel_transport(scenario, A, path, start, step=1e-3):
     """Horizontal lift along the path by classical Runge-Kutta.
 
@@ -205,21 +210,24 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     multiplication with the cocycle value.  A segment whose field declares
     a true constant_in_m takes the propagator path (see _propagate), whose
     endpoints agree with the step-by-step loop at roundoff, not bitwise.
-    The step must be finite and positive.  Returns ((a, m), shadow endpoint).
+    The step must be finite and positive, and MAX_STEPS bounds the steps; overflow
+    raises NumericFailure without numpy warnings.  Returns ((a, m), shadow endpoint).
     """
     if not (np.isfinite(step) and step > 0):
         raise StructuralError("transport step must be finite and > 0, not {}"
                               .format(step))
+    counts = [max(1.0, round((t1 - t0) / step, 0)) for *_, t0, t1 in path.segments]
+    if sum(counts) > MAX_STEPS:
+        raise EnumerationBound("{:.3g} RK4 steps > {}".format(sum(counts), MAX_STEPS))
     a, m = start
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     chart = path.segments[0][0]
-    for (i, sig, dsig, t0, t1) in path.segments:
+    for (i, sig, dsig, t0, t1), n_steps in zip(path.segments, map(int, counts)):
         s0, d0 = sig(t0), dsig(t0)
         if i != chart:
             a = scenario.beta(i, chart)(s0, a @ m) @ a
             chart = i
-        n_steps = max(1, int(round((t1 - t0) / step)))
         h = (t1 - t0) / n_steps
         t = t0
         if getattr(A.fields[i], "constant_in_m", False):

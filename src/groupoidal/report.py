@@ -92,7 +92,7 @@ class CompositionError(ValueError):
 
 
 class EnumerationBound(RuntimeError):
-    """A brute-force enumeration would exceed the requested cap."""
+    """A brute-force enumeration or a numeric loop would exceed its cap."""
 
 
 class NumericFailure(RuntimeError):

@@ -39,6 +39,22 @@ def rotation_exp(X):
     return eye + a * X + b * (X @ X)
 
 
+def rotation_dexp(X, Y):
+    """The right-trivialised dexp, (d/ds exp(X + sY) at s = 0) exp(-X), for X,
+    Y in so(2) or so(3): Y + ((1 - cos t)/t^2) [X, Y] + ((t - sin t)/t^3)
+    [X, [X, Y]] with t = |X|_F / sqrt(2), which is Y on so(2)."""
+    if X.shape == (2, 2):
+        return Y
+    t2 = 0.5 * float(np.vdot(X, X))
+    if t2 < 1e-8:  # series: the next terms are below 1e-18
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+    else:
+        t = math.sqrt(t2)
+        a, b = 2.0 * (math.sin(0.5 * t) / t) ** 2, (t - math.sin(t)) / (t * t2)
+    XY = X @ Y - Y @ X
+    return Y + a * XY + b * (X @ XY - XY @ X)
+
+
 class Box:
     """An open axis-aligned box in the base."""
 
@@ -57,11 +73,21 @@ class BisectionFamily:
 
     The shadow is m -> g(sigma, m).m; its inverse is exact when g does not
     depend on m, and otherwise found by Newton iteration on FD_STEP differences.
+    mc(sigma, u) is the exact Maurer-Cartan derivative, None unless exp_of.
     """
 
     def __init__(self, g, constant_in_m=True):
         self.g = g
         self.constant_in_m = constant_in_m
+        self.mc = None
+
+    @classmethod
+    def exp_of(cls, phi):
+        """sigma -> exp(phi(sigma)) for phi linear into so(2) or so(3), with
+        mc(sigma, u) = dexp_{phi(sigma)}(phi(u))."""
+        fam = cls(lambda s, m: rotation_exp(phi(s)))
+        fam.mc = lambda s, u: rotation_dexp(phi(s), phi(u))
+        return fam
 
     def __call__(self, sigma, m):
         return self.g(np.asarray(sigma, dtype=float), np.asarray(m, dtype=float))
@@ -150,8 +176,8 @@ def so2_two_chart_scenario():
     charts = [Box([(-1.0, 0.7), (-1.0, 1.0)]),
               Box([(0.3, 2.0), (-1.0, 1.0)])]
     cocycle = {
-        (0, 1): BisectionFamily(lambda s, m: rot2(so2_angle(s))),
-        (1, 0): BisectionFamily(lambda s, m: rot2(-so2_angle(s))),
+        (0, 1): BisectionFamily.exp_of(lambda s: so2_angle(s) * J2),
+        (1, 0): BisectionFamily.exp_of(lambda s: -so2_angle(s) * J2),
     }
 
     def h1(sigma):
@@ -173,13 +199,9 @@ def so3_two_chart_scenario():
     generators so the adjoint and Maurer-Cartan terms are nontrivial."""
     charts = [Box([(-1.0, 0.7), (-1.0, 1.0)]),
               Box([(0.3, 2.0), (-1.0, 1.0)])]
-
-    def g01(s, m):
-        return rotation_exp(s[0] * L_Z + 0.4 * s[1] * L_X)
-
     cocycle = {
-        (0, 1): BisectionFamily(g01),
-        (1, 0): BisectionFamily(lambda s, m: np.linalg.inv(g01(s, m))),
+        (0, 1): BisectionFamily.exp_of(lambda s: s[0] * L_Z + 0.4 * s[1] * L_X),
+        (1, 0): BisectionFamily.exp_of(lambda s: -(s[0] * L_Z + 0.4 * s[1] * L_X)),
     }
 
     def h1(sigma):

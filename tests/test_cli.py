@@ -1,6 +1,7 @@
 """Exit-code contract and report shapes of the command-line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -373,9 +374,10 @@ def test_numeric_failure_exits_4(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_divergence_on_propagator_path(capsys, tmp_path, monkeypatch):
+def check_divergence(capsys, tmp_path, monkeypatch, declared):
+    """A 1e200 J field diverges: NumericFailure from the library, exit 4 with
+    one stderr line from the CLI, and no numpy warning on either."""
+    import warnings
     import numpy as np
     import groupoidal.cli
     from groupoidal.connection import (BasePath, LocalConnectionData,
@@ -386,18 +388,53 @@ def test_divergence_on_propagator_path(capsys, tmp_path, monkeypatch):
     def huge_connection(scenario):
         def field(s, m, u):
             return 1e200 * J2
-        field.constant_in_m = True
+        field.constant_in_m = declared
         return LocalConnectionData(scenario, [field] * len(scenario.charts))
 
     sc = so2_two_chart_scenario()
     path = BasePath.polyline([[0.0, 0.0], [0.5, 0.0]], [0])
-    with pytest.raises(NumericFailure):
-        parallel_transport(sc, huge_connection(sc), path, (np.eye(2), np.array([1.0, 0.0])))
     monkeypatch.setattr(groupoidal.cli, "_coordinate_rotation_connection", huge_connection)
     cfg = write(tmp_path, "cfg.json", {"scenario": "so2-two-chart",
                                        "connection": "coordinate-rotation"})
-    assert main(["transport", cfg]) == 4
-    assert capsys.readouterr().err.startswith("numeric failure:")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericFailure):
+            parallel_transport(sc, huge_connection(sc), path, (np.eye(2), np.array([1.0, 0.0])))
+        assert main(["transport", cfg]) == 4
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numeric failure: transport diverged\n"
+
+
+def test_divergence_on_propagator_path(capsys, tmp_path, monkeypatch):
+    check_divergence(capsys, tmp_path, monkeypatch, declared=True)
+
+
+def test_divergence_in_rk4_loop(capsys, tmp_path, monkeypatch):
+    check_divergence(capsys, tmp_path, monkeypatch, declared=False)
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_transport_step_count_is_bounded(capsys, step):
+    # refused before the first step: 1e300 steps, and inf for the smallest float
+    t0 = time.process_time()
+    assert main(["transport", "so2-two-chart", "--step=" + step]) == 3
+    assert time.process_time() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+def test_step_bound_counts_every_segment(monkeypatch):
+    import numpy as np
+    import groupoidal.connection as C
+    from groupoidal.report import EnumerationBound
+    from groupoidal.scenario import so2_two_chart_scenario
+
+    sc = so2_two_chart_scenario()
+    A, start = C.zero_connection(sc), (np.eye(2), np.array([1.0, 0.0]))
+    path = C.BasePath.polyline([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]], [0, 0])
+    monkeypatch.setattr(C, "MAX_STEPS", 100)
+    C.parallel_transport(sc, A, path, start, step=1 / 50)  # 2 x 50 steps
+    with pytest.raises(EnumerationBound):
+        C.parallel_transport(sc, A, path, start, step=1 / 51)  # 2 x 51 steps
 
 
 def loaded_after(statement):

@@ -16,7 +16,8 @@ from groupoidal.connection import (BasePath, LocalConnectionData,
                                    zero_connection)
 from groupoidal.report import StructuralError
 from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z, rot2,
-                                 smoothstep, so2_angle, so2_angle_grad,
+                                 rotation_dexp, smoothstep, so2_angle,
+                                 so2_angle_grad,
                                  so2_single_chart_scenario,
                                  so2_two_chart_scenario,
                                  so3_two_chart_scenario)
@@ -226,6 +227,58 @@ def test_mc_right_so3_one_parameter():
         assert np.linalg.norm(got - u[0] * L_Z) < 1e-8
 
 
+# t = |phi(sigma)|_F / sqrt(2) in the series branch (t^2 < 1e-8), at a
+# generic value, near pi and past 2 pi
+DEXP_T = {"series": 5e-5, "generic": 0.8, "near-pi": np.pi - 1e-3,
+          "past-2pi": 2 * np.pi + 0.7}
+
+
+@pytest.mark.parametrize("regime", list(DEXP_T))
+@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
+                         ids=lambda b: b.__name__)
+def test_exact_mc_matches_central_difference(build, regime):
+    # the exact branch for sigma -> exp(phi(sigma)) against the central
+    # difference of the same g in a plain family, for seeded random linear phi
+    sc = build()
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        P0, P1 = random_algebra(sc, rng), random_algebra(sc, rng)
+
+        def phi(s):
+            return s[0] * P0 + s[1] * P1
+        d = rng.normal(size=2)
+        sigma = d * DEXP_T[regime] / np.sqrt(0.5 * np.vdot(phi(d), phi(d)))
+        u, m = rng.normal(size=2), rng.normal(size=sc.n)
+        fam = BisectionFamily.exp_of(phi)
+        plain = BisectionFamily(fam.g)
+        got, fd = mc_right(sc, fam, m, sigma, u), mc_right(sc, plain, m, sigma, u)
+        assert np.array_equal(got, rotation_dexp(phi(sigma), phi(u)))
+        assert np.abs(got - fd).max() < 1e-8 * max(1.0, np.abs(got).max()), regime
+
+
+def dexp_series(X, Y, terms=12):
+    """Oracle for rotation_dexp: sum_k ad_X^k Y / (k+1)!, truncated."""
+    out = term = Y
+    for k in range(1, terms):
+        term = (X @ term - term @ X) / (k + 1)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-7, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.1])
+def test_dexp_matches_truncated_series(t):
+    # on both sides of the series branch's threshold t^2 = 1e-8; Y has
+    # entries in [-1, 1], so 1e-15 is a few roundoffs
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        w, v = rng.normal(size=3), rng.normal(size=3)
+        w *= t / np.linalg.norm(w)
+        v /= np.linalg.norm(v)
+        X = w[0] * L_X + w[1] * L_Y + w[2] * L_Z
+        Y = v[0] * L_X + v[1] * L_Y + v[2] * L_Z
+        assert np.abs(rotation_dexp(X, Y) - dexp_series(X, Y)).max() < 1e-15, t
+
+
 def test_tangent_conjugation_identity(so2):
     b = lambda m: np.eye(2)
     X = 0.8 * J2
@@ -357,8 +410,9 @@ def test_constructed_connection_glues(so2, so3):
         for _ in range(25):
             s, u = overlap_sample(RNG), RNG.normal(size=2)
             m = RNG.normal(size=sc.n)
-            assert gluing_residual(sc, A, 0, 1, s, m, u) < 1e-7
-            assert gluing_residual(sc, A, 1, 0, s, m, u) < 1e-7
+            # exact: the cocycle families carry their Maurer-Cartan derivative
+            assert gluing_residual(sc, A, 0, 1, s, m, u) <= 1e-13
+            assert gluing_residual(sc, A, 1, 0, s, m, u) <= 1e-13
 
 
 def test_constructed_connection_matches_tc_of_mc(so3):
@@ -775,6 +829,29 @@ def test_gauge_output_glues(so2, so3):
             s, u = overlap_sample(RNG), RNG.normal(size=2)
             m = RNG.normal(size=sc.n)
             assert gluing_residual(sc, Ap, 0, 1, s, m, u) < 1e-7
+
+
+@pytest.mark.parametrize("build, gauge_of", [(so2_two_chart_scenario, so2_gauge),
+                                             (so3_two_chart_scenario, so3_gauge)],
+                         ids=["so2", "so3"])
+def test_holonomy_is_gauge_covariant(build, gauge_of):
+    # for gamma constant in m, a' = gamma(sigma(t)) a solves the transformed
+    # lift, so the holonomy of a loop from sigma0 becomes
+    # gamma(sigma0) Hol gamma(sigma0)^{-1}; the loop switches chart 0 -> 1 -> 0.
+    # At step 1e-2 the two lifts agree to about 1e-12.
+    sc = build()
+    gauge = gauge_of(sc)
+    waypoints = [[0.2, -0.5], [0.5, -0.5], [1.0, -0.5], [1.0, 0.5], [0.5, 0.5],
+                 [0.2, 0.5], [0.2, -0.5]]
+    path = BasePath.polyline(waypoints, [0, 1, 1, 1, 0, 0])
+    start = (np.eye(sc.n), np.eye(sc.n)[0])
+    g0 = gauge[0](waypoints[0], start[1])
+    for A in declared_and_undeclared(construct_connection(sc)):
+        (hol, _), _ = parallel_transport(sc, A, path, start, step=1e-2)
+        Ag = gauge_transform_connection(sc, A, gauge)
+        (hol_g, _), _ = parallel_transport(sc, Ag, path, start, step=1e-2)
+        assert np.abs(hol - np.eye(sc.n)).max() > 0.1  # the loop has holonomy
+        assert np.abs(hol_g - g0 @ hol @ np.linalg.inv(g0)).max() < 1e-10
 
 
 def test_gauge_with_base_map(so2):
