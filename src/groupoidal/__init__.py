@@ -8,7 +8,7 @@ group actions on the other.
 from .groupoid import (FiniteGroupoid, FiniteGroupAction, validate_groupoid,
                        pair_groupoid, action_groupoid, group_groupoid,
                        fibred_pair_groupoid, product_groupoid,
-                       z2_swap_action, construct_standard)
+                       z2_swap_action)
 from .bisection import (Bisection, validate_bisection, unit_bisection,
                         bisection_product, bisection_inverse, left_mult,
                         right_mult, conjugate, enumerate_bisections,

@@ -175,8 +175,10 @@ def _transport_setup(args):
         A = _coordinate_rotation_connection(scenario)
     elif conn_kind == "flat":
         A = zero_connection(scenario)
-    else:
+    elif conn_kind == "constructed":
         A = construct_connection(scenario)
+    else:
+        raise StructuralError("unknown connection {!r}".format(conn_kind))
     if args.path:
         pd = _load_json(args.path)
         path = BasePath.polyline(pd["waypoints"], pd["charts"])

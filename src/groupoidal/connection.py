@@ -109,8 +109,8 @@ def gluing_residual(scenario, A, i, j, sigma, m, u):
     return np.linalg.norm(lhs - mid + mc_right(scenario, fam, m, sigma, u))
 
 
-def construct_connection(scenario, partition=None):
-    """Glue the flat chart data through a partition of unity.
+def construct_connection(scenario):
+    """Glue the flat chart data through the scenario's partition of unity.
 
     Chart k's zero datum, carried into chart j by the gluing law, is
     -mc(beta_jk) at the point beta_kj|>m; the convex combination
@@ -121,7 +121,7 @@ def construct_connection(scenario, partition=None):
     When every beta_jk (k != j) is constant_in_m, A_j skips the shadow and
     carries constant_in_m itself, so transport takes the propagator path.
     """
-    partition = partition if partition is not None else scenario.partition
+    partition = scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
         raise StructuralError("need one partition function per chart")
     rng = np.random.default_rng(0)
@@ -287,7 +287,9 @@ def gauge_transform_connection(scenario, A, gauge, base_map=None):
 
     The new field at the displaced fibre label is the tangent-conjugation
     image of the old one minus the Maurer-Cartan derivative of gamma_i; an
-    optional (f, f_inv, Tf_inv) triple composes a base diffeomorphism.
+    optional (f, f_inv, Tf_inv) triple composes a base diffeomorphism.  When
+    gamma_i and A_i both declare constant_in_m, the new field does too, and
+    transport takes the propagator path.
     """
     def field(i):
         fam = gauge[i]
@@ -303,6 +305,7 @@ def gauge_transform_connection(scenario, A, gauge, base_map=None):
             val = tangent_conjugation(scenario, fam.at(sigma), m,
                                       A(i, sigma, m, u))
             return val - mc_right(scenario, fam, m, sigma, u)
+        A_phi.constant_in_m = fam.constant_in_m and getattr(A.fields[i], "constant_in_m", False)
         return A_phi
 
     return LocalConnectionData(scenario,

@@ -350,19 +350,3 @@ def z2_swap_action():
     inverse = {"e": "e", "r": "r"}
     act = {("e", 0): 0, ("e", 1): 1, ("r", 0): 1, ("r", 1): 0}
     return FiniteGroupAction(elements, mult, "e", inverse, 2, act)
-
-
-def construct_standard(kind, **params):
-    """Build one of the stock groupoids by kind name."""
-    if kind == "pair":
-        return pair_groupoid(params["n"])
-    if kind == "action":
-        return action_groupoid(params["action"])
-    if kind == "group":
-        return group_groupoid(params["elements"], params["mult"],
-                              params["identity"], params["inverse"])
-    if kind == "fibred-pair":
-        return fibred_pair_groupoid(params["blocks"])
-    if kind == "product":
-        return product_groupoid(params["g1"], params["g2"])
-    raise StructuralError("unknown groupoid kind: {!r}".format(kind))

@@ -169,23 +169,27 @@ def so2_angle_grad(u):
     return u[0] + 0.5 * u[1]
 
 
-def so2_two_chart_scenario():
-    """Rotations of the plane over a 2-dimensional base with two charts
-    overlapping in 0.3 < sigma_0 < 0.7; the cocycle is the rotation by a
-    base-dependent angle, constant in m."""
+def _two_chart_scenario(name, algebra, phi):
+    """Two charts overlapping in 0.3 < sigma_0 < 0.7, the cocycle
+    exp(+-phi(sigma)), constant in m, and a smoothstep partition."""
     charts = [Box([(-1.0, 0.7), (-1.0, 1.0)]),
               Box([(0.3, 2.0), (-1.0, 1.0)])]
     cocycle = {
-        (0, 1): BisectionFamily.exp_of(lambda s: so2_angle(s) * J2),
-        (1, 0): BisectionFamily.exp_of(lambda s: -so2_angle(s) * J2),
+        (0, 1): BisectionFamily.exp_of(phi),
+        (1, 0): BisectionFamily.exp_of(lambda s: -phi(s)),
     }
 
     def h1(sigma):
         return smoothstep((sigma[0] - 0.3) / 0.4)
 
-    partition = [lambda s: 1.0 - h1(s), h1]
-    return MatrixGroupScenario("so2-two-chart", [J2], 2, charts, cocycle,
-                               partition)
+    return MatrixGroupScenario(name, algebra, len(algebra[0]), charts, cocycle,
+                               [lambda s: 1.0 - h1(s), h1])
+
+
+def so2_two_chart_scenario():
+    """Rotations of the plane by a base-dependent angle."""
+    return _two_chart_scenario("so2-two-chart", [J2],
+                               lambda s: so2_angle(s) * J2)
 
 
 def so2_single_chart_scenario():
@@ -195,18 +199,7 @@ def so2_single_chart_scenario():
 
 
 def so3_two_chart_scenario():
-    """Rotations of R^3 over the same two-chart base; the cocycle mixes two
-    generators so the adjoint and Maurer-Cartan terms are nontrivial."""
-    charts = [Box([(-1.0, 0.7), (-1.0, 1.0)]),
-              Box([(0.3, 2.0), (-1.0, 1.0)])]
-    cocycle = {
-        (0, 1): BisectionFamily.exp_of(lambda s: s[0] * L_Z + 0.4 * s[1] * L_X),
-        (1, 0): BisectionFamily.exp_of(lambda s: -(s[0] * L_Z + 0.4 * s[1] * L_X)),
-    }
-
-    def h1(sigma):
-        return smoothstep((sigma[0] - 0.3) / 0.4)
-
-    partition = [lambda s: 1.0 - h1(s), h1]
-    return MatrixGroupScenario("so3-two-chart", [L_X, L_Y, L_Z], 3, charts,
-                               cocycle, partition)
+    """Rotations of R^3; the cocycle mixes two generators so the adjoint and
+    Maurer-Cartan terms are nontrivial."""
+    return _two_chart_scenario("so3-two-chart", [L_X, L_Y, L_Z],
+                               lambda s: s[0] * L_Z + 0.4 * s[1] * L_X)

@@ -333,6 +333,15 @@ def test_transport_coordinate_rotation_on_so3(capsys, tmp_path):
     assert 3.7 < report["convergence_order"] < 4.3
 
 
+def test_transport_unknown_connection_is_input_error(capsys, tmp_path):
+    cfg = write(tmp_path, "cfg.json", {"scenario": "so2-two-chart",
+                                       "connection": "flatt"})
+    assert main(["transport", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: unknown connection 'flatt'\n"
+
+
 def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
     # at this step the so3 endpoints agree to roundoff, and the constructed
     # so2 field vanishes left of the overlap, so RK4 is exact there

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from groupoidal import connection
 from groupoidal.connection import (BasePath, LocalConnectionData,
                                    algebroid_bracket, anchor, apply_theta,
                                    christoffel, construct_connection,
@@ -15,7 +16,8 @@ from groupoidal.connection import (BasePath, LocalConnectionData,
                                    shadow_theta, tangent_conjugation,
                                    zero_connection)
 from groupoidal.report import StructuralError
-from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z, rot2,
+from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z,
+                                 MatrixGroupScenario, rot2,
                                  rotation_dexp, smoothstep, so2_angle,
                                  so2_angle_grad,
                                  so2_single_chart_scenario,
@@ -398,10 +400,11 @@ def test_single_chart_connection_is_flat():
 
 
 def test_bad_partition_rejected(so2):
-    with pytest.raises(StructuralError):
-        construct_connection(so2, partition=[lambda s: 0.4, lambda s: 0.4])
-    with pytest.raises(StructuralError):
-        construct_connection(so2, partition=[lambda s: 1.0])
+    for partition in ([lambda s: 0.4, lambda s: 0.4], [lambda s: 1.0], None):
+        sc = MatrixGroupScenario("bad", so2.algebra, so2.n, so2.charts,
+                                 so2.cocycle, partition)
+        with pytest.raises(StructuralError):
+            construct_connection(sc)
 
 
 def test_constructed_connection_glues(so2, so3):
@@ -790,6 +793,11 @@ def so3_gauge(sc):
     return {0: BisectionFamily(g0), 1: BisectionFamily(g1)}
 
 
+GAUGED = pytest.mark.parametrize("build, gauge_of", [(so2_two_chart_scenario, so2_gauge),
+                                                      (so3_two_chart_scenario, so3_gauge)],
+                                  ids=["so2", "so3"])
+
+
 def test_identity_gauge(so2):
     A = construct_connection(so2)
     gauge = {i: BisectionFamily(lambda s, m: np.eye(2)) for i in range(2)}
@@ -831,9 +839,7 @@ def test_gauge_output_glues(so2, so3):
             assert gluing_residual(sc, Ap, 0, 1, s, m, u) < 1e-7
 
 
-@pytest.mark.parametrize("build, gauge_of", [(so2_two_chart_scenario, so2_gauge),
-                                             (so3_two_chart_scenario, so3_gauge)],
-                         ids=["so2", "so3"])
+@GAUGED
 def test_holonomy_is_gauge_covariant(build, gauge_of):
     # for gamma constant in m, a' = gamma(sigma(t)) a solves the transformed
     # lift, so the holonomy of a loop from sigma0 becomes
@@ -852,6 +858,39 @@ def test_holonomy_is_gauge_covariant(build, gauge_of):
         (hol_g, _), _ = parallel_transport(sc, Ag, path, start, step=1e-2)
         assert np.abs(hol - np.eye(sc.n)).max() > 0.1  # the loop has holonomy
         assert np.abs(hol_g - g0 @ hol @ np.linalg.inv(g0)).max() < 1e-10
+
+
+@GAUGED
+def test_gauge_output_keeps_constant_in_m(build, gauge_of, monkeypatch):
+    # declared data and declared gamma give declared data, transported on the
+    # propagator path to the RK4 loop's endpoint of the same field undeclared
+    sc = build()
+    gauge = gauge_of(sc)
+    steps = []
+    propagate = connection._propagate
+    monkeypatch.setattr(connection, "_propagate",
+                        lambda *args: steps.append(args[-1]) or propagate(*args))
+    Ag = gauge_transform_connection(sc, construct_connection(sc), gauge)
+    assert all(f.constant_in_m for f in Ag.fields)
+    path = BasePath.polyline([[0.2, -0.3], [0.5, 0.2], [1.0, 0.4]], [0, 1])
+    start = (np.eye(sc.n), np.eye(sc.n)[0])
+    ends = []
+    for A in declared_and_undeclared(Ag):
+        (a, _), _ = parallel_transport(sc, A, path, start, step=1e-2)
+        ends.append(a)
+    assert steps == [100, 100]  # the declared run only, one call a segment
+    assert np.abs(ends[0] - ends[1]).max() < 1e-12
+
+
+def test_gauge_output_of_undeclared_data_stays_undeclared(so2):
+    A = construct_connection(so2)
+    fields = [lambda s, m, u, f=f: f(s, m, u) for f in A.fields]
+    undeclared = gauge_transform_connection(so2, LocalConnectionData(so2, fields),
+                                            so2_gauge(so2))
+    assert not any(f.constant_in_m for f in undeclared.fields)
+    varying = BisectionFamily(lambda s, m: rot2(0.1 * m[0]), constant_in_m=False)
+    by_varying = gauge_transform_connection(so2, A, {0: varying, 1: varying})
+    assert not any(f.constant_in_m for f in by_varying.fields)
 
 
 def test_gauge_with_base_map(so2):

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from groupoidal import (CompositionError, FiniteGroupAction, FiniteGroupoid,
                         StructuralError, fibred_pair_groupoid, group_groupoid,
-                        pair_groupoid, product_groupoid, construct_standard,
-                        validate_groupoid, z2_swap_action)
+                        pair_groupoid, product_groupoid, validate_groupoid)
 
 
 def test_z2_action_groupoid_shape(z2_groupoid):
@@ -72,13 +71,6 @@ def test_stock_tables_fill_mul_in_sorted_order(z2_groupoid, pair3):
     for g in (pair3, z2_groupoid, z3, fibred_pair_groupoid([[0, 3], [1, 2, 4]]),
               product_groupoid(z2_groupoid, pair3)):
         assert list(g.mul) == sorted(g.mul)
-
-
-def test_construct_standard_dispatch(z2_groupoid):
-    assert construct_standard("pair", n=2).n_arrows == 4
-    assert construct_standard("action", action=z2_swap_action()) == z2_groupoid
-    with pytest.raises(StructuralError):
-        construct_standard("nonsense")
 
 
 def test_non_composable_raises(z2_groupoid):

@@ -1,13 +1,16 @@
 """Source hygiene: every module of the package, and every helper module
-the tests import, reads what it imports."""
+the tests import, reads what it imports; and every package name that the
+benchmark wraps or reads exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "groupoidal"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HELPERS = [Path(__file__).resolve().parent / name
            for name in ("arrow_formulas.py", "battery_oracles.py")]
 
@@ -37,3 +40,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES + HELPERS, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_benchmark_targets_exist():
+    # the tracer replaces each entry of TARGETS on groupoidal.<module>, and
+    # reads a Class.method entry from the class __dict__
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+
+    def defined(module, attr):
+        scope = vars(importlib.import_module("groupoidal." + module))
+        *cls, name = attr.split(".")
+        if cls:
+            scope = vars(scope[cls[0]]) if cls[0] in scope else {}
+        return name in scope
+
+    assert targets
+    assert [m + "." + a for m, a, *_ in targets if not defined(m, a)] == []
+
+
+def test_benchmark_workloads_read_existing_names():
+    # every alias.x the workloads read, for the aliases bound to groupoidal
+    # and its modules by the workloads' imports
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name) for a in node.names
+                           if a.asname and a.name.startswith("groupoidal"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "groupoidal":
+            aliases.update((a.asname or a.name, "groupoidal." + a.name)
+                           for a in node.names)
+    read = {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert {"G", "C", "S"} <= set(aliases)
+    assert sorted((m, a) for m, a in read
+                  if not hasattr(importlib.import_module(m), a)) == []
