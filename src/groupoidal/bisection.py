@@ -217,90 +217,234 @@ def _translations(g, b, arrows):
         raise g.composition_error(*exc.args[0]) from None
 
 
+# Below this many arrows the identity suite keeps its columns as bytes.
+BYTE_ARROWS = 255
+
+
+class _Columns:
+    """Columns of ids, one entry per bisection, and the tables applied to them.
+
+    Below BYTE_ARROWS arrows a column is a bytes object and a table a
+    256-byte string applied with bytes.translate; from there on they are a
+    tuple and a dict.  The two ids past every arrow and object mark a vi
+    fibre slot past the end of its fibre (gap) and a missing product
+    (none).  A table sends an id it lacks to none, and both marks to
+    themselves.
+    """
+
+    def __init__(self, n_arrows):
+        self.byte = n_arrows < BYTE_ARROWS
+        self.gap, self.none = (254, 255) if self.byte else (n_arrows, n_arrows + 1)
+        self.column = bytes if self.byte else tuple
+        self.apply = bytes.translate if self.byte else self._lookup
+
+    def table(self, entries):
+        """The table of an iterable of (id, value) pairs."""
+        t = bytearray(b"\xff" * 256) if self.byte else {}
+        t[self.gap], t[self.none] = self.gap, self.none
+        for k, v in entries:
+            t[k] = v
+        return bytes(t) if self.byte else t
+
+    def _lookup(self, col, table):
+        """apply for tuple columns: the column of table[x] for x in col."""
+        return tuple(table.get(x, self.none) for x in col)
+
+    def checked(self, col, explain):
+        """col, a column of products.  Where it holds none, explain(i)
+        raises the CompositionError of the product mul lacks."""
+        if self.none in col:
+            explain(col.index(self.none))
+            raise InternalError("a product table disagrees with mul")
+        return col
+
+    def patched(self, col, at, exact):
+        """col with its entries at the indices at replaced by exact(i)."""
+        if not at:
+            return col
+        col = bytearray(col) if self.byte else list(col)
+        for i in at:
+            col[i] = exact(i)
+        return self.column(col)
+
+
+def _differ(lhs, rhs):
+    """The indices where two columns differ."""
+    if lhs == rhs:
+        return []
+    return [i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
+
+
 def check_structure_identities(g, cap=100000):
     """Exhaustive check of the action-vs-structure-map identity suite.
 
     Covers both halves of the six left/right multiplication identities, the
     five conjugation identities, and the two identities tying the right
-    action along a bisection through g to right translation by g.  Each
-    bisection's actions are built once as tables indexed by arrow, and each
-    check family compares two tables.  Passing checks are counted in bulk;
-    witnesses are built only for failures, in the order of the per-check
-    loops (bisection, then arrow, object or mul entry, then check name).
+    action along a bisection through g to right translation by g.
+
+    Each check family runs column-wise over all bisections at once (see
+    _Columns).  A column holds one id per bisection: per object, the
+    bisection's value there and the value landing there; per arrow h, L(h),
+    R(h) and C(h); per vi fibre slot, both sides of its check.  A product
+    with one side fixed is a table applied to a whole column: x -> x.h,
+    y -> u.y, and for the j-th slot x -> w.x and z -> z.y, with w the j-th
+    arrow out of t(x) and y the j-th arrow into s(z).  Only C and c-v,
+    whose factors both vary with the bisection, are looked up pair by pair.
+    A product mul lacks raises CompositionError.
+
+    Passing checks are counted in bulk.  Failures are sorted by (bisection,
+    block, key, column), so witnesses come in the order of the per-check
+    loops: bisection, then arrow, object, mul entry or vi slot, then check;
+    the e3 checks follow, by arrow, then bisection.
     """
     bis = enumerate_bisections(g, cap=cap)
     report = ValidationReport()
+    if not bis:
+        return report
+    cols = _Columns(g.n_arrows)
+    column, table, apply, checked, patched = (
+        cols.column, cols.table, cols.apply, cols.checked, cols.patched)
+    gap, none = cols.gap, cols.none
     src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, g.mul
     sources, targets = g.source_fibres, g.target_fibres
-    src_list, tgt_list = list(src), list(tgt)
-    pairs, prods = list(mul), list(mul.values())
-    tables = []
-    try:
-        for b in bis:
-            A = b.assign
-            sh, shinv = b.shadow(), shadow_inverse(b)
-            L, R = _translations(g, b, g.arrows)
-            C = [mul[x, inv[A[m]]] for x, m in zip(L, src)]
-            # the inverse bisection's actions, at the inverse of each arrow
-            Linv, Rinv = _translations(g, bisection_inverse(b), inv)
-            tables.append((A, shinv, R))
-            sh_tgt = [sh[m] for m in tgt]
-            report.record_columns((
-                ("i:s-left", [src[x] for x in L], src_list),
-                ("i:s-right", [src[x] for x in R], [shinv[m] for m in src]),
-                ("ii:t-left", [tgt[x] for x in L], sh_tgt),
-                ("ii:t-right", [tgt[x] for x in R], tgt_list),
-                ("iv:inv-left", [inv[x] for x in L], Rinv),
-                ("iv:inv-right", [inv[x] for x in R], Linv),
-                ("c-i:s", [src[x] for x in C], [sh[m] for m in src]),
-                ("c-ii:t", [tgt[x] for x in C], sh_tgt),
-                ("c-iv:inv", [inv[x] for x in C], [C[x] for x in inv])),
-                g.arrows, lambda h: (A, h))
-            report.record_columns((
-                ("iii:unit-left", [L[e] for e in unit], list(A)),
-                ("iii:unit-right", [R[e] for e in unit], [A[m] for m in shinv]),
-                ("c-iii:unit", [C[e] for e in unit], [unit[m] for m in sh])),
-                g.objects, lambda m: (A, m))
-            report.record_columns((
-                ("v:left-vs-mul", [L[p] for p in prods],
-                 [mul[L[u], h] for u, h in pairs]),
-                ("v:right-vs-mul", [R[p] for p in prods],
-                 [mul[u, R[h]] for u, h in pairs]),
-                ("c-v:conj-vs-mul", [C[p] for p in prods],
-                 [mul[C[u], C[h]] for u, h in pairs])),
-                range(len(pairs)), lambda i: (A,) + pairs[i])
-            # (w <| beta) . h = w . (beta |> h) for w in s^{-1}(shadow(t(h)))
-            # h . (beta |> y) = (h <| beta) . y for y in t^{-1}(shadow^{-1}(s(h)))
-            ws = [sources[m] for m in sh_tgt]
-            ys = [targets[shinv[m]] for m in src]
-            report.record_columns([
-                ("vi:right-then-mul",
-                 [mul[R[w], h] for h, fw in enumerate(ws) for w in fw],
-                 [mul[w, L[h]] for h, fw in enumerate(ws) for w in fw],
-                 lambda: [(h, 0, w) for h, fw in enumerate(ws) for w in fw],
-                 lambda key: (A, key[2], key[0])),
-                ("vi:mul-then-left",
-                 [mul[h, L[y]] for h, fy in enumerate(ys) for y in fy],
-                 [mul[R[h], y] for h, fy in enumerate(ys) for y in fy],
-                 lambda: [(h, 1, y) for h, fy in enumerate(ys) for y in fy],
-                 lambda key: (A, key[0], key[2]))])
-        # r_g = R_{beta_g} on s^{-1}(t(g)) for every bisection through g;
-        # beta(s(a)) = a exactly when a is one of beta's values
-        through = {}
-        for entry in tables:
-            for a in entry[0]:
-                through.setdefault(a, []).append(entry)
-        for a, entries in sorted(through.items()):
-            fibre = sources[tgt[a]]
-            report.record_columns([
-                ("e3-i:through-target", [A[shinv[tgt[a]]] for A, shinv, _ in entries],
-                 [a] * len(entries), lambda: [(j,) for j in range(len(entries))]),
-                ("e3-ii:r-vs-R", [R[h] for _, _, R in entries for h in fibre],
-                 [mul[h, a] for h in fibre] * len(entries),
-                 lambda: [(j, h) for j in range(len(entries)) for h in fibre])],
-                witness=lambda key: (entries[key[0]][0], a) + key[1:])
-    except KeyError as exc:
-        raise g.composition_error(*exc.args[0]) from None
+    compose = g.compose
+    assigns = [b.assign for b in bis]
+    nb = len(assigns)
+
+    SRC, TGT, INV, UNIT = (table(enumerate(m)) for m in (src, tgt, inv, unit))
+    by_left, by_right = ([[] for _ in g.arrows] for _ in range(2))
+    for (x, y), p in mul.items():
+        by_left[x].append((y, p))
+        by_right[y].append((x, p))
+    LEFT = [table(r) for r in by_left]  # LEFT[u]: y -> u.y
+    RIGHT = [table(r) for r in by_right]  # RIGHT[h]: x -> x.h
+
+    def slot(fibre, j, f):
+        return f(fibre[j]) if j < len(fibre) else gap
+
+    # OUT[j]: x -> w.x and IN[j]: z -> z.y, w the j-th arrow out of t(x)
+    # and y the j-th arrow into s(z)
+    widest = max(map(len, sources + targets), default=0)
+    OUT = [table((x, slot(sources[tgt[x]], j, lambda w: mul.get((w, x), none)))
+                 for x in g.arrows) for j in range(widest)]
+    IN = [table((z, slot(targets[src[z]], j, lambda y: mul.get((z, y), none)))
+                for z in g.arrows) for j in range(widest)]
+
+    def left(u, col):
+        return checked(apply(col, LEFT[u]), lambda i: compose(u, col[i]))
+
+    def right(col, h):
+        return checked(apply(col, RIGHT[h]), lambda i: compose(col[i], h))
+
+    def pairwise(xs, ys):
+        """The column of x.y for x, y in zip(xs, ys), looked up in mul."""
+        try:
+            return column(map(mul.__getitem__, zip(xs, ys)))
+        except KeyError as exc:
+            raise g.composition_error(*exc.args[0]) from None
+
+    # per bisection: the value landing on each object, the inverse
+    # bisection at the preimage of each object under its own shadow (read
+    # as shadow_inverse reads it), the value landing on each value's target
+    rows = []
+    for A in assigns:
+        AS = sorted(A, key=tgt.__getitem__)
+        binv = [inv[x] for x in AS]
+        pre = [0] * len(A)
+        for m, x in enumerate(binv):
+            pre[tgt[x]] = m
+        rows.append((AS, [binv[m] for m in pre], [AS[tgt[a]] for a in A]))
+    value = [column(c) for c in zip(*assigns)]
+    landing, back, through = ([column(c) for c in zip(*side)] for side in zip(*rows))
+    sh = [apply(c, TGT) for c in value]
+    shinv = [apply(c, SRC) for c in landing]
+    inv_value = [apply(c, INV) for c in value]
+    inv_landing = [apply(c, INV) for c in landing]
+    const = [column([m]) * nb for m in g.objects]
+
+    checks, fails = 0, []
+
+    def record(block, key, witness, columns):
+        nonlocal checks
+        for c, (check, lhs, rhs) in enumerate(columns):
+            checks += nb - lhs.count(gap)
+            if lhs != rhs:
+                fails.extend(((i, block, key, c), check, (assigns[i],) + witness(i))
+                             for i in _differ(lhs, rhs))
+
+    L = [right(value[tgt[h]], h) for h in g.arrows]
+    R = [left(h, landing[src[h]]) for h in g.arrows]
+    C = [pairwise(L[h], inv_value[src[h]]) for h in g.arrows]
+    for h in g.arrows:
+        s, t, ih = src[h], tgt[h], inv[h]
+        record(1, h, lambda i: (h,), (
+            ("i:s-left", apply(L[h], SRC), const[s]),
+            ("i:s-right", apply(R[h], SRC), shinv[s]),
+            ("ii:t-left", apply(L[h], TGT), sh[t]),
+            ("ii:t-right", apply(R[h], TGT), const[t]),
+            # the inverse bisection's actions at the inverse of h
+            ("iv:inv-left", apply(L[h], INV), left(ih, back[src[ih]])),
+            ("iv:inv-right", apply(R[h], INV), right(inv_landing[tgt[ih]], ih)),
+            ("c-i:s", apply(C[h], SRC), sh[s]),
+            ("c-ii:t", apply(C[h], TGT), sh[t]),
+            ("c-iv:inv", apply(C[h], INV), C[ih])))
+    for m in g.objects:
+        e = unit[m]
+        record(2, m, lambda i: (m,), (
+            ("iii:unit-left", L[e], value[m]),
+            ("iii:unit-right", R[e], landing[m]),
+            ("c-iii:unit", C[e], apply(sh[m], UNIT))))
+    for k, ((u, h), p) in enumerate(mul.items()):
+        record(3, k, lambda i: (u, h), (
+            ("v:left-vs-mul", L[p], right(L[u], h)),
+            ("v:right-vs-mul", R[p], left(u, R[h])),
+            ("c-v:conj-vs-mul", C[p], pairwise(C[u], C[h]))))
+
+    # vi at the j-th slot, for a = beta(t(h)) and x the value landing on
+    # s(h): (w.a).h = w.(a.h) for w in s^-1(t(a)), and h.(x.y) = (h.x).y for
+    # y in t^-1(s(x)).  OUT and IN read the fibre off a.h and h.x; where a
+    # corrupt product leaves it (ii:t-left or i:s-right fails), that entry
+    # is recomputed product by product.
+    w_a, x_y = {}, {}  # the columns of w.a and x.y, by object and slot
+    for h in g.arrows:
+        o, s = tgt[h], src[h]
+        off_out = _differ(apply(L[h], TGT), sh[o])
+        off_in = _differ(apply(R[h], SRC), shinv[s])
+        for j in range(max((len(sources[tgt[a]]) for a in sources[o]), default=0)):
+            def w_L(i):
+                return slot(sources[sh[o][i]], j, lambda w: compose(w, L[h][i]))
+            if (o, j) not in w_a:
+                w_a[o, j] = checked(apply(value[o], OUT[j]), lambda i: compose(
+                    sources[sh[o][i]][j], value[o][i]))
+            record(4, (h, 0, j), lambda i: (sources[sh[o][i]][j], h), [(
+                "vi:right-then-mul", right(w_a[o, j], h),
+                checked(patched(apply(L[h], OUT[j]), off_out, w_L), w_L))])
+        for j in range(max((len(targets[src[x]]) for x in targets[s]), default=0)):
+            def R_y(i):
+                return slot(targets[shinv[s][i]], j, lambda y: compose(R[h][i], y))
+            if (s, j) not in x_y:
+                x_y[s, j] = checked(apply(landing[s], IN[j]), lambda i: compose(
+                    landing[s][i], targets[shinv[s][i]][j]))
+            record(4, (h, 1, j), lambda i: (h, targets[shinv[s][i]][j]), [(
+                "vi:mul-then-left", left(h, x_y[s, j]),
+                checked(patched(apply(R[h], IN[j]), off_in, R_y), R_y))])
+
+    # e3: r_g = R_beta on s^-1(t(g)) for each beta through g, that is, each
+    # beta with g among its values; g is then the value landing on s(h)
+    e3 = []
+    for m in g.objects:
+        e3.extend(((value[m][i], i, 0), "e3-i:through-target", (assigns[i], value[m][i]))
+                  for i in _differ(through[m], value[m]))
+    for h in g.arrows:
+        col = landing[src[h]]
+        e3.extend(((col[i], i, 1, h), "e3-ii:r-vs-R", (assigns[i], col[i], h))
+                  for i in _differ(R[h], left(h, col)))
+    checks += nb * (g.n_objects + g.n_arrows)
+    fails.sort(key=lambda f: f[0])
+    e3.sort(key=lambda f: f[0])
+    for _, check, witness in fails + e3:
+        report.add(check, witness)
+    report.record_all(checks - len(fails) - len(e3), True, ())
     return report
 
 

@@ -169,7 +169,19 @@ def _transport_setup(args):
             else "constructed"
     else:
         cfg = _load_json(args.scenario)
-        scenario = getattr(scenarios, SCENARIOS[cfg["scenario"]])()
+        if not isinstance(cfg, dict):
+            raise StructuralError("a scenario config is a JSON object")
+        unknown = sorted(set(cfg) - {"scenario", "connection"})
+        if unknown:
+            raise StructuralError("unknown key {} in scenario config".format(
+                ", ".join(map(repr, unknown))))
+        name = cfg.get("scenario")
+        if not (isinstance(name, str) and name in SCENARIOS):
+            raise StructuralError(
+                "scenario config key 'scenario' is {}; known scenarios: {}".format(
+                    repr(name) if "scenario" in cfg else "missing",
+                    ", ".join(SCENARIOS)))
+        scenario = getattr(scenarios, SCENARIOS[name])()
         conn_kind = cfg.get("connection", "constructed")
     if conn_kind == "coordinate-rotation":
         A = _coordinate_rotation_connection(scenario)

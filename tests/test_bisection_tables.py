@@ -36,7 +36,8 @@ from groupoidal import (AtiyahGroupoid, Bisection, CechBase, Cocycle,
                         r_equivariant_commutant, right_mult,
                         validate_bisection, validate_groupoid,
                         verify_gauge_group, z2_swap_action)
-from groupoidal.bisection import _translations, shadow_inverse
+import groupoidal.bisection as bisection_module
+from groupoidal.bisection import _Columns, _translations, shadow_inverse
 
 
 def source_fibre(g, m):
@@ -439,6 +440,100 @@ def test_fixtures_match_oracle(z2_groupoid, pair3):
             assert report is CompositionError or not report.ok, (g, kind)
 
 
+@pytest.fixture
+def wide(monkeypatch):
+    """The identity suite on tuple columns, whatever the number of arrows."""
+    monkeypatch.setattr(bisection_module, "BYTE_ARROWS", 0)
+    assert not _Columns(1).byte
+
+
+def test_generated_groupoids_match_oracle_wide(wide):
+    test_generated_groupoids_match_oracle()
+
+
+def test_fixtures_match_oracle_wide(wide, z2_groupoid, pair3):
+    test_fixtures_match_oracle(z2_groupoid, pair3)
+
+
+def boundary_groupoid(n_arrows):
+    """A fibred pair groupoid with n_arrows arrows: singletons, then one
+    2-point block, whose four arrows take the largest ids.  It has 2
+    bisections."""
+    k = n_arrows - 2
+    return fibred_pair_groupoid([[m] for m in range(k - 2)] + [[k - 2, k - 1]])
+
+
+@pytest.mark.parametrize("n", [254, 255, 256])
+def test_boundary_tables_match_oracle(n):
+    # bytes below 255 arrows, where the marks 254 and 255 are not arrow ids;
+    # tuples from 255 arrows on, where they are
+    g = boundary_groupoid(n)
+    assert g.n_arrows == n and _Columns(n).byte == (n < 255)
+    assert assert_matches_oracle(g).ok
+    last = len(g.mul) - 1
+    # the swap of the two last products breaks the block's hom-sets; moving
+    # the block's first unit to arrow n - 1, its second unit, breaks the
+    # unit checks
+    assert assert_matches_oracle(corrupt(g, "mul", last, last - 1)) is CompositionError
+    report = assert_matches_oracle(corrupt(g, "unit", n - 4, 2))
+    assert {v.check for v in report.violations} == {
+        "iii:unit-left", "iii:unit-right", "c-iii:unit"}
+
+
+def missing_products(g):
+    """g with one composable pair dropped from mul, at the first, the middle
+    and the last entry, and with one product moved to an arrow with another
+    source, outside its hom-set."""
+    keys = list(g.mul)
+    for k in (keys[0], keys[len(keys) // 2], keys[-1]):
+        yield FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv,
+                             {key: p for key, p in g.mul.items() if key != k})
+        mul = dict(g.mul)
+        mul[k] = next(a for a in g.arrows if g.src[a] != g.src[k[1]])
+        yield FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
+
+
+@pytest.mark.parametrize("encoding", ["byte", "wide"])
+@pytest.mark.parametrize("n", [3, 254, 255])
+def test_missing_products_raise_composition_error(request, encoding, n):
+    # pair(3), and the boundary tables on either side of the bytes' limit
+    if encoding == "wide":
+        request.getfixturevalue("wide")
+    for g in missing_products(pair_groupoid(n) if n == 3 else boundary_groupoid(n)):
+        if n == 3:
+            assert outcome(oracle_identities, g) is CompositionError
+        # never KeyError or IndexError, and never a report read off a mark
+        with pytest.raises(CompositionError, match="non-composable pair"):
+            check_structure_identities(g)
+
+
+@st.composite
+def total_tables(draw):
+    """A groupoid whose mul is then defined on every pair of arrows, the
+    non-composable ones by drawn stray entries, with one or two products
+    moved to drawn arrows.  No product is ever missing, so the suite reads
+    on past products that leave their hom-set, and reports what fails."""
+    g = draw(st.sampled_from([pair_groupoid(3), fibred_pair_groupoid([[0], [1, 2]]),
+                              fibred_pair_groupoid([[0, 1, 2], [3, 4]])]))
+    arrows = st.sampled_from(g.arrows)
+    mul = {(a, b): g.mul[a, b] if (a, b) in g.mul else draw(arrows)
+           for a in g.arrows for b in g.arrows}
+    for key in draw(st.lists(st.sampled_from(list(g.mul)), min_size=1, max_size=2)):
+        mul[key] = draw(arrows)
+    return FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
+
+
+@given(total_tables())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_total_tables_match_oracle(g):
+    assert_matches_oracle(g)
+
+
+def test_total_tables_match_oracle_wide(wide):
+    test_total_tables_match_oracle()
+
+
 def test_enumeration_matches_oracle_on_atiyah(three_point_bundle):
     from groupoidal import AtiyahGroupoid
     g = AtiyahGroupoid(three_point_bundle).as_finite_groupoid()
@@ -454,6 +549,11 @@ def test_enumeration_of_many_objects():
     (b,) = enumerate_bisections(g)
     assert b.assign == g.unit
     assert check_structure_identities(g).ok
+
+
+def test_empty_groupoid_matches_oracle():
+    # no objects: one empty bisection, and nothing to check
+    assert assert_matches_oracle(FiniteGroupoid(0, [], [], [], [], {})).ok
 
 
 def test_cap_bounds_candidates_examined(pair3):

@@ -342,6 +342,33 @@ def test_transport_unknown_connection_is_input_error(capsys, tmp_path):
     assert captured.err == "input error: unknown connection 'flatt'\n"
 
 
+def test_transport_unknown_config_key_is_input_error(capsys, tmp_path):
+    # a misspelt key would otherwise be ignored, running the constructed
+    # connection
+    for doc, err in [
+            ({"scenario": "so2-two-chart", "conection": "flat"},
+             "unknown key 'conection' in scenario config"),
+            ({"scenario": "so2-two-chart", "fd_step": 1e-4, "Connection": "flat"},
+             "unknown key 'Connection', 'fd_step' in scenario config"),
+            (["so2-two-chart"], "a scenario config is a JSON object")]:
+        assert main(["transport", write(tmp_path, "cfg.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: {}\n".format(err)
+
+
+def test_transport_unknown_scenario_is_input_error(capsys, tmp_path):
+    known = "known scenarios: so2-single-chart, so2-two-chart, so3-two-chart"
+    for doc, value in [({"scenario": "so2-tw-chart"}, "'so2-tw-chart'"),
+                       ({"scenario": ["so2-two-chart"]}, "['so2-two-chart']"),
+                       ({"connection": "flat"}, "missing")]:
+        assert main(["transport", write(tmp_path, "cfg.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: scenario config key 'scenario' is {}; {}\n".format(
+            value, known)
+
+
 def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
     # at this step the so3 endpoints agree to roundoff, and the constructed
     # so2 field vanishes left of the overlap, so RK4 is exact there
@@ -464,6 +491,12 @@ def loaded_after(statement):
 
 def test_cli_import_loads_no_numeric_stack():
     assert not {"numpy", "scipy"} & loaded_after("import groupoidal.cli")
+
+
+def test_identity_suite_loads_no_numeric_stack():
+    assert not {"numpy", "scipy"} & loaded_after(
+        "from groupoidal import check_structure_identities, pair_groupoid; "
+        "assert check_structure_identities(pair_groupoid(3)).ok")
 
 
 def test_numeric_engine_loads_no_scipy():
