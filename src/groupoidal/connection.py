@@ -74,7 +74,11 @@ def algebroid_bracket(scenario, s1, s2):
 class LocalConnectionData:
     """Per-chart fields A_i(sigma, m)(u), linear in u, each returning a fresh
     or unchanging array.  A field that never reads m may declare
-    constant_in_m = True, and transport then takes its propagator path."""
+    constant_in_m = True, and transport then takes its propagator path.
+    Such a field may also carry stack(S, U) -> (N, n, n): its values at N
+    stacked base points S and velocities U, each (N, d), equal at roundoff
+    to the field called at each of them; the propagator then evaluates a
+    block of nodes in one call."""
 
     def __init__(self, scenario, fields):
         self.scenario = scenario
@@ -92,6 +96,7 @@ def zero_connection(scenario):
     def field(s, m, u):
         return z
     field.constant_in_m = True
+    field.stack = lambda S, U: np.zeros((len(S), scenario.n, scenario.n))
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 
@@ -119,7 +124,10 @@ def construct_connection(scenario):
     cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
     transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
     When every beta_jk (k != j) is constant_in_m, A_j skips the shadow and
-    carries constant_in_m itself, so transport takes the propagator path.
+    carries constant_in_m itself, so transport takes the propagator path;
+    when every beta_jk also carries mc, A_j carries stack as well, and the
+    weights there are the partition functions called on the stack, masked
+    by the open charts.
     """
     partition = scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -133,7 +141,8 @@ def construct_connection(scenario):
             raise StructuralError("partition does not sum to 1")
 
     def field(j):
-        constant = all(f.constant_in_m for (a, _), f in scenario.cocycle.items() if a == j)
+        families = [f for (a, _), f in scenario.cocycle.items() if a == j]
+        constant = all(f.constant_in_m for f in families)
 
         def A_j(sigma, m, u):
             out = np.zeros((scenario.n, scenario.n))
@@ -146,7 +155,19 @@ def construct_connection(scenario):
                 m_k = m if constant else scenario.beta(k, j).shadow(sigma, m)
                 out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
             return out
+
+        def stack(S, U):
+            out = np.zeros((len(S), scenario.n, scenario.n))
+            for k in range(len(scenario.charts)):
+                if k == j:
+                    continue
+                w = np.where(scenario.charts[k].contains(S), partition[k](S), 0.0)
+                out -= w[:, None, None] * scenario.beta(j, k).mc(S, U)
+            return out
+
         A_j.constant_in_m = constant
+        if constant and all(f.mc is not None for f in families):
+            A_j.stack = stack
         return A_j
 
     return LocalConnectionData(scenario, [field(j) for j in
@@ -174,7 +195,9 @@ class BasePath:
 
     Segments are (chart, sigma(t), dsigma(t), t0, t1) with matching
     endpoints; each segment stays inside its chart.  sigma and dsigma must be
-    pure functions of t: transport evaluates them once per RK4 node.
+    pure functions of t: transport evaluates them at every RK4 node.  The
+    propagator path calls them once per block on a column of times (N, 1);
+    each must then return (N, d), or a constant (d,) that is broadcast.
     """
 
     def __init__(self, segments):
@@ -201,6 +224,12 @@ BLOCK = 512
 MAX_STEPS = 10**7  # RK4 steps of one parallel_transport call, all segments
 
 
+def step_counts(path, step):
+    """The RK4 steps of each segment at this step, as floats, so that a
+    step too small to count gives inf rather than an overflow."""
+    return [max(1.0, round((t1 - t0) / step, 0)) for *_, t0, t1 in path.segments]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def parallel_transport(scenario, A, path, start, step=1e-3):
     """Horizontal lift along the path by classical Runge-Kutta.
@@ -216,7 +245,7 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     if not (np.isfinite(step) and step > 0):
         raise StructuralError("transport step must be finite and > 0, not {}"
                               .format(step))
-    counts = [max(1.0, round((t1 - t0) / step, 0)) for *_, t0, t1 in path.segments]
+    counts = step_counts(path, step)
     if sum(counts) > MAX_STEPS:
         raise EnumerationBound("{:.3g} RK4 steps > {}".format(sum(counts), MAX_STEPS))
     a, m = start
@@ -254,24 +283,38 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
 
 def _propagate(A, i, sig, dsig, m, a, t, h, n_steps):
     """RK4 steps a <- P a for a field X(t) that does not read m.  With X1,
-    X2 = X3, X4 the field at the loop's nodes t, t + h/2, t + h:
+    X2 = X3, X4 the field at the loop's nodes t, t + h/2, t + h of a step:
     P = I - h/6 (X1 + 2 X2 B1 + 2 X2 B2 + X4 B3), B1 = I - h/2 X1,
-    B2 = I - h/2 X2 B1, B3 = I - h X2 B2; batched over BLOCK steps, each
-    block starting from the last one's end node."""
+    B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each block of up to BLOCK steps
+    evaluates the path once on its column of node times and the field by
+    one stack call for each kind of node (node by node for a field without
+    stack), forms its P by batched matmul and multiplies them as a balanced
+    tree, P_N ... P_1 in log2(BLOCK) rounds."""
     eye = np.eye(len(a))
-    ends = [A(i, sig(t), m, dsig(t))]
+    stack = getattr(A.fields[i], "stack", None)
+
+    def field(T):
+        # T broadcasts a path that is constant in t to one row per node
+        S, U, _ = np.broadcast_arrays(sig(T), dsig(T), T)
+        if stack is not None:
+            return stack(S, U)
+        return np.array([A(i, s, m, u) for s, u in zip(S, U)])
+
     for done in range(0, n_steps, BLOCK):
-        ends, mids = ends[-1:], []
-        for _ in range(min(BLOCK, n_steps - done)):
-            mids.append(A(i, sig(t + h / 2), m, dsig(t + h / 2)))
-            ends.append(A(i, sig(t + h), m, dsig(t + h)))
-            t += h
-        X, X2 = np.array(ends), np.array(mids)
+        # the loop's node times, t += h step by step: cumsum adds in order
+        T = np.cumsum(np.r_[t, np.full(min(BLOCK, n_steps - done), h)])[:, None]
+        X, X2 = field(T), field(T[:-1] + h / 2)
+        t = T[-1, 0]
         X2B1 = X2 @ (eye - h / 2 * X[:-1])
         X2B2 = X2 @ (eye - h / 2 * X2B1)
         X4B3 = X[1:] @ (eye - h * X2B2)
-        for p in eye - h / 6 * (X[:-1] + 2 * X2B1 + 2 * X2B2 + X4B3):
-            a = p @ a
+        P = eye - h / 6 * (X[:-1] + 2 * X2B1 + 2 * X2B2 + X4B3)
+        while len(P) > 1:  # P_N ... P_1, pairwise; an odd last P joins the last pair
+            Q = P[1::2] @ P[:-1:2]
+            if len(P) % 2:
+                Q[-1] = P[-1] @ Q[-1]
+            P = Q
+        a = P[0] @ a
     return a
 
 

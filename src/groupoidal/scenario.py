@@ -42,17 +42,19 @@ def rotation_exp(X):
 def rotation_dexp(X, Y):
     """The right-trivialised dexp, (d/ds exp(X + sY) at s = 0) exp(-X), for X,
     Y in so(2) or so(3): Y + ((1 - cos t)/t^2) [X, Y] + ((t - sin t)/t^3)
-    [X, [X, Y]] with t = |X|_F / sqrt(2), which is Y on so(2)."""
-    if X.shape == (2, 2):
+    [X, [X, Y]] with t = |X|_F / sqrt(2), which is Y on so(2).  X and Y may
+    be single matrices (n, n) or stacks (..., n, n)."""
+    if X.shape[-2:] == (2, 2):
         return Y
-    t2 = 0.5 * float(np.vdot(X, X))
-    if t2 < 1e-8:  # series: the next terms are below 1e-18
-        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-    else:
-        t = math.sqrt(t2)
-        a, b = 2.0 * (math.sin(0.5 * t) / t) ** 2, (t - math.sin(t)) / (t * t2)
+    t2 = 0.5 * (X * X).sum(axis=(-2, -1))
+    # 2 (sin(t/2)/t)^2 is exact to rounding for every t > 0, and t below
+    # 1e-50 changes neither coefficient; (t - sin t)/t^3 cancels for small t,
+    # so below t^2 = 1e-8 it is the series, whose next term is below 1e-18
+    t = np.sqrt(np.fmax(t2, 1e-100))
+    a = 2.0 * (np.sin(0.5 * t) / t) ** 2
+    b = np.where(t2 < 1e-8, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / (t * t * t))
     XY = X @ Y - Y @ X
-    return Y + a * XY + b * (X @ XY - XY @ X)
+    return Y + a[..., None, None] * XY + b[..., None, None] * (X @ XY - XY @ X)
 
 
 class Box:
@@ -60,9 +62,11 @@ class Box:
 
     def __init__(self, intervals):
         self.intervals = [(float(a), float(b)) for a, b in intervals]
+        self._lo, self._hi = np.array(self.intervals).T
 
     def contains(self, sigma):
-        return all(a < x < b for x, (a, b) in zip(sigma, self.intervals))
+        """Whether sigma lies inside; for a stack (N, d), one bool per point."""
+        return ((self._lo < sigma) & (sigma < self._hi)).all(axis=-1)
 
     def sample(self, rng):
         return np.array([rng.uniform(a, b) for a, b in self.intervals])
@@ -84,9 +88,19 @@ class BisectionFamily:
     @classmethod
     def exp_of(cls, phi):
         """sigma -> exp(phi(sigma)) for phi linear into so(2) or so(3), with
-        mc(sigma, u) = dexp_{phi(sigma)}(phi(u))."""
-        fam = cls(lambda s, m: rotation_exp(phi(s)))
-        fam.mc = lambda s, u: rotation_dexp(phi(s), phi(u))
+        mc(sigma, u) = dexp_{phi(sigma)}(phi(u)).  phi is evaluated as
+        sum_k s_k phi(e_k) from its basis images, so mc also takes stacks
+        of base points and velocities (N, d) and returns (N, n, n)."""
+        images = {}
+
+        def lin(s):
+            d = s.shape[-1]
+            if d not in images:
+                images[d] = np.array([phi(e) for e in np.eye(d)])
+            return (s[..., None, None] * images[d]).sum(axis=-3)
+
+        fam = cls(lambda s, m: rotation_exp(lin(s)))
+        fam.mc = lambda s, u: rotation_dexp(lin(s), lin(u))
         return fam
 
     def __call__(self, sigma, m):
@@ -143,11 +157,16 @@ class MatrixGroupScenario:
         raise StructuralError("no cocycle family for ({}, {})".format(i, j))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def smoothstep(x):
-    """A smooth 0-to-1 transition on [0, 1], flat at both ends."""
-    def f(y):
-        return np.exp(-1.0 / y) if y > 0 else 0.0
-    return f(x) / (f(x) + f(1.0 - x))
+    """A smooth 0-to-1 transition on [0, 1], flat at both ends; x may be an
+    array."""
+    x = np.asarray(x, dtype=float)
+    # exp(-1/y) for y > 0, and exactly 0 for y <= 0, where exp(-1/tiny) underflows
+    f0, f1 = (np.exp(-1.0 / np.fmax(y, _TINY)) for y in (x, 1.0 - x))
+    return f0 / (f0 + f1)
 
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -179,8 +198,8 @@ def _two_chart_scenario(name, algebra, phi):
         (1, 0): BisectionFamily.exp_of(lambda s: -phi(s)),
     }
 
-    def h1(sigma):
-        return smoothstep((sigma[0] - 0.3) / 0.4)
+    def h1(sigma):  # one weight per point of a stack (N, d)
+        return smoothstep((np.asarray(sigma)[..., 0] - 0.3) / 0.4)
 
     return MatrixGroupScenario(name, algebra, len(algebra[0]), charts, cocycle,
                                [lambda s: 1.0 - h1(s), h1])

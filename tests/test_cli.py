@@ -382,6 +382,35 @@ def test_transport_order_null_when_unmeasurable(capsys, tmp_path):
         assert note in report["convergence_order_note"]
 
 
+def single_chart_order(capsys, tmp_path, waypoints):
+    pd = write(tmp_path, "path.json", {"waypoints": waypoints, "charts": [0]})
+    code, out = run(capsys, ["transport", "so2-single-chart", "--path", pd])
+    report = json.loads(out)
+    assert code == 0
+    return report["convergence_order"], report["convergence_order_note"]
+
+
+def test_transport_order_ignores_differences_at_roundoff(capsys, tmp_path):
+    # the coordinate-rotation field is constant on this straight path, so
+    # the 2h/h endpoint difference (about 1.5e-13) sits at roundoff; it
+    # must not overrule the 8h/4h/2h estimate
+    order, note = single_chart_order(
+        capsys, tmp_path, [[-0.5, 0.9912896710209256],
+                           [0.3937323844186785, -0.05947298495510411]])
+    assert order is not None and 3.7 < order < 4.3, note
+    assert note is None
+
+
+def test_transport_order_over_path_lengths(capsys, tmp_path):
+    import numpy as np
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        length, y0, y1 = rng.uniform(0.8, 1.2), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        order, note = single_chart_order(capsys, tmp_path,
+                                         [[-0.5, y0], [-0.5 + length, y1]])
+        assert order is not None and 3.7 < order < 4.3, (length, note)
+
+
 @pytest.mark.parametrize("step", ["0", "-1e-3", "inf", "nan"])
 def test_transport_step_must_be_finite_and_positive(capsys, step):
     assert main(["transport", "so2-two-chart", "--step=" + step]) == 2

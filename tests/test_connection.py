@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from groupoidal import connection
+from groupoidal.cli import _coordinate_rotation_connection
 from groupoidal.connection import (BasePath, LocalConnectionData,
                                    algebroid_bracket, anchor, apply_theta,
                                    christoffel, construct_connection,
@@ -677,9 +678,10 @@ def declared_fields(sc):
 
 @pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
                          ids=lambda b: b.__name__)
-@pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 511, 512, 513, 1100])
 def test_propagator_matches_oracle(build, n_steps):
-    # the step counts straddle the propagator's block of 512 steps
+    # the step counts straddle the propagator's block of 512 steps, and odd
+    # blocks leave a step matrix over in the tree product
     sc = build()
     rng = np.random.default_rng(n_steps)
     path = random_polyline(rng)
@@ -687,10 +689,94 @@ def test_propagator_matches_oracle(build, n_steps):
     start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
     for kind, A in declared_fields(sc).items():
         assert all(f.constant_in_m for f in A.fields)
+        # varying has no stack and is evaluated node by node
+        assert all(hasattr(f, "stack") == (kind == "constructed") for f in A.fields)
         (a, m), shadow = parallel_transport(sc, A, path, start, step=1.0 / n_steps)
         (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=1.0 / n_steps)
         assert np.abs(a - a_o).max() <= 1e-13, kind
         assert np.array_equal(m, m_o) and np.abs(shadow - shadow_o).max() <= 1e-13
+
+
+def test_propagator_evaluates_each_block_by_one_stack_call(so3, monkeypatch):
+    # 1100 steps are blocks of 512, 512 and 76 steps; each block asks the
+    # stack once for its end nodes and once for its midpoints
+    A = construct_connection(so3)
+    stack, lengths = A.fields[0].stack, []
+    A.fields[0].stack = lambda S, U: lengths.append(len(S)) or stack(S, U)
+    monkeypatch.setattr(LocalConnectionData, "__call__", None)
+    path = BasePath.polyline([[-0.6, 0.1], [0.6, -0.2]], [0])
+    parallel_transport(so3, A, path, (np.eye(3), np.eye(3)[0]), step=1.0 / 1100)
+    assert lengths == [513, 512, 513, 512, 77, 76]
+
+
+# --- stacked evaluation --------------------------------------------------------
+
+def stack_points(rng):
+    """Base points inside the overlap 0.3 < sigma_0 < 0.7, left and right of
+    it, exactly on its ends, and on or past the boxes' walls sigma_1 = +-1;
+    with random velocities."""
+    xs = np.r_[rng.uniform(0.3, 0.7, 8), rng.uniform(-0.9, 0.3, 4),
+               rng.uniform(0.7, 1.9, 4), [0.3, 0.7, 0.5, 0.5, 0.5]]
+    ys = np.r_[rng.uniform(-0.9, 0.9, 16), [0.2, -0.4, 1.0, -1.0, 1.3]]
+    S = np.column_stack([xs, ys])
+    return S, rng.normal(size=S.shape)
+
+
+def shipped_fields(sc):
+    return {"constructed": construct_connection(sc), "zero": zero_connection(sc),
+            "coordinate-rotation": _coordinate_rotation_connection(sc)}
+
+
+SHIPPED = [so2_single_chart_scenario, so2_two_chart_scenario, so3_two_chart_scenario]
+
+
+@pytest.mark.parametrize("build", SHIPPED, ids=lambda b: b.__name__)
+def test_stack_matches_field_calls(build):
+    sc = build()
+    rng = np.random.default_rng(23)
+    S, U = stack_points(rng)
+    m = rng.normal(size=sc.n)
+    for kind, A in shipped_fields(sc).items():
+        for j, f in enumerate(A.fields):
+            got = f.stack(S, U)
+            want = np.array([A(j, s, m, u) for s, u in zip(S, U)])
+            assert got.shape == want.shape == (len(S), sc.n, sc.n)
+            assert np.abs(got - want).max() <= 1e-15, (kind, j)
+            if kind == "constructed" and len(A.fields) == 2:
+                # the other chart's open box leaves out sigma_0 = 0.3 (chart 1,
+                # read by j = 0) and 0.7 (chart 0, read by j = 1), and neither
+                # box holds sigma_1 = +-1 or 1.3, though h1(0.5) = 1/2 there
+                assert not got[[16 + j, 18, 19, 20]].any(), j
+                assert got[:8].any(axis=(1, 2)).all()
+
+
+def test_shipped_constant_fields_carry_stack():
+    # a shipped field that declares constant_in_m without a stack would take
+    # the propagator's node-by-node branch unnoticed
+    for build in SHIPPED:
+        sc = build()
+        for kind, A in shipped_fields(sc).items():
+            for f in A.fields:
+                assert f.constant_in_m and callable(getattr(f, "stack", None)), (
+                    sc.name, kind)
+
+
+@pytest.mark.parametrize("basis", [[J2], [L_X, L_Y, L_Z]], ids=["so2", "so3"])
+def test_stacked_dexp_matches_single_calls(basis):
+    # t = |X|_F / sqrt(2) on both sides of the series threshold t^2 = 1e-8
+    rng = np.random.default_rng(29)
+    ts = [0.0, 1e-7, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.8, np.pi - 1e-3, 2 * np.pi + 0.7]
+    X, Y = [], []
+    for t in ts:
+        w, v = rng.normal(size=len(basis)), rng.normal(size=len(basis))
+        X.append(sum(c * B for c, B in zip(w * t / np.linalg.norm(w), basis)))
+        Y.append(sum(c * B for c, B in zip(v / np.linalg.norm(v), basis)))
+    X, Y = np.array(X), np.array(Y)
+    want = np.array([rotation_dexp(x, y) for x, y in zip(X, Y)])
+    assert np.abs(rotation_dexp(X, Y) - want).max() <= 1e-15
+    n = len(X[0])
+    assert np.abs(rotation_dexp(X.reshape(3, 3, n, n), Y.reshape(3, 3, n, n))
+                  - want.reshape(3, 3, n, n)).max() <= 1e-15
 
 
 def declared_and_undeclared(A):
