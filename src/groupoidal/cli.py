@@ -10,15 +10,6 @@ import json
 import sys
 import time
 
-from .atiyah import AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence, \
-    verify_trident
-from .automorphism import (enumerate_gauge_group, validate_automorphism,
-                           verify_bisection_correspondence, verify_gauge_group,
-                           BundleAutomorphism)
-from .bisection import (Bisection, check_structure_identities,
-                        is_id_reducible, r_equivariant_commutant)
-from .bundle import bundle_from_json, validate_cocycle, verify_principal_axioms
-from .groupoid import FiniteGroupoid, validate_groupoid
 from .report import EnumerationBound, NumericFailure, StructuralError
 
 EXIT_OK = 0
@@ -27,8 +18,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
-# scenario name -> constructor in .scenario, looked up only when transport runs,
-# so the exact commands never load numpy
+# scenario name -> constructor in .scenario, looked up only when transport runs.
+# Each command imports what it runs, so transport compiles no exact module and
+# the exact commands never load numpy.
 SCENARIOS = {
     "so2-single-chart": "so2_single_chart_scenario",
     "so2-two-chart": "so2_two_chart_scenario",
@@ -66,14 +58,22 @@ def _push(report, name, vr):
 
 
 def cmd_validate(args):
+    from .groupoid import FiniteGroupoid, validate_groupoid
+
     report = _base_report("validate", args)
     doc = _load_json(args.path)
     ok = True
     if isinstance(doc, dict) and "cocycle" in doc and "f" not in doc:
+        from .bundle import bundle_from_json, validate_cocycle
+
         bundle = bundle_from_json(doc)
         ok &= _push(report, "groupoid-axioms", validate_groupoid(bundle.groupoid))
         ok &= _push(report, "cocycle", validate_cocycle(bundle.base, bundle.cocycle))
     elif isinstance(doc, dict) and "f" in doc:
+        from .automorphism import BundleAutomorphism, validate_automorphism
+        from .bisection import Bisection
+        from .bundle import bundle_from_json
+
         bundle = bundle_from_json(doc["bundle"])
         gamma = {(e["j"], e["i"], e["sigma"]):
                  Bisection.from_json(bundle.groupoid, e["bisection"])
@@ -89,6 +89,10 @@ def cmd_validate(args):
 
 
 def cmd_check_identities(args):
+    from .bisection import (check_structure_identities, is_id_reducible,
+                            r_equivariant_commutant)
+    from .groupoid import FiniteGroupoid, validate_groupoid
+
     report = _base_report("check-identities", args)
     g = FiniteGroupoid.from_json(_load_json(args.path))
     ok = _push(report, "groupoid-axioms", validate_groupoid(g))
@@ -109,6 +113,9 @@ def cmd_check_identities(args):
 
 
 def cmd_bundle(args):
+    from .bundle import bundle_from_json, validate_cocycle, verify_principal_axioms
+    from .groupoid import validate_groupoid
+
     report = _base_report("bundle", args)
     bundle = bundle_from_json(_load_json(args.path))
     # every battery below reads the fibre's tables as a groupoid's
@@ -116,6 +123,11 @@ def cmd_bundle(args):
         return _emit(report, False, args)
     ok = True
     mode = args.report or "axioms"
+    if mode != "axioms":
+        from .atiyah import (AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence,
+                             verify_trident)
+        from .automorphism import (enumerate_gauge_group, verify_bisection_correspondence,
+                                   verify_gauge_group)
     if mode == "counts":
         at = AtiyahGroupoid(bundle)
         adj = AdjointBundle(bundle)

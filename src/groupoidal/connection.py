@@ -13,6 +13,8 @@ skipped, for a bisection that declares constant_in_m), the anchor
 derivatives in algebroid_bracket, and d_u phi in covariant_derivative.
 """
 
+import random
+
 import numpy as np
 
 from .report import EnumerationBound, NumericFailure, StructuralError
@@ -132,7 +134,7 @@ def construct_connection(scenario):
     partition = scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
         raise StructuralError("need one partition function per chart")
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)  # not numpy.random, whose import costs more than this check
     for c in scenario.charts:
         s = c.sample(rng)
         total = sum(h(s) for k, h in enumerate(partition)
@@ -195,9 +197,10 @@ class BasePath:
 
     Segments are (chart, sigma(t), dsigma(t), t0, t1) with matching
     endpoints; each segment stays inside its chart.  sigma and dsigma must be
-    pure functions of t: transport evaluates them at every RK4 node.  The
-    propagator path calls them once per block on a column of times (N, 1);
-    each must then return (N, d), or a constant (d,) that is broadcast.
+    pure functions of t.  Transport, on either path, calls them once per
+    block of RK4 nodes on a column of times (N, 1), and each must return
+    (N, d), or a constant (d,) that is broadcast; at a chart switch sigma
+    is also called at the segment's t0, a float.
     """
 
     def __init__(self, segments):
@@ -236,9 +239,13 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
 
     The fibre label m never moves; the group part solves
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
-    multiplication with the cocycle value.  A segment whose field declares
-    a true constant_in_m takes the propagator path (see _propagate), whose
-    endpoints agree with the step-by-step loop at roundoff, not bitwise.
+    multiplication with the cocycle value.  Both paths read the path at the
+    RK4 nodes a block at a time (see _path_blocks).  A segment whose field
+    reads m, or declares nothing, takes the step-by-step loop (see
+    _rk4_loop), which asks the field through A four times a step and gives
+    plain RK4's endpoints bit for bit.  A segment whose field declares a
+    true constant_in_m takes the propagator path (see _propagate), whose
+    endpoints agree with the loop at roundoff, not bitwise.
     The step must be finite and positive, and MAX_STEPS bounds the steps; overflow
     raises NumericFailure without numpy warnings.  Returns ((a, m), shadow endpoint).
     """
@@ -253,58 +260,75 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     m = np.asarray(m, dtype=float)
     chart = path.segments[0][0]
     for (i, sig, dsig, t0, t1), n_steps in zip(path.segments, map(int, counts)):
-        s0, d0 = sig(t0), dsig(t0)
         if i != chart:
-            a = scenario.beta(i, chart)(s0, a @ m) @ a
+            a = scenario.beta(i, chart)(sig(t0), a @ m) @ a
             chart = i
         h = (t1 - t0) / n_steps
-        t = t0
         if getattr(A.fields[i], "constant_in_m", False):
-            a = _propagate(A, i, sig, dsig, m, a, t, h, n_steps)
+            a = _propagate(A, i, sig, dsig, m, a, t0, h, n_steps)
         else:
-            # the slopes k are A a; the ODE's minus sign sits in the updates
-            for _ in range(n_steps):
-                sh, dh = sig(t + h / 2), dsig(t + h / 2)
-                s1, d1 = sig(t + h), dsig(t + h)
-                k1 = A(i, s0, a @ m, d0) @ a
-                b = a - h / 2 * k1
-                k2 = A(i, sh, b @ m, dh) @ b
-                b = a - h / 2 * k2
-                k3 = A(i, sh, b @ m, dh) @ b
-                b = a - h * k3
-                k4 = A(i, s1, b @ m, d1) @ b
-                a = a - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += h
-                s0, d0 = s1, d1
+            a = _rk4_loop(A, i, sig, dsig, m, a, t0, h, n_steps)
         if not np.all(np.isfinite(a)):
             raise NumericFailure("transport diverged")
     return (a, m), a @ m
+
+
+def _path_blocks(sig, dsig, t, h, n_steps):
+    """The path at the RK4 nodes of n_steps steps of h from t, BLOCK steps
+    at a time: for each block of N steps, sigma and dsigma at its N + 1 end
+    times (S, U) and at its N midpoints (Sh, Uh), each (rows, d).  The end
+    times are the step-by-step t += h, which np.cumsum adds in order, and
+    the midpoints each end time but the last plus h/2.  sigma and dsigma
+    are called once per column of times (rows, 1); a constant result (d,)
+    is broadcast, read-only, to one row per time."""
+    for done in range(0, n_steps, BLOCK):
+        T = np.cumsum(np.r_[t, np.full(min(BLOCK, n_steps - done), h)])[:, None]
+        t = T[-1, 0]
+        Th = T[:-1] + h / 2
+        yield (*np.broadcast_arrays(sig(T), dsig(T), T)[:2],
+               *np.broadcast_arrays(sig(Th), dsig(Th), Th)[:2])
+
+
+def _rk4_loop(A, i, sig, dsig, m, a, t, h, n_steps):
+    """RK4 steps one by one for a field that may read m, asking it through
+    A four times a step at the nodes of _path_blocks.  The slopes k are
+    A a; the ODE's minus sign sits in the updates.  Products of the small
+    matrices are ndarray.dot, which gives matmul's bits on them at less
+    cost per call; h/2 and h/6 are computed once, 2 k is k + k, and the
+    sum k1 + 2 k2 + 2 k3 + k4 keeps its order, so the endpoints are plain
+    RK4's bit for bit."""
+    h2, h6 = h / 2, h / 6
+    for S, U, Sh, Uh in _path_blocks(sig, dsig, t, h, n_steps):
+        for s0, d0, sh, dh, s1, d1 in zip(S, U, Sh, Uh, S[1:], U[1:]):
+            k1 = A(i, s0, a.dot(m), d0).dot(a)
+            b = a - k1 * h2
+            k2 = A(i, sh, b.dot(m), dh).dot(b)
+            b = a - k2 * h2
+            k3 = A(i, sh, b.dot(m), dh).dot(b)
+            b = a - k3 * h
+            k4 = A(i, s1, b.dot(m), d1).dot(b)
+            a = a - (k1 + (k2 + k2) + (k3 + k3) + k4) * h6
+    return a
 
 
 def _propagate(A, i, sig, dsig, m, a, t, h, n_steps):
     """RK4 steps a <- P a for a field X(t) that does not read m.  With X1,
     X2 = X3, X4 the field at the loop's nodes t, t + h/2, t + h of a step:
     P = I - h/6 (X1 + 2 X2 B1 + 2 X2 B2 + X4 B3), B1 = I - h/2 X1,
-    B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each block of up to BLOCK steps
-    evaluates the path once on its column of node times and the field by
-    one stack call for each kind of node (node by node for a field without
-    stack), forms its P by batched matmul and multiplies them as a balanced
-    tree, P_N ... P_1 in log2(BLOCK) rounds."""
+    B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each block of _path_blocks asks
+    the field by one stack call for each kind of node (node by node for a
+    field without stack), forms its P by batched matmul and multiplies
+    them as a balanced tree, P_N ... P_1 in log2(BLOCK) rounds."""
     eye = np.eye(len(a))
     stack = getattr(A.fields[i], "stack", None)
 
-    def field(T):
-        # T broadcasts a path that is constant in t to one row per node
-        S, U, _ = np.broadcast_arrays(sig(T), dsig(T), T)
+    def field(S, U):
         if stack is not None:
             return stack(S, U)
         return np.array([A(i, s, m, u) for s, u in zip(S, U)])
 
-    for done in range(0, n_steps, BLOCK):
-        # the loop's node times, t += h step by step: cumsum adds in order
-        T = np.cumsum(np.r_[t, np.full(min(BLOCK, n_steps - done), h)])[:, None]
-        X, X2 = field(T), field(T[:-1] + h / 2)
-        t = T[-1, 0]
+    for S, U, Sh, Uh in _path_blocks(sig, dsig, t, h, n_steps):
+        X, X2 = field(S, U), field(Sh, Uh)
         X2B1 = X2 @ (eye - h / 2 * X[:-1])
         X2B2 = X2 @ (eye - h / 2 * X2B1)
         X4B3 = X[1:] @ (eye - h * X2B2)

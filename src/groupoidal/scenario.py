@@ -69,6 +69,7 @@ class Box:
         return ((self._lo < sigma) & (sigma < self._hi)).all(axis=-1)
 
     def sample(self, rng):
+        """A point drawn by rng.uniform(a, b) per interval."""
         return np.array([rng.uniform(a, b) for a, b in self.intervals])
 
 

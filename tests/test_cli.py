@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from groupoidal import bundle_to_json
+from groupoidal import bundle_to_json, pair_groupoid
 from groupoidal.cli import main
 
 
@@ -196,13 +196,11 @@ def test_check_identities_pair3(capsys, tmp_path, pair3):
 
 
 def test_check_identities_cap(capsys, tmp_path):
-    from groupoidal import pair_groupoid
     path = write(tmp_path, "p4.json", pair_groupoid(4).to_json())
     assert main(["check-identities", path, "--cap", "1"]) == 3
 
 
 def test_check_identities_commutant_within_cap(capsys, tmp_path):
-    from groupoidal import pair_groupoid
     path = write(tmp_path, "p4.json", pair_groupoid(4).to_json())
     code, out = run(capsys, ["check-identities", path])
     assert code == 0
@@ -503,7 +501,8 @@ def test_step_bound_counts_every_segment(monkeypatch):
 
 
 def loaded_after(statement):
-    """The top-level modules a fresh interpreter has loaded after statement."""
+    """The modules, by full name, that a fresh interpreter has loaded after
+    statement; what statement prints is ignored."""
     import os
     import subprocess
     import sys
@@ -515,7 +514,7 @@ def loaded_after(statement):
     code = statement + "; import sys; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    return {name.split(".")[0] for name in proc.stdout.split()}
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_loads_no_numeric_stack():
@@ -526,6 +525,69 @@ def test_identity_suite_loads_no_numeric_stack():
     assert not {"numpy", "scipy"} & loaded_after(
         "from groupoidal import check_structure_identities, pair_groupoid; "
         "assert check_structure_identities(pair_groupoid(3)).ok")
+
+
+EXACT_MODULES = {"groupoidal." + m for m in ("groupoid", "bisection", "bundle",
+                                             "atiyah", "automorphism")}
+
+
+def test_package_import_loads_no_module():
+    assert {m for m in loaded_after("import groupoidal")
+            if m.startswith("groupoidal")} == {"groupoidal"}
+
+
+def test_transport_loads_no_exact_module():
+    loaded = loaded_after("from groupoidal.cli import main; "
+                          "assert main(['--json', 'transport', 'so3-two-chart']) == 0")
+    assert "groupoidal.connection" in loaded
+    assert not (EXACT_MODULES | {"numpy.random", "scipy"}) & loaded
+
+
+def test_check_identities_loads_no_bundle_module(tmp_path):
+    doc = write(tmp_path, "pair3.json", pair_groupoid(3).to_json())
+    loaded = loaded_after("from groupoidal.cli import main; "
+                          "assert main(['--json', 'check-identities', {!r}]) == 0".format(doc))
+    assert "groupoidal.bisection" in loaded
+    assert not {"groupoidal.bundle", "groupoidal.atiyah", "groupoidal.automorphism",
+                "numpy"} & loaded
+
+
+# every name the package exported when it imported its modules eagerly
+EXPORTED = [
+    "AdElement", "AdjointBundle", "AtElement", "AtiyahGroupoid", "Bisection",
+    "BundleAutomorphism", "CechBase", "Cocycle", "CompositionError",
+    "DivisionError", "EnumerationBound", "FPoint", "FiniteGroupAction",
+    "FiniteGroupoid", "InternalError", "MomentMismatch", "NumericFailure",
+    "PPoint", "PrincipaloidBundle", "StructuralError", "ValidationReport",
+    "Violation", "action_groupoid", "atiyah", "automorphism",
+    "automorphism_to_bisection", "bisection", "bisection_inverse",
+    "bisection_product", "bisection_through", "bisection_to_automorphism",
+    "build_bundle", "bundle", "bundle_from_json", "bundle_to_json",
+    "check_structure_identities", "conjugate", "enumerate_bisections",
+    "enumerate_gauge_group", "enumerate_projectable_bisections",
+    "fibred_pair_groupoid", "group_groupoid", "groupoid",
+    "identity_automorphism", "is_id_reducible", "left_mult", "pair_groupoid",
+    "product_groupoid", "r_equivariant_commutant", "report", "right_mult",
+    "unit_bisection", "validate_automorphism", "validate_bisection",
+    "validate_cocycle", "validate_groupoid", "verify_atiyah_sequence",
+    "verify_bisection_correspondence", "verify_gauge_group",
+    "verify_principal_axioms", "verify_trident", "z2_swap_action",
+]
+
+
+def test_package_exports_every_name():
+    import groupoidal
+    import groupoidal.bisection
+
+    assert set(EXPORTED) <= set(dir(groupoidal))
+    namespace = {}
+    exec("from groupoidal import *", namespace)
+    assert sorted(n for n in namespace if not n.startswith("_")) == EXPORTED
+    assert namespace["bisection"] is groupoidal.bisection
+    assert namespace["enumerate_bisections"] is groupoidal.bisection.enumerate_bisections
+    assert groupoidal.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        groupoidal.no_such_name
 
 
 def test_numeric_engine_loads_no_scipy():

@@ -709,6 +709,56 @@ def test_propagator_evaluates_each_block_by_one_stack_call(so3, monkeypatch):
     assert lengths == [513, 512, 513, 512, 77, 76]
 
 
+def undeclared_fields(sc):
+    """Fields that take the RK4 loop: a bare lambda, one that reads m, one
+    that returns a transposed view (F-ordered, so not C-contiguous), and
+    the gauge transform of the m-reading one."""
+    X, Y = sc.algebra[0], sc.algebra[-1]
+
+    def transposed(s, m, u):
+        return (np.sin(3.0 * s[0]) * u[0] * X + (0.5 + s[1]) * m[0] * u[1] * Y).T
+
+    reads_m = LocalConnectionData(sc, [lambda s, m, u: u[0] * m[0] * Y] * 2)
+    gauge = BisectionFamily.exp_of(lambda s: (0.4 * s[0] + 0.1 * s[1]) * X)
+    return {"lambda": LocalConnectionData(sc, [lambda s, m, u: u[0] * Y] * 2),
+            "reads-m": reads_m,
+            "transposed": LocalConnectionData(sc, [transposed] * 2),
+            "gauged": gauge_transform_connection(sc, reads_m, {0: gauge, 1: gauge})}
+
+
+@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n_steps", [1, 2, 511, 512, 513, 1100])
+def test_rk4_loop_matches_oracle_bitwise(build, n_steps):
+    # the step counts straddle the block of 512 steps whose path nodes are
+    # evaluated as one column; the polyline switches chart twice
+    sc = build()
+    rng = np.random.default_rng(100 + n_steps)
+    path = random_polyline(rng)
+    a0 = sc.exp(random_algebra(sc, rng))
+    start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
+    for kind, A in undeclared_fields(sc).items():
+        assert not any(getattr(f, "constant_in_m", False) for f in A.fields), kind
+        (a, m), shadow = parallel_transport(sc, A, path, start, step=1.0 / n_steps)
+        (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=1.0 / n_steps)
+        assert np.array_equal(a, a_o), kind
+        assert np.array_equal(shadow, shadow_o) and np.array_equal(m, m_o), kind
+    transposed = undeclared_fields(sc)["transposed"].fields[0]
+    assert not transposed(np.zeros(2), np.ones(sc.n), np.ones(2)).flags.c_contiguous
+
+
+def test_rk4_loop_asks_the_field_four_times_a_step(so3, monkeypatch):
+    # through LocalConnectionData.__call__, on every segment, switches included
+    calls = []
+    call = LocalConnectionData.__call__
+    monkeypatch.setattr(LocalConnectionData, "__call__",
+                        lambda self, *args: calls.append(args[0]) or call(self, *args))
+    A = undeclared_fields(so3)["reads-m"]
+    path = random_polyline(np.random.default_rng(3))
+    parallel_transport(so3, A, path, (np.eye(3), np.eye(3)[0]), step=1.0 / 600)
+    assert calls == [0] * 2400 + [1] * 2400 + [0] * 2400
+
+
 # --- stacked evaluation --------------------------------------------------------
 
 def stack_points(rng):
