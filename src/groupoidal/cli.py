@@ -167,9 +167,42 @@ def _coordinate_rotation_connection(scenario):
 
     def field(s, m, u):
         return u[0] * J
-    field.constant_in_m = True
     field.stack = lambda S, U: U[:, 0, None, None] * J
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
+
+
+def _path_document(doc, scenario):
+    """The waypoints and charts of a path document, checked against the
+    scenario: an object with exactly the keys 'waypoints' and 'charts', chart
+    ids ints in range(len(scenario.charts)), one waypoint more than charts,
+    and each waypoint as many finite numbers as the chart boxes have axes."""
+    if not isinstance(doc, dict):
+        raise StructuralError("a path document is a JSON object with the keys "
+                              "'waypoints' and 'charts'")
+    odd = sorted(set(doc) ^ {"waypoints", "charts"})
+    if odd:
+        raise StructuralError("path document key {!r} is {}".format(
+            odd[0], "unknown" if odd[0] in doc else "missing"))
+    waypoints, charts = doc["waypoints"], doc["charts"]
+    n = len(scenario.charts)
+    if not (isinstance(charts, list) and charts):
+        raise StructuralError("path document key 'charts' must be a non-empty list")
+    for c in charts:
+        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < n:
+            raise StructuralError("path document key 'charts' holds {!r}; chart ids "
+                                  "are ints in range({})".format(c, n))
+    if not (isinstance(waypoints, list) and len(waypoints) == len(charts) + 1):
+        raise StructuralError("path document key 'waypoints' must be a list of "
+                              "len(charts) + 1 = {} waypoints".format(len(charts) + 1))
+    d = len(scenario.charts[0].intervals)
+    for w in waypoints:
+        # abs(x) <= max float is false for nan, inf and ints past the float range
+        if not (isinstance(w, list) and len(w) == d and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and abs(x) <= sys.float_info.max for x in w)):
+            raise StructuralError("path document key 'waypoints' holds {!r}; a "
+                                  "waypoint is {} finite numbers".format(w, d))
+    return waypoints, charts
 
 
 def _transport_setup(args):
@@ -205,8 +238,7 @@ def _transport_setup(args):
     else:
         raise StructuralError("unknown connection {!r}".format(conn_kind))
     if args.path:
-        pd = _load_json(args.path)
-        path = BasePath.polyline(pd["waypoints"], pd["charts"])
+        path = BasePath.polyline(*_path_document(_load_json(args.path), scenario))
     else:
         path = BasePath.polyline([[0.0, 0.0], [1.0, 0.0]], [0])
     return scenario, A, path

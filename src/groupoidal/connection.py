@@ -75,12 +75,11 @@ def algebroid_bracket(scenario, s1, s2):
 
 class LocalConnectionData:
     """Per-chart fields A_i(sigma, m)(u), linear in u, each returning a fresh
-    or unchanging array.  A field that never reads m may declare
-    constant_in_m = True, and transport then takes its propagator path.
-    Such a field may also carry stack(S, U) -> (N, n, n): its values at N
-    stacked base points S and velocities U, each (N, d), equal at roundoff
-    to the field called at each of them; the propagator then evaluates a
-    block of nodes in one call."""
+    or unchanging array.  A field that never reads m may carry
+    stack(S, U) -> (N, n, n): its values at N stacked base points S and
+    velocities U, each (N, d), equal at roundoff to the field called at
+    each of them.  stack takes no m, and transport then takes the
+    propagator path, which evaluates a block of nodes in one call."""
 
     def __init__(self, scenario, fields):
         self.scenario = scenario
@@ -97,7 +96,6 @@ def zero_connection(scenario):
 
     def field(s, m, u):
         return z
-    field.constant_in_m = True
     field.stack = lambda S, U: np.zeros((len(S), scenario.n, scenario.n))
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
@@ -125,11 +123,10 @@ def construct_connection(scenario):
     glues because the law is affine with a shared inhomogeneous term.  The
     cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
     transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
-    When every beta_jk (k != j) is constant_in_m, A_j skips the shadow and
-    carries constant_in_m itself, so transport takes the propagator path;
-    when every beta_jk also carries mc, A_j carries stack as well, and the
-    weights there are the partition functions called on the stack, masked
-    by the open charts.
+    When every beta_jk (k != j) is constant_in_m, A_j skips the shadow;
+    when every beta_jk also carries mc, A_j carries stack, so transport
+    takes the propagator path, and the weights there are the partition
+    functions called on the stack, masked by the open charts.
     """
     partition = scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -167,7 +164,6 @@ def construct_connection(scenario):
                 out -= w[:, None, None] * scenario.beta(j, k).mc(S, U)
             return out
 
-        A_j.constant_in_m = constant
         if constant and all(f.mc is not None for f in families):
             A_j.stack = stack
         return A_j
@@ -210,6 +206,10 @@ class BasePath:
     def polyline(cls, waypoints, charts):
         """Straight segments between consecutive waypoints, one chart each; a
         field that writes into the read-only velocity u fails loudly."""
+        if not (len(charts) >= 1 and len(waypoints) == len(charts) + 1):
+            raise StructuralError("a polyline needs at least one chart and one "
+                                  "waypoint more than charts, not {} and {}"
+                                  .format(len(charts), len(waypoints)))
         segs = []
         for k, chart in enumerate(charts):
             p = np.asarray(waypoints[k], dtype=float)
@@ -241,17 +241,19 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
     multiplication with the cocycle value.  Both paths read the path at the
     RK4 nodes a block at a time (see _path_blocks).  A segment whose field
-    reads m, or declares nothing, takes the step-by-step loop (see
-    _rk4_loop), which asks the field through A four times a step and gives
-    plain RK4's endpoints bit for bit.  A segment whose field declares a
-    true constant_in_m takes the propagator path (see _propagate), whose
-    endpoints agree with the loop at roundoff, not bitwise.
+    carries stack takes the propagator path (see _propagate), whose
+    endpoints agree with the loop at roundoff, not bitwise.  Every other
+    segment takes the step-by-step loop (see _rk4_loop), which asks the
+    field through A four times a step and gives plain RK4's endpoints bit
+    for bit.
     The step must be finite and positive, and MAX_STEPS bounds the steps; overflow
     raises NumericFailure without numpy warnings.  Returns ((a, m), shadow endpoint).
     """
     if not (np.isfinite(step) and step > 0):
         raise StructuralError("transport step must be finite and > 0, not {}"
                               .format(step))
+    if not path.segments:
+        raise StructuralError("a transport path needs at least one segment")
     counts = step_counts(path, step)
     if sum(counts) > MAX_STEPS:
         raise EnumerationBound("{:.3g} RK4 steps > {}".format(sum(counts), MAX_STEPS))
@@ -264,10 +266,11 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
             a = scenario.beta(i, chart)(sig(t0), a @ m) @ a
             chart = i
         h = (t1 - t0) / n_steps
-        if getattr(A.fields[i], "constant_in_m", False):
-            a = _propagate(A, i, sig, dsig, m, a, t0, h, n_steps)
-        else:
+        stack = getattr(A.fields[i], "stack", None)
+        if stack is None:
             a = _rk4_loop(A, i, sig, dsig, m, a, t0, h, n_steps)
+        else:
+            a = _propagate(stack, sig, dsig, a, t0, h, n_steps)
         if not np.all(np.isfinite(a)):
             raise NumericFailure("transport diverged")
     return (a, m), a @ m
@@ -311,24 +314,17 @@ def _rk4_loop(A, i, sig, dsig, m, a, t, h, n_steps):
     return a
 
 
-def _propagate(A, i, sig, dsig, m, a, t, h, n_steps):
-    """RK4 steps a <- P a for a field X(t) that does not read m.  With X1,
-    X2 = X3, X4 the field at the loop's nodes t, t + h/2, t + h of a step:
+def _propagate(stack, sig, dsig, a, t, h, n_steps):
+    """RK4 steps a <- P a for the field X(t) = stack(sigma(t), dsigma(t)),
+    which does not read m.  With X1, X2 = X3, X4 the field at the loop's
+    nodes t, t + h/2, t + h of a step:
     P = I - h/6 (X1 + 2 X2 B1 + 2 X2 B2 + X4 B3), B1 = I - h/2 X1,
     B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each block of _path_blocks asks
-    the field by one stack call for each kind of node (node by node for a
-    field without stack), forms its P by batched matmul and multiplies
-    them as a balanced tree, P_N ... P_1 in log2(BLOCK) rounds."""
+    stack once for each kind of node, forms its P by batched matmul and
+    multiplies them as a balanced tree, P_N ... P_1 in log2(BLOCK) rounds."""
     eye = np.eye(len(a))
-    stack = getattr(A.fields[i], "stack", None)
-
-    def field(S, U):
-        if stack is not None:
-            return stack(S, U)
-        return np.array([A(i, s, m, u) for s, u in zip(S, U)])
-
     for S, U, Sh, Uh in _path_blocks(sig, dsig, t, h, n_steps):
-        X, X2 = field(S, U), field(Sh, Uh)
+        X, X2 = stack(S, U), stack(Sh, Uh)
         X2B1 = X2 @ (eye - h / 2 * X[:-1])
         X2B2 = X2 @ (eye - h / 2 * X2B1)
         X4B3 = X[1:] @ (eye - h * X2B2)
@@ -354,9 +350,8 @@ def gauge_transform_connection(scenario, A, gauge, base_map=None):
 
     The new field at the displaced fibre label is the tangent-conjugation
     image of the old one minus the Maurer-Cartan derivative of gamma_i; an
-    optional (f, f_inv, Tf_inv) triple composes a base diffeomorphism.  When
-    gamma_i and A_i both declare constant_in_m, the new field does too, and
-    transport takes the propagator path.
+    optional (f, f_inv, Tf_inv) triple composes a base diffeomorphism.  The
+    new fields carry no stack, so transport takes the RK4 loop on them.
     """
     def field(i):
         fam = gauge[i]
@@ -372,7 +367,6 @@ def gauge_transform_connection(scenario, A, gauge, base_map=None):
             val = tangent_conjugation(scenario, fam.at(sigma), m,
                                       A(i, sigma, m, u))
             return val - mc_right(scenario, fam, m, sigma, u)
-        A_phi.constant_in_m = fam.constant_in_m and getattr(A.fields[i], "constant_in_m", False)
         return A_phi
 
     return LocalConnectionData(scenario,

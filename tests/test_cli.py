@@ -355,6 +355,56 @@ def test_transport_unknown_config_key_is_input_error(capsys, tmp_path):
         assert captured.err == "input error: {}\n".format(err)
 
 
+CLI_MIX_PATH = {"waypoints": [[-0.5, 0.31], [0.52, -0.74]], "charts": [0]}
+
+
+@pytest.mark.parametrize("scenario, doc, err", [
+    pytest.param("so2-single-chart", CLI_MIX_PATH, None, id="cli-mix"),
+    pytest.param("so3-two-chart", [[0, 0], [1, 0]], "a path document is a JSON object "
+                 "with the keys 'waypoints' and 'charts'", id="list"),
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0], [0.5, 0]], "charts": [0], "x": 1},
+                 "path document key 'x' is unknown", id="extra-key"),
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0], [0.5, 0]]},
+                 "path document key 'charts' is missing", id="no-charts"),
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0]], "charts": []},
+                 "path document key 'charts' must be a non-empty list", id="no-chart"),
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0]], "charts": 0},
+                 "path document key 'charts' must be a non-empty list", id="charts-int"),
+    pytest.param("so3-two-chart", {"waypoints": 3, "charts": [0]},
+                 "path document key 'waypoints' must be a list of len(charts) + 1 = 2 "
+                 "waypoints", id="waypoints-int"),
+    *[pytest.param("so3-two-chart", {"waypoints": [[0, 0], [0.5, 0]], "charts": [c]},
+                   "path document key 'charts' holds {!r}; chart ids are ints in "
+                   "range(2)".format(c), id="chart-" + json.dumps(c))
+      for c in (5, 2, -1, 0.0, True, "0", None)],
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0]], "charts": [0]},
+                 "path document key 'waypoints' must be a list of len(charts) + 1 = 2 "
+                 "waypoints", id="one-waypoint"),
+    pytest.param("so3-two-chart", {"waypoints": [[0, 0], [0.3, 0], [0.6, 0]], "charts": [0]},
+                 "path document key 'waypoints' must be a list of len(charts) + 1 = 2 "
+                 "waypoints", id="extra-waypoint"),
+    *[pytest.param("so3-two-chart", {"waypoints": [[0, 0], w], "charts": [0]},
+                   "path document key 'waypoints' holds {!r}; a waypoint is 2 finite "
+                   "numbers".format(w), id="waypoint-" + json.dumps(w))
+      for w in ([1], [0.5, 0, 0], [float("nan"), 0], [float("inf"), 0], [10**400, 0],
+                [True, 0], ["0.5", 0], 0.5)]])
+def test_path_document_is_checked(capsys, tmp_path, scenario, doc, err):
+    # every fault exits 2 with one line naming the key, before any transport
+    code = main(["transport", scenario, "--path", write(tmp_path, "p.json", doc)])
+    out, stderr = capsys.readouterr()
+    if err is not None:
+        assert (code, out, stderr) == (2, "", "input error: {}\n".format(err))
+        return
+    import numpy as np
+    from groupoidal.cli import _coordinate_rotation_connection
+    from groupoidal.connection import BasePath, parallel_transport
+    from groupoidal.scenario import so2_single_chart_scenario
+    sc = so2_single_chart_scenario()
+    (a, _), _ = parallel_transport(sc, _coordinate_rotation_connection(sc), BasePath.polyline(
+        doc["waypoints"], doc["charts"]), (np.eye(2), np.array([1.0, 0.0])))
+    assert code == 0 and json.loads(out)["endpoint"] == a.tolist()
+
+
 def test_transport_unknown_scenario_is_input_error(capsys, tmp_path):
     known = "known scenarios: so2-single-chart, so2-two-chart, so3-two-chart"
     for doc, value in [({"scenario": "so2-tw-chart"}, "'so2-tw-chart'"),
@@ -437,12 +487,14 @@ def test_numeric_failure_exits_4(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
-def check_divergence(capsys, tmp_path, monkeypatch, declared):
+def check_divergence(capsys, tmp_path, monkeypatch, stacked):
     """A 1e200 J field diverges: NumericFailure from the library, exit 4 with
-    one stderr line from the CLI, and no numpy warning on either."""
+    one stderr line from the CLI, and no numpy warning on either; with a
+    stack on the propagator path, without one in the RK4 loop."""
     import warnings
     import numpy as np
     import groupoidal.cli
+    import groupoidal.connection as C
     from groupoidal.connection import (BasePath, LocalConnectionData,
                                        parallel_transport)
     from groupoidal.report import NumericFailure
@@ -451,8 +503,14 @@ def check_divergence(capsys, tmp_path, monkeypatch, declared):
     def huge_connection(scenario):
         def field(s, m, u):
             return 1e200 * J2
-        field.constant_in_m = declared
+        if stacked:
+            field.stack = lambda S, U: np.full((len(S), 2, 2), 1e200 * J2)
         return LocalConnectionData(scenario, [field] * len(scenario.charts))
+
+    ran = set()
+    for name in ("_propagate", "_rk4_loop"):
+        monkeypatch.setattr(C, name, lambda *args, name=name, run=getattr(C, name):
+                            ran.add(name) or run(*args))
 
     sc = so2_two_chart_scenario()
     path = BasePath.polyline([[0.0, 0.0], [0.5, 0.0]], [0])
@@ -466,14 +524,15 @@ def check_divergence(capsys, tmp_path, monkeypatch, declared):
         assert main(["transport", cfg]) == 4
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "numeric failure: transport diverged\n"
+    assert ran == {"_propagate" if stacked else "_rk4_loop"}
 
 
 def test_divergence_on_propagator_path(capsys, tmp_path, monkeypatch):
-    check_divergence(capsys, tmp_path, monkeypatch, declared=True)
+    check_divergence(capsys, tmp_path, monkeypatch, stacked=True)
 
 
 def test_divergence_in_rk4_loop(capsys, tmp_path, monkeypatch):
-    check_divergence(capsys, tmp_path, monkeypatch, declared=False)
+    check_divergence(capsys, tmp_path, monkeypatch, stacked=False)
 
 
 @pytest.mark.parametrize("step", ["1e-300", "5e-324"])

@@ -656,6 +656,21 @@ def test_polyline_velocity_is_read_only(so2):
                            (np.eye(2), np.array([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("waypoints, charts", [([[0.0, 0.0]], []), ([], []),
+                                                ([[0.0, 0.0]], [0]),
+                                                ([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], [0])],
+                         ids=["no-chart", "empty", "one-waypoint", "extra-waypoint"])
+def test_polyline_needs_one_waypoint_more_than_charts(waypoints, charts):
+    with pytest.raises(StructuralError):
+        BasePath.polyline(waypoints, charts)
+
+
+def test_transport_needs_a_segment(so2):
+    with pytest.raises(StructuralError):
+        parallel_transport(so2, zero_connection(so2), BasePath([]),
+                           (np.eye(2), np.array([1.0, 0.0])))
+
+
 def random_polyline(rng):
     """Three straight segments in charts 0, 1, 0: both switches sit in the
     overlap, and every segment stays inside its chart."""
@@ -666,12 +681,13 @@ def random_polyline(rng):
 
 def declared_fields(sc):
     """The constructed field and a field that reads sigma and u in two
-    generators, both declaring constant_in_m."""
+    generators, both carrying stack."""
     X, Y = sc.algebra[0], sc.algebra[-1]
 
     def varying(s, m, u):
         return np.sin(3.0 * s[0]) * u[0] * X + (0.5 + s[1]) * u[1] * Y
-    varying.constant_in_m = True
+    varying.stack = lambda S, U: ((np.sin(3.0 * S[:, 0]) * U[:, 0])[:, None, None] * X
+                                  + ((0.5 + S[:, 1]) * U[:, 1])[:, None, None] * Y)
     return {"constructed": construct_connection(sc),
             "varying": LocalConnectionData(sc, [varying] * 2)}
 
@@ -688,9 +704,7 @@ def test_propagator_matches_oracle(build, n_steps):
     a0 = sc.exp(random_algebra(sc, rng))
     start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
     for kind, A in declared_fields(sc).items():
-        assert all(f.constant_in_m for f in A.fields)
-        # varying has no stack and is evaluated node by node
-        assert all(hasattr(f, "stack") == (kind == "constructed") for f in A.fields)
+        assert all(callable(f.stack) for f in A.fields), kind
         (a, m), shadow = parallel_transport(sc, A, path, start, step=1.0 / n_steps)
         (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=1.0 / n_steps)
         assert np.abs(a - a_o).max() <= 1e-13, kind
@@ -712,7 +726,7 @@ def test_propagator_evaluates_each_block_by_one_stack_call(so3, monkeypatch):
 def undeclared_fields(sc):
     """Fields that take the RK4 loop: a bare lambda, one that reads m, one
     that returns a transposed view (F-ordered, so not C-contiguous), and
-    the gauge transform of the m-reading one."""
+    the gauge transforms of the m-reading one and of the constructed one."""
     X, Y = sc.algebra[0], sc.algebra[-1]
 
     def transposed(s, m, u):
@@ -723,7 +737,9 @@ def undeclared_fields(sc):
     return {"lambda": LocalConnectionData(sc, [lambda s, m, u: u[0] * Y] * 2),
             "reads-m": reads_m,
             "transposed": LocalConnectionData(sc, [transposed] * 2),
-            "gauged": gauge_transform_connection(sc, reads_m, {0: gauge, 1: gauge})}
+            "gauged": gauge_transform_connection(sc, reads_m, {0: gauge, 1: gauge}),
+            "gauged-constructed": gauge_transform_connection(
+                sc, construct_connection(sc), {0: gauge, 1: gauge})}
 
 
 @pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
@@ -738,7 +754,7 @@ def test_rk4_loop_matches_oracle_bitwise(build, n_steps):
     a0 = sc.exp(random_algebra(sc, rng))
     start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
     for kind, A in undeclared_fields(sc).items():
-        assert not any(getattr(f, "constant_in_m", False) for f in A.fields), kind
+        assert not any(hasattr(f, "stack") for f in A.fields), kind
         (a, m), shadow = parallel_transport(sc, A, path, start, step=1.0 / n_steps)
         (a_o, m_o), shadow_o = oracle_transport(sc, A, path, start, step=1.0 / n_steps)
         assert np.array_equal(a, a_o), kind
@@ -801,14 +817,13 @@ def test_stack_matches_field_calls(build):
 
 
 def test_shipped_constant_fields_carry_stack():
-    # a shipped field that declares constant_in_m without a stack would take
-    # the propagator's node-by-node branch unnoticed
+    # a shipped field that does not read m but lost its stack would take the
+    # RK4 loop unnoticed
     for build in SHIPPED:
         sc = build()
         for kind, A in shipped_fields(sc).items():
             for f in A.fields:
-                assert f.constant_in_m and callable(getattr(f, "stack", None)), (
-                    sc.name, kind)
+                assert callable(getattr(f, "stack", None)), (sc.name, kind)
 
 
 @pytest.mark.parametrize("basis", [[J2], [L_X, L_Y, L_Z]], ids=["so2", "so3"])
@@ -996,37 +1011,82 @@ def test_holonomy_is_gauge_covariant(build, gauge_of):
         assert np.abs(hol_g - g0 @ hol @ np.linalg.inv(g0)).max() < 1e-10
 
 
+def test_transport_path_follows_stack(monkeypatch):
+    # a segment whose field carries stack takes the propagator, any other
+    # segment the RK4 loop; the two-chart path runs one segment per chart
+    ran = []
+    for name in ("_propagate", "_rk4_loop"):
+        monkeypatch.setattr(connection, name, lambda *args, name=name, run=getattr(
+            connection, name): ran.append(name) or run(*args))
+
+    def paths_taken(sc, A):
+        ran.clear()
+        k = len(sc.charts)
+        path = BasePath.polyline([[0.1, 0.0], [0.5, 0.2], [0.9, 0.1]][:k + 1], range(k))
+        parallel_transport(sc, A, path, (np.eye(sc.n), np.eye(sc.n)[0]), step=0.1)
+        return ran[:]
+
+    for build in SHIPPED:
+        sc = build()
+        for kind, A in shipped_fields(sc).items():
+            assert paths_taken(sc, A) == ["_propagate"] * len(sc.charts), (sc.name, kind)
+    so2 = so2_two_chart_scenario()
+    loop = ["_rk4_loop"] * 2
+    assert paths_taken(so2, LocalConnectionData(so2, [lambda s, m, u: u[0] * J2] * 2)) == loop
+    reads_m = construct_connection(so2_m_dependent_scenario())
+    assert paths_taken(so2, reads_m) == loop
+    so3 = so3_two_chart_scenario()
+    for sc, gauge in ((so2, so2_gauge(so2)), (so3, so3_gauge(so3))):
+        Ag = gauge_transform_connection(sc, construct_connection(sc), gauge)
+        assert paths_taken(sc, Ag) == loop, sc.name
+
+
 @GAUGED
 def test_gauge_output_keeps_constant_in_m(build, gauge_of, monkeypatch):
-    # declared data and declared gamma give declared data, transported on the
-    # propagator path to the RK4 loop's endpoint of the same field undeclared
+    # data that does not read m, transformed by a gauge constant in m, still
+    # does not read m; it carries no stack, so it takes the RK4 loop, to the
+    # same bits as the same fields behind bare lambdas
     sc = build()
-    gauge = gauge_of(sc)
+    Ag = gauge_transform_connection(sc, construct_connection(sc), gauge_of(sc))
+    assert not any(hasattr(f, "stack") for f in Ag.fields)
+    rng = np.random.default_rng(29)
+    for i in range(len(sc.charts)):
+        s, u = overlap_sample(rng), rng.normal(size=2)
+        first = Ag(i, s, rng.normal(size=sc.n), u)
+        for _ in range(3):
+            assert np.array_equal(Ag(i, s, rng.normal(size=sc.n), u), first), i
     steps = []
     propagate = connection._propagate
     monkeypatch.setattr(connection, "_propagate",
                         lambda *args: steps.append(args[-1]) or propagate(*args))
-    Ag = gauge_transform_connection(sc, construct_connection(sc), gauge)
-    assert all(f.constant_in_m for f in Ag.fields)
     path = BasePath.polyline([[0.2, -0.3], [0.5, 0.2], [1.0, 0.4]], [0, 1])
     start = (np.eye(sc.n), np.eye(sc.n)[0])
     ends = []
     for A in declared_and_undeclared(Ag):
         (a, _), _ = parallel_transport(sc, A, path, start, step=1e-2)
         ends.append(a)
-    assert steps == [100, 100]  # the declared run only, one call a segment
-    assert np.abs(ends[0] - ends[1]).max() < 1e-12
+    assert steps == []
+    assert np.array_equal(ends[0], ends[1])
 
 
-def test_gauge_output_of_undeclared_data_stays_undeclared(so2):
+def test_gauge_output_of_undeclared_data_stays_undeclared(so2, monkeypatch):
+    # neither undeclared input data nor a gauge that reads m gives a stack
     A = construct_connection(so2)
     fields = [lambda s, m, u, f=f: f(s, m, u) for f in A.fields]
     undeclared = gauge_transform_connection(so2, LocalConnectionData(so2, fields),
                                             so2_gauge(so2))
-    assert not any(f.constant_in_m for f in undeclared.fields)
     varying = BisectionFamily(lambda s, m: rot2(0.1 * m[0]), constant_in_m=False)
     by_varying = gauge_transform_connection(so2, A, {0: varying, 1: varying})
-    assert not any(f.constant_in_m for f in by_varying.fields)
+    ran = []
+    loop = connection._rk4_loop
+    monkeypatch.setattr(connection, "_rk4_loop",
+                        lambda *args: ran.append(True) or loop(*args))
+    path = BasePath.polyline([[0.2, -0.3], [0.5, 0.2], [1.0, 0.4]], [0, 1])
+    for Ag in (undeclared, by_varying):
+        assert not any(hasattr(f, "stack") for f in Ag.fields)
+        ran.clear()
+        parallel_transport(so2, Ag, path, (np.eye(2), np.eye(2)[0]), step=1e-1)
+        assert ran == [True, True]
 
 
 def test_gauge_with_base_map(so2):
