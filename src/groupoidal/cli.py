@@ -239,15 +239,17 @@ def _transport_setup(args):
         raise StructuralError("unknown connection {!r}".format(conn_kind))
     if args.path:
         path = BasePath.polyline(*_path_document(_load_json(args.path), scenario))
-    else:
+    elif len(scenario.charts) == 1:
         path = BasePath.polyline([[0.0, 0.0], [1.0, 0.0]], [0])
+    else:  # the two-chart scenarios overlap in 0.3 < sigma_0 < 0.7
+        path = BasePath.polyline([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], [0, 1])
     return scenario, A, path
 
 
 def cmd_transport(args):
     import numpy as np
 
-    from .connection import parallel_transport, step_counts
+    from .connection import parallel_transport, segment_routes, step_counts
 
     report = _base_report("transport", args)
     scenario, A, path = _transport_setup(args)
@@ -289,6 +291,11 @@ def cmd_transport(args):
                 note = ("estimates {:.2f} (8h/4h/2h) and {:.2f} (4h/2h/h) differ "
                         "by more than 0.5: the error is at roundoff").format(order, confirm)
                 order = None
+    # the steps of the five transports above, by the way each segment went
+    rk4_steps, routes = {"loop": 0, "propagator": 0}, segment_routes(A, path)
+    for step in [args.ode_step] * 2 + steps:
+        for route, n in zip(routes, step_counts(path, step)):
+            rk4_steps[route] += int(n)
     report.update({
         "endpoint": a1.tolist(),
         "fibre_label": m1.tolist(),
@@ -297,6 +304,7 @@ def cmd_transport(args):
         "convergence_order": order,
         "convergence_order_note": note,
         "elapsed_s": time.perf_counter() - t0,
+        "rk4_steps": rk4_steps,
     })
     ok = equivariance < args.tol and np.all(np.isfinite(a1))
     return _emit(report, ok, args)

@@ -79,7 +79,9 @@ class LocalConnectionData:
     stack(S, U) -> (N, n, n): its values at N stacked base points S and
     velocities U, each (N, d), equal at roundoff to the field called at
     each of them.  stack takes no m, and transport then takes the
-    propagator path, which evaluates a block of nodes in one call."""
+    propagator path, which evaluates a block of nodes in one call; the RK4
+    loop calls the other fields directly, not through __call__, with
+    float64 arguments as __call__ gives them."""
 
     def __init__(self, scenario, fields):
         self.scenario = scenario
@@ -192,8 +194,9 @@ class BasePath:
     """A piecewise-smooth base path with a chart itinerary.
 
     Segments are (chart, sigma(t), dsigma(t), t0, t1) with matching
-    endpoints; each segment stays inside its chart.  sigma and dsigma must be
-    pure functions of t.  Transport, on either path, calls them once per
+    endpoints; each segment must stay inside its chart's open box, which
+    transport checks at every RK4 node.  sigma and dsigma must be pure
+    functions of t.  Transport, on either path, calls them once per
     block of RK4 nodes on a column of times (N, 1), and each must return
     (N, d), or a constant (d,) that is broadcast; at a chart switch sigma
     is also called at the segment's t0, a float.
@@ -233,6 +236,13 @@ def step_counts(path, step):
     return [max(1.0, round((t1 - t0) / step, 0)) for *_, t0, t1 in path.segments]
 
 
+def segment_routes(A, path):
+    """The way parallel_transport takes each segment of path: 'propagator'
+    when the field of the segment's chart carries stack, 'loop' otherwise."""
+    return ["loop" if getattr(A.fields[i], "stack", None) is None else "propagator"
+            for i, *_ in path.segments]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def parallel_transport(scenario, A, path, start, step=1e-3):
     """Horizontal lift along the path by classical Runge-Kutta.
@@ -240,12 +250,13 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     The fibre label m never moves; the group part solves
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
     multiplication with the cocycle value.  Both paths read the path at the
-    RK4 nodes a block at a time (see _path_blocks).  A segment whose field
-    carries stack takes the propagator path (see _propagate), whose
-    endpoints agree with the loop at roundoff, not bitwise.  Every other
-    segment takes the step-by-step loop (see _rk4_loop), which asks the
-    field through A four times a step and gives plain RK4's endpoints bit
-    for bit.
+    RK4 nodes a block at a time (see _path_blocks), which raises
+    StructuralError where a node leaves its segment's chart.  segment_routes
+    picks the path: a segment whose field carries stack takes the propagator
+    path (see _propagate), whose endpoints agree with the loop at roundoff,
+    not bitwise.  Every other segment takes the step-by-step loop (see
+    _rk4_loop), which calls the chart's field directly four times a step
+    and gives plain RK4's endpoints bit for bit.
     The step must be finite and positive, and MAX_STEPS bounds the steps; overflow
     raises NumericFailure without numpy warnings.  Returns ((a, m), shadow endpoint).
     """
@@ -261,69 +272,87 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     a = np.asarray(a, dtype=float)
     m = np.asarray(m, dtype=float)
     chart = path.segments[0][0]
-    for (i, sig, dsig, t0, t1), n_steps in zip(path.segments, map(int, counts)):
+    for k, (segment, n_steps, route) in enumerate(zip(
+            path.segments, map(int, counts), segment_routes(A, path))):
+        i, sig, _, t0, t1 = segment
         if i != chart:
             a = scenario.beta(i, chart)(sig(t0), a @ m) @ a
             chart = i
         h = (t1 - t0) / n_steps
-        stack = getattr(A.fields[i], "stack", None)
-        if stack is None:
-            a = _rk4_loop(A, i, sig, dsig, m, a, t0, h, n_steps)
+        blocks = _path_blocks(scenario, k, segment, h, n_steps)
+        if route == "loop":
+            a = _rk4_loop(A.fields[i], blocks, m, a, h)
         else:
-            a = _propagate(stack, sig, dsig, a, t0, h, n_steps)
+            a = _propagate(A.fields[i].stack, blocks, a, h)
         if not np.all(np.isfinite(a)):
             raise NumericFailure("transport diverged")
     return (a, m), a @ m
 
 
-def _path_blocks(sig, dsig, t, h, n_steps):
-    """The path at the RK4 nodes of n_steps steps of h from t, BLOCK steps
-    at a time: for each block of N steps, sigma and dsigma at its N + 1 end
-    times (S, U) and at its N midpoints (Sh, Uh), each (rows, d).  The end
-    times are the step-by-step t += h, which np.cumsum adds in order, and
-    the midpoints each end time but the last plus h/2.  sigma and dsigma
-    are called once per column of times (rows, 1); a constant result (d,)
-    is broadcast, read-only, to one row per time."""
+def _path_blocks(scenario, k, segment, h, n_steps):
+    """Segment k's path at the RK4 nodes of n_steps steps of h from its t0,
+    BLOCK steps at a time: for each block of N steps, sigma and dsigma at
+    its N + 1 end times (S, U) and at its N midpoints (Sh, Uh), each
+    (rows, d).  The end times are the step-by-step t += h, which np.cumsum
+    adds in order, and the midpoints each end time but the last plus h/2.
+    sigma and dsigma are called once per column of times (rows, 1); a
+    constant result (d,) is broadcast, read-only, to one row per time.  The
+    nodes S and Sh must lie in the segment's chart box, or StructuralError
+    names the segment and the first t outside it."""
+    i, sig, dsig, t, _ = segment
+    box = scenario.charts[i]
     for done in range(0, n_steps, BLOCK):
         T = np.cumsum(np.r_[t, np.full(min(BLOCK, n_steps - done), h)])[:, None]
         t = T[-1, 0]
         Th = T[:-1] + h / 2
-        yield (*np.broadcast_arrays(sig(T), dsig(T), T)[:2],
-               *np.broadcast_arrays(sig(Th), dsig(Th), Th)[:2])
+        S, U = np.broadcast_arrays(sig(T), dsig(T), T)[:2]
+        Sh, Uh = np.broadcast_arrays(sig(Th), dsig(Th), Th)[:2]
+        outside = np.r_[T[~box.contains(S), 0], Th[~box.contains(Sh), 0]]
+        if len(outside):
+            raise StructuralError("segment {} leaves chart {} at t = {!r}".format(
+                k, i, float(outside.min())))
+        yield S, U, Sh, Uh
 
 
-def _rk4_loop(A, i, sig, dsig, m, a, t, h, n_steps):
-    """RK4 steps one by one for a field that may read m, asking it through
-    A four times a step at the nodes of _path_blocks.  The slopes k are
-    A a; the ODE's minus sign sits in the updates.  Products of the small
-    matrices are ndarray.dot, which gives matmul's bits on them at less
-    cost per call; h/2 and h/6 are computed once, 2 k is k + k, and the
-    sum k1 + 2 k2 + 2 k3 + k4 keeps its order, so the endpoints are plain
-    RK4's bit for bit."""
-    h2, h6 = h / 2, h / 6
-    for S, U, Sh, Uh in _path_blocks(sig, dsig, t, h, n_steps):
-        for s0, d0, sh, dh, s1, d1 in zip(S, U, Sh, Uh, S[1:], U[1:]):
-            k1 = A(i, s0, a.dot(m), d0).dot(a)
+def _rk4_loop(f, blocks, m, a, h):
+    """RK4 steps one by one for a chart field f that may read m, called
+    directly four times a step at the nodes of blocks (see _path_blocks).
+    Each block's node columns are converted to float64 once, so f gets the
+    float64 rows LocalConnectionData.__call__ would give it; a and m are
+    float64 already, and a step's end row starts the next step.  The slopes
+    k are f a; the ODE's minus sign sits in the updates.  Products of the
+    small matrices are ndarray.dot, which gives matmul's bits on them at
+    less cost per call; h, h/2 and h/6 are 0-d float64 arrays, computed
+    once, which multiply to a float's bits at less cost per call; 2 k is
+    k + k, and the sum k1 + 2 k2 + 2 k3 + k4 keeps its order, so the
+    endpoints are plain RK4's bit for bit."""
+    h1, h2, h6 = np.array(h), np.array(h / 2), np.array(h / 6)
+    for block in blocks:
+        S, U, Sh, Uh = (np.asarray(x, dtype=float) for x in block)
+        s0, d0 = S[0], U[0]
+        for sh, dh, s1, d1 in zip(Sh, Uh, S[1:], U[1:]):
+            k1 = f(s0, a.dot(m), d0).dot(a)
             b = a - k1 * h2
-            k2 = A(i, sh, b.dot(m), dh).dot(b)
+            k2 = f(sh, b.dot(m), dh).dot(b)
             b = a - k2 * h2
-            k3 = A(i, sh, b.dot(m), dh).dot(b)
-            b = a - k3 * h
-            k4 = A(i, s1, b.dot(m), d1).dot(b)
+            k3 = f(sh, b.dot(m), dh).dot(b)
+            b = a - k3 * h1
+            k4 = f(s1, b.dot(m), d1).dot(b)
             a = a - (k1 + (k2 + k2) + (k3 + k3) + k4) * h6
+            s0, d0 = s1, d1
     return a
 
 
-def _propagate(stack, sig, dsig, a, t, h, n_steps):
+def _propagate(stack, blocks, a, h):
     """RK4 steps a <- P a for the field X(t) = stack(sigma(t), dsigma(t)),
     which does not read m.  With X1, X2 = X3, X4 the field at the loop's
     nodes t, t + h/2, t + h of a step:
     P = I - h/6 (X1 + 2 X2 B1 + 2 X2 B2 + X4 B3), B1 = I - h/2 X1,
-    B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each block of _path_blocks asks
+    B2 = I - h/2 X2 B1, B3 = I - h X2 B2.  Each of the blocks asks
     stack once for each kind of node, forms its P by batched matmul and
     multiplies them as a balanced tree, P_N ... P_1 in log2(BLOCK) rounds."""
     eye = np.eye(len(a))
-    for S, U, Sh, Uh in _path_blocks(sig, dsig, t, h, n_steps):
+    for S, U, Sh, Uh in blocks:
         X, X2 = stack(S, U), stack(Sh, Uh)
         X2B1 = X2 @ (eye - h / 2 * X[:-1])
         X2B2 = X2 @ (eye - h / 2 * X2B1)

@@ -405,6 +405,66 @@ def test_path_document_is_checked(capsys, tmp_path, scenario, doc, err):
     assert code == 0 and json.loads(out)["endpoint"] == a.tolist()
 
 
+@pytest.mark.parametrize("doc, segment, chart, t_out", [
+    ({"waypoints": [[0, 0], [1, 0]], "charts": [0]}, 0, 0, 0.7),
+    ({"waypoints": [[0, 0], [0.5, 0], [0, 0]], "charts": [0, 1]}, 1, 1, 0.4),
+    ({"waypoints": [[0, 0], [0.5, 0.5], [0.5, 1.5]], "charts": [0, 0]}, 1, 0, 0.5)],
+    ids=["past-chart-0", "before-chart-1", "past-the-top"])
+def test_path_must_stay_in_its_charts(capsys, tmp_path, doc, segment, chart, t_out):
+    # the chart boxes are 0.3 < x < 2 (chart 1) and -1 < x < 0.7 (chart 0),
+    # each with -1 < y < 1; the first node outside lies within h/2 of the wall
+    code = main(["transport", "so3-two-chart", "--path", write(tmp_path, "p.json", doc)])
+    out, err = capsys.readouterr()
+    prefix = "input error: segment {} leaves chart {} at t = ".format(segment, chart)
+    assert (code, out) == (2, "") and err.startswith(prefix), err
+    assert -1e-12 <= float(err[len(prefix):]) - t_out <= 5e-4 + 1e-12
+
+
+@pytest.mark.parametrize("stacked", [(True, True), (False, False), (True, False)],
+                         ids=["propagator", "loop", "mixed"])
+def test_transport_reports_rk4_steps(capsys, tmp_path, monkeypatch, stacked):
+    # rk4_steps sums step_counts over the five transports by the way each
+    # segment goes, and equals the steps the two paths ran; the default
+    # path runs one segment in each chart
+    import groupoidal.cli
+    import groupoidal.connection as C
+    from groupoidal.scenario import L_Z
+
+    def rotation_connection(scenario):
+        fields = []
+        for declared in stacked:
+            def field(s, m, u):
+                return u[0] * L_Z
+            if declared:
+                field.stack = lambda S, U: U[:, 0, None, None] * L_Z
+            fields.append(field)
+        return C.LocalConnectionData(scenario, fields)
+
+    ran = {"loop": 0, "propagator": 0}
+
+    def counting(route, run):
+        def counted(blocks):
+            for block in blocks:
+                ran[route] += len(block[2])
+                yield block
+        return lambda f, blocks, *rest: run(f, counted(blocks), *rest)
+
+    monkeypatch.setattr(C, "_rk4_loop", counting("loop", C._rk4_loop))
+    monkeypatch.setattr(C, "_propagate", counting("propagator", C._propagate))
+    monkeypatch.setattr(groupoidal.cli, "_coordinate_rotation_connection",
+                        rotation_connection)
+    cfg = write(tmp_path, "cfg.json", {"scenario": "so3-two-chart",
+                                       "connection": "coordinate-rotation"})
+    code, out = run(capsys, ["transport", cfg, "--step", "2e-3"])
+    assert code == 0
+    path = C.BasePath.polyline([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], [0, 1])
+    want = {"loop": 0, "propagator": 0}
+    for step in (2e-3, 2e-3, 16e-3, 8e-3, 4e-3):
+        for declared, n in zip(stacked, C.step_counts(path, step)):
+            want["propagator" if declared else "loop"] += int(n)
+    assert json.loads(out)["rk4_steps"] == ran == want
+
+
 def test_transport_unknown_scenario_is_input_error(capsys, tmp_path):
     known = "known scenarios: so2-single-chart, so2-two-chart, so3-two-chart"
     for doc, value in [({"scenario": "so2-tw-chart"}, "'so2-tw-chart'"),

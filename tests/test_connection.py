@@ -672,11 +672,12 @@ def test_transport_needs_a_segment(so2):
 
 
 def random_polyline(rng):
-    """Three straight segments in charts 0, 1, 0: both switches sit in the
-    overlap, and every segment stays inside its chart."""
-    xs = [rng.uniform(0.0, 0.65), rng.uniform(0.35, 0.65),
-          rng.uniform(0.35, 1.3), rng.uniform(0.35, 0.65)]
-    return BasePath.polyline([[x, rng.uniform(-0.9, 0.9)] for x in xs], [0, 1, 0])
+    """Four straight segments in charts 0, 1, 1, 0: the chart-1 leg runs
+    out of the overlap 0.35 < x < 0.65 and back into it, both switches sit
+    in the overlap, and every segment stays inside its chart."""
+    xs = [rng.uniform(0.0, 0.65), rng.uniform(0.35, 0.65), rng.uniform(0.35, 1.3),
+          rng.uniform(0.35, 0.65), rng.uniform(0.0, 0.65)]
+    return BasePath.polyline([[x, rng.uniform(-0.9, 0.9)] for x in xs], [0, 1, 1, 0])
 
 
 def declared_fields(sc):
@@ -764,15 +765,63 @@ def test_rk4_loop_matches_oracle_bitwise(build, n_steps):
 
 
 def test_rk4_loop_asks_the_field_four_times_a_step(so3, monkeypatch):
-    # through LocalConnectionData.__call__, on every segment, switches included
-    calls = []
-    call = LocalConnectionData.__call__
-    monkeypatch.setattr(LocalConnectionData, "__call__",
-                        lambda self, *args: calls.append(args[0]) or call(self, *args))
+    # counted at the chart fields, which the loop calls directly, not
+    # through LocalConnectionData.__call__; on every segment, switches included
+    monkeypatch.setattr(LocalConnectionData, "__call__", None)
     A = undeclared_fields(so3)["reads-m"]
+    calls = []
+    A.fields = [lambda s, m, u, j=j, f=f: calls.append(j) or f(s, m, u)
+                for j, f in enumerate(A.fields)]
     path = random_polyline(np.random.default_rng(3))
     parallel_transport(so3, A, path, (np.eye(3), np.eye(3)[0]), step=1.0 / 600)
-    assert calls == [0] * 2400 + [1] * 2400 + [0] * 2400
+    assert calls == [0] * 2400 + [1] * 4800 + [0] * 2400
+
+
+def test_rk4_loop_gives_the_field_float_rows(so2):
+    # a dsigma that returns ints: each block's node columns become float64
+    # once, as __call__ converted each point, so the field sees float64
+    # arguments and the endpoint is that of the same path with float velocities
+    seen = set()
+
+    def field(s, m, u):
+        seen.add((s.dtype, m.dtype, u.dtype))
+        return u[0] * m[0] * J2
+    A = LocalConnectionData(so2, [field] * 2)
+    ends = []
+    for v in (np.array([1, 0]), np.array([1.0, 0.0])):
+        path = BasePath([(0, lambda t: np.array([-0.5, 0.2]) + t * np.array([1.0, 0.0]),
+                          lambda t, v=v: v, 0.0, 1.0)])
+        (a, _), _ = parallel_transport(so2, A, path, (rot2(0.3), np.array([0.8, -0.6])),
+                                       step=1.0 / 700)
+        ends.append(a)
+    assert seen == {(np.dtype(float),) * 3}
+    (a_o, _), _ = oracle_transport(so2, A, path, (rot2(0.3), np.array([0.8, -0.6])),
+                                   step=1.0 / 700)
+    assert np.array_equal(ends[0], ends[1]) and np.array_equal(ends[0], a_o)
+
+
+def test_transport_stays_in_its_charts(so2):
+    # both paths check every block's end nodes and midpoints against the
+    # segment's chart box; a segment that leaves it raises StructuralError
+    # naming the segment, its chart and the first node's t outside the box
+    loop = LocalConnectionData(so2, [lambda s, m, u: u[0] * J2] * 2)
+    start = (np.eye(2), np.array([1.0, 0.0]))
+    # x = -0.9 + 1.8 t reaches chart 0's wall x = 0.7 at t = 8/9, in the
+    # second block of 512 steps
+    leaves = BasePath.polyline([[0.5, 0.0], [0.6, 0.0], [-0.9, 0.0], [0.9, 0.0]], [1, 0, 0])
+    for A in (zero_connection(so2), loop):
+        with pytest.raises(StructuralError, match="^segment 2 leaves chart 0 at t = ") as info:
+            parallel_transport(so2, A, leaves, start, step=1.0 / 1100)
+        t = float(str(info.value).rsplit(" ", 1)[1])
+        assert 8 / 9 - 1e-12 <= t <= 8 / 9 + 0.5 / 1100
+    # one step whose end nodes are inside and whose midpoint is not
+    bulge = BasePath([(0, lambda t: np.concatenate(
+        [np.full_like(t, 0.5), 0.95 + 0.1 * np.sin(np.pi * t)], axis=-1),
+        lambda t: np.concatenate([np.zeros_like(t), 0.1 * np.pi * np.cos(np.pi * t)],
+                                 axis=-1), 0.0, 1.0)])
+    for A in (zero_connection(so2), loop):
+        with pytest.raises(StructuralError, match="^segment 0 leaves chart 0 at t = 0.5$"):
+            parallel_transport(so2, A, bulge, start, step=1.0)
 
 
 # --- stacked evaluation --------------------------------------------------------
