@@ -10,8 +10,8 @@ conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
 In canonical charts the table over the shadow points is the product
-Pair(B) x G, built once by arithmetic; multiplication, element lookup and
-every battery read it, the batteries as walks over int tables.
+Pair(B) x G, built once by arithmetic, its mul on first read; multiplication,
+element lookup and every battery read it, the batteries as walks over int tables.
 """
 
 from collections import Counter, namedtuple
@@ -31,9 +31,9 @@ class AtiyahGroupoid:
 
     def __init__(self, bundle):
         self.bundle, base = bundle, bundle.base
-        self.elements = [
-            AtElement(s1, base.canonical_chart(s1), a, s2, base.canonical_chart(s2))
-            for s1 in base.base for s2 in base.base for a in bundle.groupoid.arrows]
+        charts = [(s, base.canonical_chart(s)) for s in base.base]
+        self.elements = [AtElement(s1, i, a, s2, j) for (s1, i), (s2, j)
+                         in product(charts, repeat=2) for a in bundle.groupoid.arrows]
         self.shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
         self._table = product_groupoid(pair_groupoid(len(base.base)), bundle.groupoid)
         self._table.arrow_labels = tuple(self.elements)
@@ -125,19 +125,22 @@ class AdjointBundle:
 
 
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
-    """Exactness over the pair groupoid of the base, the projection of the
-    table's products checked as one column against the pair products."""
+    """Exactness over the pair groupoid of the base; the projection of the
+    table's products is checked as one column of int pair ids."""
     at = at or AtiyahGroupoid(bundle)
     adjoint = adjoint or AdjointBundle(bundle)
     report = ValidationReport()
     pairs = list(product(bundle.base.base, repeat=2))
     proj = [at.project(e) for e in at.elements]
     report.record("sequence:surjective", set(proj) == set(pairs))
-    mul = at.as_finite_groupoid().mul
+    mul, k = at.as_finite_groupoid().mul, len(bundle.base.base)
+    index = {s: i for i, s in enumerate(bundle.base.base)}
+    first, second = [index[s1] * k for s1, _ in proj], [index[s2] for _, s2 in proj]
+    pair = [i + j for i, j in zip(first, second)]
     factors = list(mul)
     report.record_columns([(
-        "sequence:morphism", [proj[k] for k in mul.values()],
-        [(proj[k1][0], proj[k2][1]) for k1, k2 in factors], range(len(factors)),
+        "sequence:morphism", [pair[c] for c in mul.values()],
+        [first[a] + second[b] for a, b in factors], range(len(factors)),
         lambda i: (at.elements[factors[i][0]], at.elements[factors[i][1]]))])
     kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
     image = {adjoint.embed(e) for e in adjoint.elements}

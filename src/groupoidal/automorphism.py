@@ -33,6 +33,12 @@ class BundleAutomorphism:
             raise StructuralError("base map is not a bijection")
         self.gamma = dict(gamma)
 
+    def _with_gamma(self, gamma):
+        """A map with chart data gamma, as given, and this map's f and f_inv."""
+        aut = object.__new__(BundleAutomorphism)
+        aut.bundle, aut.f, aut.f_inv, aut.gamma = self.bundle, self.f, self.f_inv, gamma
+        return aut
+
     def gamma_at(self, j, i, sigma):
         """gamma_(j,i)(sigma): the stored entry, or one derived, and not
         stored, from the first entry stored at sigma by the gluing rule
@@ -204,17 +210,18 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     The gluing relations leave one free bisection per base point, read in
     its canonical chart.  The map sends the point (sigma, e_m) to the
     arrow gamma(m) of the bisection chosen at sigma, so distinct choices
-    act differently and the list needs no deduplication.
+    act differently and the list needs no deduplication.  All share one
+    identity f and f_inv, checked once; no method writes them.
     """
     bis = enumerate_bisections(bundle.groupoid, cap=cap)
     n = len(bundle.base.base)
     if len(bis) ** n > cap:
         raise EnumerationBound(
             "{}^{} candidate gauge maps exceed cap {}".format(len(bis), n, cap))
-    ident = {s: s for s in bundle.base.base}
     keys = [(bundle.base.canonical_chart(s), bundle.base.canonical_chart(s), s)
             for s in bundle.base.base]
-    return [BundleAutomorphism(bundle, ident, dict(zip(keys, choice)))
+    ident = BundleAutomorphism(bundle, {s: s for s in bundle.base.base}, {})
+    return [ident._with_gamma(dict(zip(keys, choice)))
             for choice in iproduct(bis, repeat=n)]
 
 

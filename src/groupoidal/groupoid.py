@@ -3,12 +3,12 @@
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
 the multiplication table is a dict keyed by composable pairs, since those
 are sparse in the square of the arrow set.  The labelled stock tables come
-from one builder that fills mul fibre by fibre, products (the symmetry
-groupoid's table among them) by arithmetic; validation walks the same fibres.
+from one builder that fills mul fibre by fibre, products by arithmetic on
+first read; validation compares columns, walking fibres after a failure.
 """
 
-import itertools
 from functools import cached_property
+from itertools import chain, product, repeat
 
 from .report import CompositionError, StructuralError, ValidationReport
 
@@ -25,17 +25,25 @@ class FiniteGroupoid:
     object, inv per arrow, and mul defined exactly on pairs (a, b) with
     src(a) == tgt(b).  source_fibres[m] and target_fibres[m] hold the arrows
     with source and target m, in arrow order.  Instances are immutable after
-    construction.
+    construction; product_groupoid's tables fill mul on first read.
     """
 
     def __init__(self, n_objects, src, tgt, unit, inv, mul, arrow_labels=None,
                  object_labels=None):
+        self.mul = dict(mul)
+        self._set_maps(n_objects, src, tgt, unit, inv, arrow_labels, object_labels)
+        n = self.n_arrows
+        for (a, b), c in self.mul.items():
+            if not (_is_id(a, n) and _is_id(b, n) and _is_id(c, n)):
+                raise StructuralError("mul entry not ints in range: {!r}".format((a, b, c)))
+
+    def _set_maps(self, n_objects, src, tgt, unit, inv, arrow_labels, object_labels):
+        """Set and check every field but mul, and the fibres."""
         self.n_objects = n_objects
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.unit = tuple(unit)
         self.inv = tuple(inv)
-        self.mul = dict(mul)
         self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
         self.object_labels = tuple(object_labels) if object_labels is not None else None
         self._check_shape()
@@ -56,15 +64,11 @@ class FiniteGroupoid:
             raise StructuralError("src/tgt/inv tables disagree in length")
         if len(self.unit) != self.n_objects:
             raise StructuralError("unit table length differs from object count")
-        for a in itertools.chain(self.inv, self.unit):
-            if not _is_id(a, n):
-                raise StructuralError("arrow id not an int in range: {!r}".format(a))
-        for m in itertools.chain(self.src, self.tgt):
-            if not _is_id(m, self.n_objects):
-                raise StructuralError("object id not an int in range: {!r}".format(m))
-        for (a, b), c in self.mul.items():
-            if not (_is_id(a, n) and _is_id(b, n) and _is_id(c, n)):
-                raise StructuralError("mul entry not ints in range: {!r}".format((a, b, c)))
+        for ids, bound, kind in ((self.inv + self.unit, n, "arrow"),
+                                 (self.src + self.tgt, self.n_objects, "object")):
+            if ids and not (set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < bound):
+                raise StructuralError("{} id not an int in range: {!r}".format(
+                    kind, next(x for x in ids if not _is_id(x, bound))))
 
     @property
     def n_arrows(self):
@@ -146,12 +150,37 @@ def validate_groupoid(g):
 
     Axiom (i): src/tgt compatibility of the product and totality of mul on
     composable pairs.  (ii): associativity.  (iii): units.  (iv): inverses.
-    Pairs and triples are walked along target fibres, so only composable
-    ones are formed; a mul entry on a non-composable pair is reported in
-    its place in (a, b) order.  (ii) is walked triple by triple only when
-    it cannot be certified on generators, as _assoc_on_generators does.
+    (i) and (ii) are certified on whole columns, by _rows and Light's test,
+    else walked along target fibres pair by pair and triple by triple, with
+    witnesses, a mul entry on a non-composable pair in its (a, b) place.
+    (iii) and (iv) are compared as columns, replayed only after a failure.
     """
     report = ValidationReport()
+    rows = _rows(g)
+    if rows is not None:  # every check of (i) passes
+        report.record_all(2 * len(g.mul), True, ())
+    else:
+        _mul_walk(g, report)
+    if rows is None or not _assoc_on_generators(g, report, rows):
+        _assoc_walk(g, report)
+    src, tgt, unit, inv, get = g.src, g.tgt, g.unit, g.inv, g.mul.get
+    objects, arrows = list(g.objects), list(g.arrows)
+    e_t, e_s = [unit[m] for m in tgt], [unit[m] for m in src]
+    for columns, keys in (
+            ([("iii:unit-src", [src[e] for e in unit], objects),
+              ("iii:unit-tgt", [tgt[e] for e in unit], objects)], objects),
+            ([("iii:unit-left", list(map(get, zip(e_t, arrows))), arrows),
+              ("iii:unit-right", list(map(get, zip(arrows, e_s))), arrows)], arrows),
+            ([("iv:inv-src", [src[b] for b in inv], list(tgt)),
+              ("iv:inv-tgt", [tgt[b] for b in inv], list(src)),
+              ("iv:inv-right", list(map(get, zip(arrows, inv))), e_t),
+              ("iv:inv-left", list(map(get, zip(inv, arrows))), e_s)], arrows)):
+        report.record_columns(columns, keys, lambda key: key)
+    return report
+
+
+def _mul_walk(g, report):
+    """Record axiom (i) pair by pair, with witnesses."""
     src, tgt, mul, fibres = g.src, g.tgt, g.mul, g.target_fibres
     strays = {}
     for a, b in mul:
@@ -170,24 +199,23 @@ def validate_groupoid(g):
                 c = mul[(a, b)]
                 report.record("i:src", src[c] == src[b], (a, b), "s(a.b) != s(b)")
                 report.record("i:tgt", tgt[c] == tgt[a], (a, b), "t(a.b) != t(a)")
-    if not (report.ok and _assoc_on_generators(g, report)):
-        _assoc_walk(g, report)
-    for m in g.objects:
-        e = g.unit[m]
-        report.record("iii:unit-src", g.src[e] == m, m)
-        report.record("iii:unit-tgt", g.tgt[e] == m, m)
-    for a in g.arrows:
-        e_t = g.unit[g.tgt[a]]
-        e_s = g.unit[g.src[a]]
-        report.record("iii:unit-left", g.mul.get((e_t, a)) == a, a)
-        report.record("iii:unit-right", g.mul.get((a, e_s)) == a, a)
-    for a in g.arrows:
-        b = g.inv[a]
-        report.record("iv:inv-src", g.src[b] == g.tgt[a], a)
-        report.record("iv:inv-tgt", g.tgt[b] == g.src[a], a)
-        report.record("iv:inv-right", g.mul.get((a, b)) == g.unit[g.tgt[a]], a)
-        report.record("iv:inv-left", g.mul.get((b, a)) == g.unit[g.src[a]], a)
-    return report
+
+
+def _rows(g):
+    """rows[a], the products a.c for c in target_fibres[src(a)], if axiom (i)
+    holds, else None: each object's block of products, over its source x
+    target fibre, is complete and typed, and the blocks hold all of mul."""
+    src, tgt, get, rows = g.src, g.tgt, g.mul.get, [None] * g.n_arrows
+    for left, right in zip(g.source_fibres, g.target_fibres):
+        w = len(right)
+        block = list(map(get, product(left, right)))
+        lefts = chain.from_iterable(map(repeat, map(tgt.__getitem__, left), repeat(w)))
+        if (None in block or list(map(tgt.__getitem__, block)) != list(lefts)
+                or list(map(src.__getitem__, block)) != [src[b] for b in right] * len(left)):
+            return None
+        for k, a in enumerate(left):
+            rows[a] = block[k * w:k * w + w]
+    return rows if sum(map(len, rows)) == len(g.mul) else None
 
 
 def _assoc_walk(g, report):
@@ -207,26 +235,26 @@ def _assoc_walk(g, report):
                               (a, b, c))
 
 
-def _assoc_on_generators(g, report):
+def _assoc_on_generators(g, report, rows):
     """Light's test, sound once (i) holds: the arrows b with (a.b).c ==
     a.(b.c) for all composable a and c are closed under mul, so b need only
     run over a generating set S, the arrows out of or into a root (the least
     object one arrow from some object); in a groupoid a: m -> m' is
     (a.y^-1).y with y: m -> root.  When S covers every arrow and passes,
-    ii:assoc is credited with every composable triple and True returned."""
-    src, tgt, mul = g.src, g.tgt, g.mul
+    ii:assoc is credited with every composable triple and True returned.
+    Rows are _rows(g)'s: rows[a.b] lists (a.b).c by c; a.(b.c) is rows[a][at[b.c]]."""
+    src, tgt = g.src, g.tgt
     sources, targets = g.source_fibres, g.target_fibres
     roots = {min(tgt[a] for a in fibre) for fibre in sources if fibre}
     gens = {b for b in g.arrows if src[b] in roots or tgt[b] in roots}
-    covered = {mul[x, y] for x in gens for y in targets[src[x]] if y in gens}
+    at = {x: k for fibre in targets for k, x in enumerate(fibre)}
+    covered = {c for x in gens for c, y in zip(rows[x], targets[src[x]]) if y in gens}
     if len(covered) != g.n_arrows:
         return False
     for b in gens:
-        cs = targets[src[b]]
-        bcs = [mul[b, c] for c in cs]
-        for a in sources[tgt[b]]:
-            ab = mul[a, b]
-            if [mul[ab, c] for c in cs] != [mul[a, bc] for bc in bcs]:
+        k, at_bc = at[b], list(map(at.__getitem__, rows[b]))
+        for row in map(rows.__getitem__, sources[tgt[b]]):
+            if rows[row[k]] != list(map(row.__getitem__, at_bc)):
                 return False
     report.record_all(sum(len(sources[tgt[b]]) * len(targets[src[b]])
                           for b in g.arrows), True, ())
@@ -325,22 +353,34 @@ def fibred_pair_groupoid(blocks):
 
 def product_groupoid(g1, g2):
     """The product groupoid: arrows a1 * |Ar g2| + a2, labelled (a1, a2), over
-    objects m1 * |Ob g2| + m2.  mul is filled by arithmetic from each factor's
-    rows of products, keys in lexicographic order as _from_labels fills it."""
-    n2, k2 = g2.n_objects, g2.n_arrows
-    ids = list(range(g1.n_arrows * k2))  # one int object per arrow id, shared
-    g = FiniteGroupoid(
-        g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
-        [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
-        [ids[u1 * k2 + u2] for u1 in g1.unit for u2 in g2.unit],
-        [ids[i1 * k2 + i2] for i1 in g1.inv for i2 in g2.inv], {},
-        arrow_labels=itertools.product(g1.arrows, g2.arrows))
-    rows1, rows2 = ([[(b, f.compose(a, b)) for b in f.target_fibres[f.src[a]]]
-                     for a in f.arrows] for f in (g1, g2))
-    g.mul.update(((ids[a1 * k2 + a2], ids[b1 * k2 + b2]), ids[c1 * k2 + c2])
-                 for a1, row1 in enumerate(rows1) for a2, row2 in enumerate(rows2)
-                 for b1, c1 in row1 for b2, c2 in row2)
-    return g
+    objects m1 * |Ob g2| + m2."""
+    return _ProductGroupoid(g1, g2)
+
+
+class _ProductGroupoid(FiniteGroupoid):
+    """A product table that fills mul on first read, by arithmetic from the
+    factors' rows of products: keys in _from_labels' order, one int per id."""
+
+    def __init__(self, g1, g2):
+        n2, k2 = g2.n_objects, g2.n_arrows
+        ids = self._ids = list(range(g1.n_arrows * k2))
+        self._set_maps(
+            g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
+            [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
+            [ids[u1 * k2 + u2] for u1 in g1.unit for u2 in g2.unit],
+            [ids[i1 * k2 + i2] for i1 in g1.inv for i2 in g2.inv],
+            product(g1.arrows, g2.arrows), None)
+        # built now, so that a factor missing a product raises here
+        self._factor_rows = [[[(b, f.compose(a, b)) for b in f.target_fibres[f.src[a]]]
+                              for a in f.arrows] for f in (g1, g2)]
+
+    @cached_property
+    def mul(self):
+        ids, (rows1, rows2) = self._ids, self._factor_rows
+        k2 = len(rows2)
+        return {(ids[a1 * k2 + a2], ids[b1 * k2 + b2]): ids[c1 * k2 + c2]
+                for a1, row1 in enumerate(rows1) for a2, row2 in enumerate(rows2)
+                for b1, c1 in row1 for b2, c2 in row2}
 
 
 def z2_swap_action():

@@ -3,10 +3,11 @@
 import pytest
 
 from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
-                        FiniteGroupoid, MomentMismatch,
+                        FiniteGroupoid, MomentMismatch, enumerate_gauge_group,
                         enumerate_projectable_bisections, pair_groupoid,
                         product_groupoid, validate_groupoid,
-                        verify_atiyah_sequence, verify_trident)
+                        verify_atiyah_sequence, verify_bisection_correspondence,
+                        verify_gauge_group, verify_trident)
 from groupoidal.atiyah import AtElement
 
 
@@ -169,3 +170,56 @@ def test_projectable_bisections(three_point_bundle, at):
     for b in vertical:
         for k, fp in enumerate(three_point_bundle.shadow_points):
             assert at.elements[b(k)].sigma1 == fp.sigma
+
+
+def filled(fg):
+    """Whether a product table has filled its mul, which it does on first read."""
+    return "mul" in vars(fg)
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_batteries_that_never_read_mul_leave_it_unfilled(request, chain_bundle, fibre):
+    bundle = chain_bundle(request.getfixturevalue(fibre), 3, seed=3)
+    at = AtiyahGroupoid(bundle)
+    fg = at.as_finite_groupoid()
+    gauge = enumerate_gauge_group(bundle)
+    assert verify_trident(bundle, at).ok
+    assert all(verify_bisection_correspondence(bundle, at, aut).ok for aut in gauge[::7])
+    assert verify_gauge_group(bundle, gauge, at=at).ok
+    projectable, vertical = enumerate_projectable_bisections(bundle, at)
+    assert len(projectable) == 6 * len(gauge) and len(vertical) == len(gauge)
+    assert not filled(fg)
+    assert list(fg.mul.items()) == list(all_pairs_table(at).mul.items())
+    assert filled(fg) and fg.mul is fg.mul
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 9), ("pair3", 6)])
+def test_filled_mul_shares_one_int_per_id(request, chain_bundle, fibre, k):
+    # past id 256, so the ints are not CPython's small-int singletons
+    fg = AtiyahGroupoid(chain_bundle(request.getfixturevalue(fibre), k,
+                                     seed=k)).as_finite_groupoid()
+    assert fg.n_arrows > 257
+    assert len({id(x) for (a, b), c in fg.mul.items() for x in (a, b, c)}) <= fg.n_arrows
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_unfilled_table_acts_as_filled(request, chain_bundle, fibre):
+    bundle = chain_bundle(request.getfixturevalue(fibre), 3, seed=3)
+    oracle = all_pairs_table(AtiyahGroupoid(bundle))
+
+    def fresh():
+        fg = AtiyahGroupoid(bundle).as_finite_groupoid()
+        assert not filled(fg)
+        return fg
+    assert fresh() == oracle and oracle == fresh() and fresh() != pair_groupoid(3)
+    assert fresh().to_json() == oracle.to_json()
+    pairs = [(a, b) for a in (0, 5, oracle.n_arrows - 1) for b in oracle.arrows]
+    for a, b in pairs:
+        if oracle.composable(a, b):
+            assert fresh().compose(a, b) == oracle.compose(a, b)
+    a, b = next(p for p in pairs if not oracle.composable(*p))
+    with pytest.raises(CompositionError) as got:
+        fresh().compose(a, b)
+    with pytest.raises(CompositionError) as want:
+        oracle.compose(a, b)
+    assert str(got.value) == str(want.value)

@@ -12,6 +12,7 @@ write into the chart data it was given.
 """
 
 import itertools
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -231,3 +232,28 @@ def test_chart_data_is_never_written(three_point_bundle,
         if aut.is_vertical():
             verify_gauge_group(bundle, [aut, identity_automorphism(bundle)])
         assert aut.gamma == before
+
+
+@pytest.mark.parametrize("example", ["running", "pair3-k3"])
+def test_gauge_maps_share_one_read_only_base_map(example, three_point_bundle,
+                                                 chain_bundle, pair3):
+    bundle = (three_point_bundle if example == "running"
+              else chain_bundle(pair3, 3, seed=3))
+    gauge = enumerate_gauge_group(bundle)
+    f = gauge[0].f
+    assert f == {s: s for s in bundle.base.base}
+    assert all(aut.f is f and aut.f_inv is gauge[0].f_inv for aut in gauge)
+    built = [BundleAutomorphism(bundle, f, aut.gamma) for aut in gauge]
+    # every map now reads one read-only view, so a write into it would raise
+    frozen = MappingProxyType(f)
+    for aut in gauge:
+        aut.f = aut.f_inv = frozen
+    others = list(zip(gauge, built))[::23]
+    for aut, ref in zip(gauge, built):
+        assert aut.action_key() == ref.action_key()
+        assert aut.inverse().action_key() == ref.inverse().action_key()
+        assert (validate_automorphism(bundle, aut).to_dict()
+                == validate_automorphism(bundle, ref).to_dict())
+        for other, other_ref in others:
+            assert (aut.compose(other).action_key()
+                    == ref.compose(other_ref).action_key())

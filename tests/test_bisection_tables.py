@@ -668,6 +668,38 @@ def test_generators_not_trusted_when_axiom_i_fails():
         (4, 4, 1), (4, 4, 3)]
 
 
+def compensating_faults(g):
+    """Tables a certificate of counts alone would pass: a swapped unit (two
+    objects' units exchanged, or a group's unit exchanged with another
+    element) and, with two objects or more, a product moved into another
+    hom-set and a stray product with a dropped one, so that len(mul) still
+    equals the number of composable pairs."""
+    unit = list(g.unit)
+    if g.n_objects == 1:
+        unit[0] = next(x for x in g.arrows if x != unit[0])
+        return [FiniteGroupoid(1, g.src, g.tgt, unit, g.inv, g.mul)]
+    unit[0], unit[1] = unit[1], unit[0]
+    mul = dict(g.mul)
+    (a, b), c = list(mul.items())[len(mul) // 2]
+    mul[a, b] = next(x for x in g.arrows if (g.src[x], g.tgt[x]) != (g.src[c], g.tgt[c]))
+    both = corrupt(corrupt(g, "drop", 3, 0), "stray", 5, 1)
+    assert len(both.mul) == sum(len(s) * len(t) for s, t in zip(g.source_fibres,
+                                                                g.target_fibres))
+    return [FiniteGroupoid(g.n_objects, g.src, g.tgt, unit, g.inv, g.mul),
+            FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul), both]
+
+
+def test_compensating_faults_fail_the_certificate(z2_groupoid, pair3,
+                                                  three_point_bundle):
+    z3 = group_groupoid([0, 1, 2], {(a, b): (a + b) % 3 for a in range(3)
+                                    for b in range(3)},
+                        0, {a: (-a) % 3 for a in range(3)})
+    for g in (z2_groupoid, pair3, z3, product_groupoid(z2_groupoid, pair3),
+              AtiyahGroupoid(three_point_bundle).as_finite_groupoid()):
+        for bad in compensating_faults(g):
+            assert not assert_validation_matches_oracle(bad).ok, bad.to_json()
+
+
 @pytest.fixture
 def walk_forbidden(monkeypatch):
     """validate_groupoid with the triple walk made to fail, and the report
@@ -678,7 +710,7 @@ def walk_forbidden(monkeypatch):
     def walked(g):
         with monkeypatch.context() as m:
             m.setattr(groupoid_module, "_assoc_on_generators",
-                      lambda g, report: False)
+                      lambda g, report, rows: False)
             m.setattr(groupoid_module, "_assoc_walk", real_walk)
             return validate_groupoid(g)
 
