@@ -28,8 +28,8 @@ _EXPORTS = {
                "verify_atiyah_sequence", "verify_trident",
                "enumerate_projectable_bisections"),
     "automorphism": ("BundleAutomorphism", "identity_automorphism",
-                     "validate_automorphism", "automorphism_to_bisection",
-                     "bisection_to_automorphism",
+                     "automorphism_from_json", "validate_automorphism",
+                     "automorphism_to_bisection", "bisection_to_automorphism",
                      "verify_bisection_correspondence",
                      "enumerate_gauge_group", "verify_gauge_group"),
     "report": ("ValidationReport", "Violation", "StructuralError",

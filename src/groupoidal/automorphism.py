@@ -15,7 +15,7 @@ from .atiyah import AtElement, AtiyahGroupoid
 from .bisection import (Bisection, _search, bisection_inverse,
                         bisection_product, conjugate, enumerate_bisections,
                         left_mult, unit_bisection, validate_bisection)
-from .bundle import FPoint, PPoint
+from .bundle import FPoint, PPoint, bundle_from_json
 from .report import EnumerationBound, StructuralError, ValidationReport
 
 
@@ -105,6 +105,20 @@ def _canonical(bundle, f, local):
     chart = bundle.base.canonical_chart
     return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): g
                                           for s, g in local.items()})
+
+
+def automorphism_from_json(doc):
+    """The automorphism a document gives: its bundle, the base map f (an
+    object) and gamma, a list of {j, i, sigma, bisection}.  A document of
+    another shape raises StructuralError; gamma values are checked later, by
+    validate_automorphism."""
+    try:
+        bundle, f = bundle_from_json(doc["bundle"]), {**doc["f"]}
+        gamma = {(e["j"], e["i"], e["sigma"]): Bisection.from_json(
+            bundle.groupoid, e["bisection"]) for e in doc["gamma"]}
+    except (KeyError, TypeError) as exc:
+        raise StructuralError("malformed automorphism document: {}".format(exc))
+    return BundleAutomorphism(bundle, f, gamma)
 
 
 def identity_automorphism(bundle):

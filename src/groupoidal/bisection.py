@@ -8,7 +8,7 @@ brute force.
 """
 
 from .report import (EnumerationBound, InternalError, StructuralError,
-                     ValidationReport)
+                     ValidationReport, differ)
 
 
 class Bisection:
@@ -268,13 +268,6 @@ class _Columns:
         return self.column(col)
 
 
-def _differ(lhs, rhs):
-    """The indices where two columns differ."""
-    if lhs == rhs:
-        return []
-    return [i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
-
-
 def check_structure_identities(g, cap=100000):
     """Exhaustive check of the action-vs-structure-map identity suite.
 
@@ -292,7 +285,7 @@ def check_structure_identities(g, cap=100000):
     whose factors both vary with the bisection, are looked up pair by pair.
     A product mul lacks raises CompositionError.
 
-    Passing checks are counted in bulk.  Failures are sorted by (bisection,
+    Checks are recorded with record_all, failures keyed by (bisection,
     block, key, column), so witnesses come in the order of the per-check
     loops: bisection, then arrow, object, mul entry or vi slot, then check.
     The e3 checks cannot fail and are counted (see below).
@@ -370,7 +363,7 @@ def check_structure_identities(g, cap=100000):
             checks += nb - lhs.count(gap)
             if lhs != rhs:
                 fails.extend(((i, block, key, c), check, (assigns[i],) + witness(i))
-                             for i in _differ(lhs, rhs))
+                             for i in differ(lhs, rhs))
 
     L = [right(value[tgt[h]], h) for h in g.arrows]
     R = [left(h, landing[src[h]]) for h in g.arrows]
@@ -408,8 +401,8 @@ def check_structure_identities(g, cap=100000):
     w_a, x_y = {}, {}  # the columns of w.a and x.y, by object and slot
     for h in g.arrows:
         o, s = tgt[h], src[h]
-        off_out = _differ(apply(L[h], TGT), sh[o])
-        off_in = _differ(apply(R[h], SRC), shinv[s])
+        off_out = differ(apply(L[h], TGT), sh[o])
+        off_in = differ(apply(R[h], SRC), shinv[s])
         for j in range(max((len(sources[tgt[a]]) for a in sources[o]), default=0)):
             def w_L(i):
                 return slot(sources[sh[o][i]], j, lambda w: compose(w, L[h][i]))
@@ -431,10 +424,7 @@ def check_structure_identities(g, cap=100000):
 
     # e3 (r_g = R_beta) cannot fail: shadows are bijective, e3-ii is R[h]'s column
     checks += nb * (g.n_objects + g.n_arrows)
-    fails.sort(key=lambda f: f[0])
-    for _, check, witness in fails:
-        report.add(check, witness)
-    report.record_all(checks - len(fails), True, ())
+    report.record_all(checks, fails)
     return report
 
 

@@ -175,7 +175,9 @@ def bundle_to_json(bundle):
     }
 
 
-def bundle_from_json(doc):
+def bundle_parts(doc):
+    """The base, cocycle and fibre groupoid of a bundle document, read but
+    not checked: nothing here composes in the fibre."""
     from .groupoid import FiniteGroupoid
     try:
         base = CechBase(doc["base"], doc["cover"])
@@ -185,7 +187,11 @@ def bundle_from_json(doc):
                    for e in doc["cocycle"]}
     except (KeyError, TypeError) as exc:
         raise StructuralError("malformed bundle document: {}".format(exc))
-    return PrincipaloidBundle(base, Cocycle(groupoid, entries), groupoid)
+    return base, Cocycle(groupoid, entries), groupoid
+
+
+def bundle_from_json(doc):
+    return PrincipaloidBundle(*bundle_parts(doc))
 
 
 def _tables(bundle):

@@ -62,27 +62,21 @@ def cmd_validate(args):
 
     report = _base_report("validate", args)
     doc = _load_json(args.path)
-    ok = True
     if isinstance(doc, dict) and "cocycle" in doc and "f" not in doc:
-        from .bundle import bundle_from_json, validate_cocycle
+        from .bundle import bundle_parts, validate_cocycle
 
-        bundle = bundle_from_json(doc)
-        ok &= _push(report, "groupoid-axioms", validate_groupoid(bundle.groupoid))
-        ok &= _push(report, "cocycle", validate_cocycle(bundle.base, bundle.cocycle))
+        base, cocycle, groupoid = bundle_parts(doc)
+        # the cocycle check composes in the fibre, so it runs on a groupoid only
+        ok = (_push(report, "groupoid-axioms", validate_groupoid(groupoid))
+              and _push(report, "cocycle", validate_cocycle(base, cocycle)))
     elif isinstance(doc, dict) and "f" in doc:
-        from .automorphism import BundleAutomorphism, validate_automorphism
-        from .bisection import Bisection
-        from .bundle import bundle_from_json
+        from .automorphism import automorphism_from_json, validate_automorphism
 
-        bundle = bundle_from_json(doc["bundle"])
-        gamma = {(e["j"], e["i"], e["sigma"]):
-                 Bisection.from_json(bundle.groupoid, e["bisection"])
-                 for e in doc["gamma"]}
-        aut = BundleAutomorphism(bundle, doc["f"], gamma)
-        ok &= _push(report, "automorphism", validate_automorphism(bundle, aut))
+        aut = automorphism_from_json(doc)
+        ok = _push(report, "automorphism", validate_automorphism(aut.bundle, aut))
     elif isinstance(doc, dict) and "arrows" in doc:
-        g = FiniteGroupoid.from_json(doc)
-        ok &= _push(report, "groupoid-axioms", validate_groupoid(g))
+        ok = _push(report, "groupoid-axioms",
+                   validate_groupoid(FiniteGroupoid.from_json(doc)))
     else:
         raise StructuralError("unrecognized document shape")
     return _emit(report, ok, args)
@@ -113,16 +107,21 @@ def cmd_check_identities(args):
 
 
 def cmd_bundle(args):
-    from .bundle import bundle_from_json, validate_cocycle, verify_principal_axioms
+    from .bundle import (PrincipaloidBundle, bundle_parts, validate_cocycle,
+                         verify_principal_axioms)
     from .groupoid import validate_groupoid
 
     report = _base_report("bundle", args)
-    bundle = bundle_from_json(_load_json(args.path))
-    # every battery below reads the fibre's tables as a groupoid's
-    if not _push(report, "fibre-groupoid", validate_groupoid(bundle.groupoid)):
+    base, cocycle, groupoid = bundle_parts(_load_json(args.path))
+    mode = args.report
+    # every check below reads the fibre's tables as a groupoid's, and the
+    # bundle is built on a cocycle that passes
+    ok = _push(report, "fibre-groupoid", validate_groupoid(groupoid))
+    if ok and mode == "axioms":
+        ok = _push(report, "cocycle", validate_cocycle(base, cocycle))
+    if not ok:
         return _emit(report, False, args)
-    ok = True
-    mode = args.report or "axioms"
+    bundle = PrincipaloidBundle(base, cocycle, groupoid)
     if mode != "axioms":
         from .atiyah import (AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence,
                              verify_trident)
@@ -137,7 +136,6 @@ def cmd_bundle(args):
         report["counts"] = counts
         sys.stdout.write("/".join(str(c) for c in counts) + "\n")
     elif mode == "axioms":
-        ok &= _push(report, "cocycle", validate_cocycle(bundle.base, bundle.cocycle))
         ok &= _push(report, "principal-axioms", verify_principal_axioms(bundle))
     elif mode == "atiyah":
         at = AtiyahGroupoid(bundle)
@@ -155,8 +153,6 @@ def cmd_bundle(args):
         for aut in gauge:
             ok &= _push(report, "bisection-correspondence",
                         verify_bisection_correspondence(bundle, at, aut))
-    else:
-        raise StructuralError("unknown report mode {!r}".format(mode))
     return _emit(report, ok, args)
 
 
@@ -334,8 +330,7 @@ def build_parser():
     t = sub.add_parser("transport")
     t.add_argument("scenario")
     t.add_argument("--path", default=None)
-    t.add_argument("--step", "--ode-step", dest="ode_step", type=float,
-                   default=1e-3)
+    t.add_argument("--step", dest="ode_step", type=float, default=1e-3)
     t.add_argument("--tol", type=float, default=1e-6)
     t.set_defaults(func=cmd_transport)
     return p

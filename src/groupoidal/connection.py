@@ -6,11 +6,11 @@ All Lie-algebra values are plain matrices, identified across fibres by right
 translation at the unit.  Chart changes and gauge transformations act on the
 local data by one affine law, X -> TC_b(X) - mc(b).  The adjoint part of TC,
 the anchor, the Christoffel forms and mc of an exp_of family (one dexp) are
-closed-form.  Other derivatives of the user's callables are central
-differences with FD_STEP, the step scenario also uses: the base derivative
-in mc_right, the fibre derivative in tangent_conjugation (exactly zero, and
-skipped, for a bisection that declares constant_in_m), the anchor
-derivatives in algebroid_bracket, and d_u phi in covariant_derivative.
+closed-form.  Other derivatives of the user's callables are the scenario
+module's one central_difference: the base derivative in mc_right, the fibre
+derivative in tangent_conjugation (exactly zero, and skipped, for a
+bisection that declares constant_in_m), the anchor derivatives in
+algebroid_bracket, and d_u phi in covariant_derivative.
 """
 
 import random
@@ -18,7 +18,7 @@ import random
 import numpy as np
 
 from .report import EnumerationBound, NumericFailure, StructuralError
-from .scenario import FD_STEP, BisectionFamily
+from .scenario import BisectionFamily, central_difference
 
 
 def mc_right(scenario, fam, m, sigma, u):
@@ -28,8 +28,7 @@ def mc_right(scenario, fam, m, sigma, u):
     u = np.asarray(u, dtype=float)
     if getattr(fam, "mc", None) is not None:
         return fam.mc(sigma, u)
-    h = FD_STEP
-    dg = (fam(sigma + h * u, m) - fam(sigma - h * u, m)) / (2 * h)
+    dg = central_difference(lambda s: fam(s, m), sigma, u)
     return dg @ np.linalg.inv(fam(sigma, m))
 
 
@@ -43,10 +42,7 @@ def tangent_conjugation(scenario, b, m, X):
     g = b(m)
     if getattr(b, "constant_in_m", False):
         return g @ X @ np.linalg.inv(g)
-    h = FD_STEP
-    v = X @ m
-    db = (b(m + h * v) - b(m - h * v)) / (2 * h)
-    return (g @ X + db) @ np.linalg.inv(g)
+    return (g @ X + central_difference(b, m, X @ m)) @ np.linalg.inv(g)
 
 
 def anchor(scenario, m, X):
@@ -60,14 +56,10 @@ def algebroid_bracket(scenario, s1, s2):
     Pointwise matrix commutator plus the anchor-directional derivatives of
     the coefficient fields.
     """
-    h = FD_STEP
-
     def out(m):
         m = np.asarray(m, dtype=float)
         a, b = s1(m), s2(m)
-        v1, v2 = a @ m, b @ m
-        d2 = (s2(m + h * v1) - s2(m - h * v1)) / (2 * h)
-        d1 = (s1(m + h * v2) - s1(m - h * v2)) / (2 * h)
+        d2, d1 = central_difference(s2, m, a @ m), central_difference(s1, m, b @ m)
         return a @ b - b @ a + d2 - d1
 
     return out
@@ -417,8 +409,6 @@ def covariant_derivative(scenario, A, phi, i, sigma, u):
     """d_u phi + rho(A_i(sigma, phi(sigma))(u)) at phi(sigma)."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
-    h = FD_STEP
     m = np.asarray(phi(sigma), dtype=float)
-    dphi = (np.asarray(phi(sigma + h * u), dtype=float)
-            - np.asarray(phi(sigma - h * u), dtype=float)) / (2 * h)
+    dphi = central_difference(lambda s: np.asarray(phi(s), dtype=float), sigma, u)
     return dphi + A(i, sigma, m, u) @ m

@@ -29,28 +29,28 @@ class ValidationReport:
         if not ok:
             self.violations.append(Violation(check, witness, detail))
 
-    def record_all(self, count, ok, checks):
-        """Record count checks at once, ok telling whether all of them passed.
-
-        Only when one failed is checks read: an iterable of (check, ok,
-        witness) for the same count checks, in order, passed to record.
-        """
-        if ok:
-            self.checks_run += count
-            return
-        for check, passed, witness in checks:
-            self.record(check, passed, witness)
+    def record_all(self, count, fails=()):
+        """Record count checks at once: fails holds (key, check, witness) for
+        those that failed, added as violations in key order; the rest pass."""
+        for _, check, witness in sorted(fails, key=lambda f: f[0]):
+            self.add(check, witness)
+        self.checks_run += count - len(fails)
 
     def record_columns(self, columns, keys=None, witness=None):
         """Record columns (check, lhs, rhs[, keys[, witness]]) of the checks
         lhs[i] == rhs[i] through record_all, a short column taking the call's
-        keys and witness.  Only after a failure are keys (a list, or a function
-        returning one) and witness(keys[i]) read, to record every check in the
-        per-check loops' order: by keys[i], then column."""
-        ok, count = True, 0
-        for column in columns:
-            ok, count = ok and column[1] == column[2], count + len(column[1])
-        self.record_all(count, ok, _replay(columns, keys, witness))
+        keys and witness.  Keys (a list, or a function returning one) and
+        witness(keys[i]) are read only where a column differs, and failures
+        come in the per-check loops' order: by keys[i], then column."""
+        count, fails = 0, []
+        for c, column in enumerate(columns):
+            check, lhs, rhs, ks, at = column + (keys, witness)[len(column) - 3:]
+            count += len(lhs)
+            at_fail = differ(lhs, rhs)
+            if at_fail:
+                ks = ks() if callable(ks) else ks
+                fails += [((ks[i], c, i), check, at(ks[i])) for i in at_fail]
+        self.record_all(count, fails)
 
     def add(self, check, witness=None, detail=""):
         self.checks_run += 1
@@ -74,13 +74,11 @@ class ValidationReport:
         }
 
 
-def _replay(columns, keys, witness):
-    full = [column + (keys, witness)[len(column) - 3:] for column in columns]
-    order = sorted((key, c, i) for c, (_, _, _, ks, _) in enumerate(full)
-                   for i, key in enumerate(ks() if callable(ks) else ks))
-    for key, c, i in order:
-        check, lhs, rhs, _, at = full[c]
-        yield check, lhs[i] == rhs[i], at(key)
+def differ(lhs, rhs):
+    """The indices where two columns differ."""
+    if lhs == rhs:
+        return []
+    return [i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
 
 
 class StructuralError(ValueError):

@@ -15,8 +15,13 @@ from .report import NumericFailure, StructuralError
 
 _EYE = {(2, 2): np.eye(2), (3, 3): np.eye(3)}
 
-# the one central-difference step of the numeric engine, here and in connection
+# the one central-difference step of the numeric engine, read only below
 FD_STEP = 1e-5
+
+
+def central_difference(f, x, v):
+    """The derivative of f at x along v, (f(x + hv) - f(x - hv)) / 2h, h = FD_STEP."""
+    return (f(x + FD_STEP * v) - f(x - FD_STEP * v)) / (2 * FD_STEP)
 
 
 def rotation_exp(X):
@@ -77,7 +82,7 @@ class BisectionFamily:
     """A base-parametrized bisection sigma -> (m -> g(sigma, m)).
 
     The shadow is m -> g(sigma, m).m; its inverse is exact when g does not
-    depend on m, and otherwise found by Newton iteration on FD_STEP differences.
+    depend on m, and otherwise found by Newton iteration on central differences.
     mc(sigma, u) is the exact Maurer-Cartan derivative, None unless exp_of.
     """
 
@@ -128,8 +133,8 @@ class BisectionFamily:
             r = self.shadow(sigma, m) - mp
             if np.linalg.norm(r) < 1e-12:
                 return m
-            jac = np.column_stack([self.shadow(sigma, m + d) - self.shadow(sigma, m - d)
-                                   for d in FD_STEP * np.eye(len(m))]) / (2 * FD_STEP)
+            jac = np.column_stack([central_difference(lambda x: self.shadow(sigma, x), m, e)
+                                   for e in np.eye(len(m))])
             m = m - np.linalg.solve(jac, r)
         raise NumericFailure("shadow inversion did not converge")
 

@@ -92,7 +92,7 @@ def test_corrupted_product_fails_sequence_as_oracle(three_point_bundle):
     assert [v["check"] for v in got["violations"]] == ["sequence:morphism"]
 
 
-def test_record_columns_replays_failures_in_loop_order():
+def test_record_columns_reads_witnesses_only_at_failures():
     built = []
 
     def witness(key):
@@ -107,8 +107,32 @@ def test_record_columns_replays_failures_in_loop_order():
                            ("b", [0, 0, 0], [0, 0, 0], keys, witness)])
     assert report.checks_run == 5 and report.ok and built == []
     report.record_columns([("a", [1, 2], [1, 3], [(0,), (1,)], witness),
-                           ("b", [0, 5, 0], [0, 6, 0], keys, witness)])
-    assert report.checks_run == 10
-    assert built == ["keys", (0,), (0, 1), (0, 2), (1,), (1, 0)]
+                           ("b", [0, 5, 0], [0, 6, 0], keys, witness),
+                           ("c", [4], [4], lambda: built.append("c keys"), witness)])
+    assert report.checks_run == 11
+    # keys of differing columns only, witnesses at failing indices only
+    assert built == [(1,), "keys", (0, 2)]
+    # violations in the per-check loops' order: by key, then column
     assert [(v.check, v.witness) for v in report.violations] == [("b", (0, 2)),
                                                                  ("a", (1,))]
+
+
+def test_record_columns_builds_one_witness_for_one_failure():
+    n, built = 10 ** 5, []
+    lhs = list(range(n))
+    rhs = lhs[:77_777] + [-1] + lhs[77_778:]
+    report = ValidationReport()
+    report.record_columns([("x", lhs, rhs)], range(n),
+                          lambda key: built.append(key) or ("at", key))
+    assert built == [77_777] and report.checks_run == n
+    assert [(v.check, v.witness) for v in report.violations] == [("x", ("at", 77_777))]
+
+
+def test_record_all_adds_failures_in_key_order():
+    report = ValidationReport()
+    report.record_all(5, [((2, 0), "b", "w2"), ((1, 1), "a", "w1"), ((1, 0), "c", "w0")])
+    assert report.checks_run == 5
+    assert [(v.check, v.witness) for v in report.violations] == [
+        ("c", "w0"), ("a", "w1"), ("b", "w2")]
+    report.record_all(3)
+    assert report.checks_run == 8 and len(report.violations) == 3

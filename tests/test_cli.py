@@ -90,9 +90,9 @@ def test_bisection_entries_outside_arrow_ids_are_input_error(capsys, tmp_path,
         assert "input error" in capsys.readouterr().err
 
 
-def automorphism_doc(bundle):
+def automorphism_doc(bundle, aut=None):
     from groupoidal import identity_automorphism
-    aut = identity_automorphism(bundle)
+    aut = aut or identity_automorphism(bundle)
     return {"bundle": bundle_to_json(bundle), "f": dict(aut.f),
             "gamma": [{"j": j, "i": i, "sigma": s, "bisection": b.to_json()}
                       for (j, i, s), b in sorted(aut.gamma.items())]}
@@ -158,6 +158,46 @@ def test_base_map_values_checked_before_inversion(capsys, tmp_path,
         path = write(tmp_path, "inv{}.json".format(k), doc)
         assert main(["validate", path]) == 2, value
         assert "base map is not a bijection" in capsys.readouterr().err
+
+
+MALFORMED_AUTOMORPHISMS = {
+    "gamma-not-a-list": lambda doc: doc.__setitem__("gamma", 5),
+    "gamma-entry-not-an-object": lambda doc: doc.__setitem__("gamma", ["x"]),
+    "f-a-list": lambda doc: doc.__setitem__("f", [1, 2]),
+    "f-a-number": lambda doc: doc.__setitem__("f", 3),
+    "sigma-a-list": lambda doc: doc["gamma"][0].__setitem__("sigma", ["a"]),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED_AUTOMORPHISMS))
+def test_malformed_automorphism_is_input_error(capsys, tmp_path, three_point_bundle,
+                                               edit):
+    doc = automorphism_doc(three_point_bundle)
+    MALFORMED_AUTOMORPHISMS[edit](doc)
+    assert main(["validate", write(tmp_path, "aut.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("input error: malformed automorphism document:")
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_gauge_documents_validate(capsys, tmp_path, request, chain_bundle, fibre):
+    # a gauge map as the benchmark writes one: a seeded fibre bisection per
+    # base point, in its canonical chart
+    import random
+    from groupoidal import (BundleAutomorphism, enumerate_bisections,
+                            validate_automorphism)
+    bundle = chain_bundle(request.getfixturevalue(fibre), 4)
+    rng, bis = random.Random(3), enumerate_bisections(bundle.groupoid)
+    chart = bundle.base.canonical_chart
+    aut = BundleAutomorphism(bundle, {s: s for s in bundle.base.base}, {
+        (chart(s), chart(s), s): rng.choice(bis) for s in bundle.base.base})
+    doc = automorphism_doc(bundle, aut)
+    code, out = run(capsys, ["validate", write(tmp_path, "gauge.json", doc)])
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check == {"name": "automorphism",
+                     **validate_automorphism(bundle, aut).to_dict()}
 
 
 def test_ids_must_be_ints(capsys, tmp_path, z2_groupoid):
@@ -291,6 +331,48 @@ def test_bundle_validates_fibre_first(capsys, broken_fibre_doc, mode):
     # the same violations validate reports on the same document
     code, out = run(capsys, ["validate", broken_fibre_doc])
     assert code == 1 and json.loads(out)["checks"][0]["violations"] == violations
+
+
+@pytest.mark.parametrize("row", [[2, 3, 1], [3, 2, 0]])
+def test_fibre_missing_a_product_fails_before_the_bundle_is_built(
+        capsys, tmp_path, three_point_bundle, row):
+    doc = bundle_to_json(three_point_bundle)
+    doc["groupoid"]["mul"].remove(row)
+    path = write(tmp_path, "b.json", doc)
+    missing = {"check": "i:mul-total", "witness": row[:2],
+               "detail": "composable pair missing from mul"}
+    for argv, name in ((["validate", path], "groupoid-axioms"),
+                       (["bundle", path], "fibre-groupoid"),
+                       (["bundle", path, "--report", "trident"], "fibre-groupoid")):
+        code, out = run(capsys, argv)
+        assert code == 1, argv
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == name and missing in check["violations"]
+
+
+def test_cocycle_check_can_fail(capsys, tmp_path, three_point_bundle):
+    # beta_00(a) is the swap, not the unit bisection
+    doc = bundle_to_json(three_point_bundle)
+    swap = doc["cocycle"][0]["bisection"]
+    doc["cocycle"].append({"i": 0, "j": 0, "sigma": "a", "bisection": swap})
+    path = write(tmp_path, "b.json", doc)
+    for argv in (["validate", path], ["bundle", path, "--report", "axioms"]):
+        code, out = run(capsys, argv)
+        assert code == 1, argv
+        fibre, cocycle = json.loads(out)["checks"]
+        assert fibre["ok"] is True
+        assert cocycle == {"name": "cocycle", "ok": False, "checks_run": 3,
+                           "violations": [{"check": "cocycle:diag",
+                                           "witness": [0, 0, "a"], "detail": ""}]}
+    # a battery that needs the bundle keeps the constructor's guard
+    assert main(["bundle", path, "--report", "trident"]) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid cocycle:")
+
+
+def test_bundle_unknown_report_mode(capsys, bundle_doc):
+    with pytest.raises(SystemExit) as info:
+        main(["bundle", bundle_doc, "--report", "bogus"])
+    assert info.value.code == 2
 
 
 def test_transport_flat(capsys):
@@ -533,6 +615,12 @@ def test_fd_step_flag_removed(capsys):
     assert info.value.code == 2
 
 
+def test_ode_step_alias_removed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["transport", "so2-single-chart", "--ode-step", "1e-3"])
+    assert info.value.code == 2
+
+
 def test_numeric_failure_exits_4(capsys, monkeypatch):
     import groupoidal.connection
     import groupoidal.report
@@ -679,8 +767,9 @@ EXPORTED = [
     "FiniteGroupoid", "InternalError", "MomentMismatch", "NumericFailure",
     "PPoint", "PrincipaloidBundle", "StructuralError", "ValidationReport",
     "Violation", "action_groupoid", "atiyah", "automorphism",
-    "automorphism_to_bisection", "bisection", "bisection_inverse",
-    "bisection_product", "bisection_through", "bisection_to_automorphism",
+    "automorphism_from_json", "automorphism_to_bisection", "bisection",
+    "bisection_inverse", "bisection_product", "bisection_through",
+    "bisection_to_automorphism",
     "build_bundle", "bundle", "bundle_from_json", "bundle_to_json",
     "check_structure_identities", "conjugate", "enumerate_bisections",
     "enumerate_gauge_group", "enumerate_projectable_bisections",

@@ -79,3 +79,37 @@ def test_benchmark_workloads_read_existing_names():
     assert {"G", "C", "S"} <= set(aliases)
     assert sorted((m, a) for m, a in read
                   if not hasattr(importlib.import_module(m), a)) == []
+
+
+def fd_step_reads(tree):
+    """The functions that read or import FD_STEP, by name; a read outside
+    every function counts under None."""
+    found = []
+
+    def walk(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and node.id == "FD_STEP"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "FD_STEP"
+                or isinstance(node, ast.ImportFrom)
+                and any(a.name == "FD_STEP" for a in node.names)):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            walk(child, func)
+    walk(tree, None)
+    return found
+
+
+def test_fd_step_reads_are_found():
+    tree = ast.parse("from s import FD_STEP\nFD_STEP = 1\n"
+                     "def f():\n    return FD_STEP\n"
+                     "def central_difference():\n    return s.FD_STEP\n")
+    assert fd_step_reads(tree) == [None, "f", "central_difference"]
+
+
+def test_fd_step_is_read_only_by_central_difference():
+    reads = {p.name: fd_step_reads(ast.parse(p.read_text(), str(p)))
+             for p in MODULES}
+    assert set(reads.pop("scenario.py")) == {"central_difference"}
+    assert {name: r for name, r in reads.items() if r} == {}
