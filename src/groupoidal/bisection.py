@@ -202,21 +202,6 @@ def is_id_reducible(g):
     return True, witness
 
 
-def _translations(g, b, arrows):
-    """L_b and R_b of each arrow in arrows, as two lists in that order.
-
-    Raises CompositionError where a product is undefined, as left_mult and
-    right_mult do.
-    """
-    mul, src, tgt, assign = g.mul, g.src, g.tgt, b.assign
-    shinv = shadow_inverse(b)
-    try:
-        return ([mul[assign[tgt[a]], a] for a in arrows],
-                [mul[a, assign[shinv[src[a]]]] for a in arrows])
-    except KeyError as exc:
-        raise g.composition_error(*exc.args[0]) from None
-
-
 # Below this many arrows the identity suite keeps its columns as bytes.
 BYTE_ARROWS = 255
 
@@ -226,22 +211,20 @@ class _Columns:
 
     Below BYTE_ARROWS arrows a column is a bytes object and a table a
     256-byte string applied with bytes.translate; from there on they are a
-    tuple and a dict.  The two ids past every arrow and object mark a vi
-    fibre slot past the end of its fibre (gap) and a missing product
-    (none).  A table sends an id it lacks to none, and both marks to
-    themselves.
+    tuple and a dict.  The id none, past every arrow and object, marks a
+    missing product: a table sends an id it lacks, and none, to none.
     """
 
     def __init__(self, n_arrows):
         self.byte = n_arrows < BYTE_ARROWS
-        self.gap, self.none = (254, 255) if self.byte else (n_arrows, n_arrows + 1)
+        self.none = 255 if self.byte else n_arrows
         self.column = bytes if self.byte else tuple
         self.apply = bytes.translate if self.byte else self._lookup
 
     def table(self, entries):
         """The table of an iterable of (id, value) pairs."""
         t = bytearray(b"\xff" * 256) if self.byte else {}
-        t[self.gap], t[self.none] = self.gap, self.none
+        t[self.none] = self.none
         for k, v in entries:
             t[k] = v
         return bytes(t) if self.byte else t
@@ -258,15 +241,6 @@ class _Columns:
             raise InternalError("a product table disagrees with mul")
         return col
 
-    def patched(self, col, at, exact):
-        """col with its entries at the indices at replaced by exact(i)."""
-        if not at:
-            return col
-        col = bytearray(col) if self.byte else list(col)
-        for i in at:
-            col[i] = exact(i)
-        return self.column(col)
-
 
 def check_structure_identities(g, cap=100000):
     """Exhaustive check of the action-vs-structure-map identity suite.
@@ -278,26 +252,24 @@ def check_structure_identities(g, cap=100000):
     Each check family runs column-wise over all bisections at once (see
     _Columns).  A column holds one id per bisection: per object, the
     bisection's value there and the value landing there; per arrow h, L(h),
-    R(h) and C(h); per vi fibre slot, both sides of its check.  A product
-    with one side fixed is a table applied to a whole column: x -> x.h,
-    y -> u.y, and for the j-th slot x -> w.x and z -> z.y, with w the j-th
-    arrow out of t(x) and y the j-th arrow into s(z).  Only C and c-v,
-    whose factors both vary with the bisection, are looked up pair by pair.
+    R(h) and C(h).  A product with one side fixed is a table applied to a
+    whole column: x -> x.h and y -> u.y.  Only C and c-v, whose factors
+    both vary with the bisection, are looked up pair by pair.  The vi
+    checks read a bisection through one arrow only, so they run once per
+    value that arrow takes, with its whole fibre as the column.
     A product mul lacks raises CompositionError.
 
     Checks are recorded with record_all, failures keyed by (bisection,
     block, key, column), so witnesses come in the order of the per-check
-    loops: bisection, then arrow, object, mul entry or vi slot, then check.
-    The e3 checks cannot fail and are counted (see below).
+    loops: bisection, then arrow, object, mul entry or vi fibre slot, then
+    check.  The e3 checks cannot fail and are counted (see below).
     """
     bis = enumerate_bisections(g, cap=cap)
     report = ValidationReport()
     if not bis:
         return report
     cols = _Columns(g.n_arrows)
-    column, table, apply, checked, patched = (
-        cols.column, cols.table, cols.apply, cols.checked, cols.patched)
-    gap, none = cols.gap, cols.none
+    column, table, apply, checked = cols.column, cols.table, cols.apply, cols.checked
     src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, g.mul
     sources, targets = g.source_fibres, g.target_fibres
     compose = g.compose
@@ -311,17 +283,6 @@ def check_structure_identities(g, cap=100000):
         by_right[y].append((x, p))
     LEFT = [table(r) for r in by_left]  # LEFT[u]: y -> u.y
     RIGHT = [table(r) for r in by_right]  # RIGHT[h]: x -> x.h
-
-    def slot(fibre, j, f):
-        return f(fibre[j]) if j < len(fibre) else gap
-
-    # OUT[j]: x -> w.x and IN[j]: z -> z.y, w the j-th arrow out of t(x)
-    # and y the j-th arrow into s(z)
-    widest = max(map(len, sources + targets), default=0)
-    OUT = [table((x, slot(sources[tgt[x]], j, lambda w: mul.get((w, x), none)))
-                 for x in g.arrows) for j in range(widest)]
-    IN = [table((z, slot(targets[src[z]], j, lambda y: mul.get((z, y), none)))
-                for z in g.arrows) for j in range(widest)]
 
     def left(u, col):
         return checked(apply(col, LEFT[u]), lambda i: compose(u, col[i]))
@@ -360,7 +321,7 @@ def check_structure_identities(g, cap=100000):
     def record(block, key, witness, columns):
         nonlocal checks
         for c, (check, lhs, rhs) in enumerate(columns):
-            checks += nb - lhs.count(gap)
+            checks += nb
             if lhs != rhs:
                 fails.extend(((i, block, key, c), check, (assigns[i],) + witness(i))
                              for i in differ(lhs, rhs))
@@ -393,34 +354,32 @@ def check_structure_identities(g, cap=100000):
             ("v:right-vs-mul", R[p], left(u, R[h])),
             ("c-v:conj-vs-mul", C[p], pairwise(C[u], C[h]))))
 
-    # vi at the j-th slot, for a = beta(t(h)) and x the value landing on
-    # s(h): (w.a).h = w.(a.h) for w in s^-1(t(a)), and h.(x.y) = (h.x).y for
-    # y in t^-1(s(x)).  OUT and IN read the fibre off a.h and h.x; where a
-    # corrupt product leaves it (ii:t-left or i:s-right fails), that entry
-    # is recomputed product by product.
-    w_a, x_y = {}, {}  # the columns of w.a and x.y, by object and slot
+    # vi reads a bisection through one arrow: a = beta(t(h)) in
+    # (w.a).h = w.(a.h) for w in s^-1(t(a)), and x, the value landing on
+    # s(h), in h.(x.y) = (h.x).y for y in t^-1(s(x)).  Each value in the
+    # column is checked once along its fibre, and its checks and failures
+    # are charged to every bisection taking it.
+    def record_vi(h, side, col, check, fibres, sides, witness):
+        nonlocal checks
+        for a in dict.fromkeys(col):
+            W = fibres[a]
+            lhs, rhs = sides(a, W)
+            checks += col.count(a) * len(W)
+            if lhs != rhs:
+                at = [i for i, v in enumerate(col) if v == a]
+                fails.extend(((i, 4, (h, side, j), 0), check,
+                              (assigns[i],) + witness(W[j]))
+                             for j in differ(lhs, rhs) for i in at)
+
+    out_of = [column(sources[t]) for t in tgt]  # by a: the w with s(w) = t(a)
+    into = [column(targets[s]) for s in src]  # by x: the y with t(y) = s(x)
     for h in g.arrows:
-        o, s = tgt[h], src[h]
-        off_out = differ(apply(L[h], TGT), sh[o])
-        off_in = differ(apply(R[h], SRC), shinv[s])
-        for j in range(max((len(sources[tgt[a]]) for a in sources[o]), default=0)):
-            def w_L(i):
-                return slot(sources[sh[o][i]], j, lambda w: compose(w, L[h][i]))
-            if (o, j) not in w_a:
-                w_a[o, j] = checked(apply(value[o], OUT[j]), lambda i: compose(
-                    sources[sh[o][i]][j], value[o][i]))
-            record(4, (h, 0, j), lambda i: (sources[sh[o][i]][j], h), [(
-                "vi:right-then-mul", right(w_a[o, j], h),
-                checked(patched(apply(L[h], OUT[j]), off_out, w_L), w_L))])
-        for j in range(max((len(targets[src[x]]) for x in targets[s]), default=0)):
-            def R_y(i):
-                return slot(targets[shinv[s][i]], j, lambda y: compose(R[h][i], y))
-            if (s, j) not in x_y:
-                x_y[s, j] = checked(apply(landing[s], IN[j]), lambda i: compose(
-                    landing[s][i], targets[shinv[s][i]][j]))
-            record(4, (h, 1, j), lambda i: (h, targets[shinv[s][i]][j]), [(
-                "vi:mul-then-left", left(h, x_y[s, j]),
-                checked(patched(apply(R[h], IN[j]), off_in, R_y), R_y))])
+        record_vi(h, 0, value[tgt[h]], "vi:right-then-mul", out_of,
+                  lambda a, W: (right(right(W, a), h), right(W, compose(a, h))),
+                  lambda w: (w, h))
+        record_vi(h, 1, landing[src[h]], "vi:mul-then-left", into,
+                  lambda x, Y: (left(h, left(x, Y)), left(compose(h, x), Y)),
+                  lambda y: (h, y))
 
     # e3 (r_g = R_beta) cannot fail: shadows are bijective, e3-ii is R[h]'s column
     checks += nb * (g.n_objects + g.n_arrows)
@@ -436,8 +395,10 @@ def r_equivariant_commutant(g, cap=10_000_000):
     that one equals L(B).  The latter equality is reported, not asserted.
     """
     bis = enumerate_bisections(g, cap=cap)
-    tables = [_translations(g, b, g.arrows) for b in bis]
-    left_maps = sorted({tuple(left) for left, _ in tables})
+    # L(B) and R(B) are both built before either search, so a missing
+    # product raises CompositionError before any cap is reached
+    left_maps = sorted({tuple(left_mult(b, a) for a in g.arrows) for b in bis})
+    right_maps = [[right_mult(a, b) for a in g.arrows] for b in bis]
     # each check is filed under the larger of the two arrows it reads, so it
     # runs once, as soon as both are assigned
     pairs_by_arrow = [[] for _ in g.arrows]
@@ -456,7 +417,7 @@ def r_equivariant_commutant(g, cap=10_000_000):
     r_comm = _search(arrows, g.arrows, cap, r_consistent)
 
     triples_by_arrow = [[] for _ in g.arrows]
-    for _, perm in tables:
+    for perm in right_maps:
         for x in g.arrows:
             triples_by_arrow[max(x, perm[x])].append((x, perm))
 

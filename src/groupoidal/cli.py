@@ -57,23 +57,37 @@ def _push(report, name, vr):
     return vr.ok
 
 
+def _bundle_checks(doc):
+    """(name, report) for a bundle document's fibre and then, on a fibre that
+    passes, its cocycle: the cocycle check composes in the fibre."""
+    from .bundle import bundle_parts, validate_cocycle
+    from .groupoid import validate_groupoid
+
+    base, cocycle, groupoid = bundle_parts(doc)
+    checks = [("groupoid-axioms", validate_groupoid(groupoid))]
+    if checks[0][1].ok:
+        checks.append(("cocycle", validate_cocycle(base, cocycle)))
+    return checks
+
+
 def cmd_validate(args):
     from .groupoid import FiniteGroupoid, validate_groupoid
 
     report = _base_report("validate", args)
     doc = _load_json(args.path)
     if isinstance(doc, dict) and "cocycle" in doc and "f" not in doc:
-        from .bundle import bundle_parts, validate_cocycle
-
-        base, cocycle, groupoid = bundle_parts(doc)
-        # the cocycle check composes in the fibre, so it runs on a groupoid only
-        ok = (_push(report, "groupoid-axioms", validate_groupoid(groupoid))
-              and _push(report, "cocycle", validate_cocycle(base, cocycle)))
+        ok = all(_push(report, *c) for c in _bundle_checks(doc))
     elif isinstance(doc, dict) and "f" in doc:
         from .automorphism import automorphism_from_json, validate_automorphism
 
-        aut = automorphism_from_json(doc)
-        ok = _push(report, "automorphism", validate_automorphism(aut.bundle, aut))
+        # the automorphism's bundle is built on a fibre and cocycle that pass;
+        # the first of them that fails is the report
+        failed = [c for c in _bundle_checks(doc.get("bundle")) if not c[1].ok]
+        if failed:
+            ok = _push(report, *failed[0])
+        else:
+            aut = automorphism_from_json(doc)
+            ok = _push(report, "automorphism", validate_automorphism(aut.bundle, aut))
     elif isinstance(doc, dict) and "arrows" in doc:
         ok = _push(report, "groupoid-axioms",
                    validate_groupoid(FiniteGroupoid.from_json(doc)))
@@ -346,7 +360,7 @@ def main(argv=None):
     except NumericFailure as exc:
         sys.stderr.write("numeric failure: {}\n".format(exc))
         return EXIT_NUMERIC
-    except (StructuralError, OSError, KeyError, ValueError) as exc:
+    except StructuralError as exc:
         sys.stderr.write("input error: {}\n".format(exc))
         return EXIT_INPUT
 

@@ -136,7 +136,11 @@ class FiniteGroupoid:
             src = [e["src"] for e in arrows]
             tgt = [e["tgt"] for e in arrows]
             mul = {}
-            for a, b, c in doc["mul"]:
+            for row in doc["mul"]:
+                if len(row) != 3:
+                    raise StructuralError("malformed groupoid document: mul row {!r} "
+                                          "is not [a, b, a.b]".format(row))
+                a, b, c = row
                 if (a, b) in mul:
                     raise StructuralError("mul repeats the pair {!r}".format((a, b)))
                 mul[a, b] = c

@@ -1,6 +1,9 @@
 """Exit-code contract and report shapes of the command-line front end."""
 
+import copy
 import json
+import math
+import random
 import time
 
 import pytest
@@ -56,6 +59,16 @@ def test_validate_repeated_mul_pair(capsys, tmp_path, z2_groupoid):
     doc["mul"].insert(doc["mul"].index([0, 0, 0]), [0, 0, 3])
     assert main(["validate", write(tmp_path, "dup.json", doc)]) == 2
     assert "repeats the pair (0, 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [[0, 0], [0, 0, 0, 0]])
+def test_mul_row_of_wrong_length_is_input_error(capsys, tmp_path, z2_groupoid, row):
+    doc = z2_groupoid.to_json()
+    doc["mul"][0] = row
+    assert main(["validate", write(tmp_path, "row.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: malformed groupoid document: mul row {!r} is not "
+        "[a, b, a.b]\n".format(row))
 
 
 def test_validate_malformed_json(capsys, tmp_path):
@@ -339,9 +352,12 @@ def test_fibre_missing_a_product_fails_before_the_bundle_is_built(
     doc = bundle_to_json(three_point_bundle)
     doc["groupoid"]["mul"].remove(row)
     path = write(tmp_path, "b.json", doc)
+    aut = automorphism_doc(three_point_bundle)
+    aut["bundle"] = doc
     missing = {"check": "i:mul-total", "witness": row[:2],
                "detail": "composable pair missing from mul"}
     for argv, name in ((["validate", path], "groupoid-axioms"),
+                       (["validate", write(tmp_path, "aut.json", aut)], "groupoid-axioms"),
                        (["bundle", path], "fibre-groupoid"),
                        (["bundle", path, "--report", "trident"], "fibre-groupoid")):
         code, out = run(capsys, argv)
@@ -364,6 +380,10 @@ def test_cocycle_check_can_fail(capsys, tmp_path, three_point_bundle):
         assert cocycle == {"name": "cocycle", "ok": False, "checks_run": 3,
                            "violations": [{"check": "cocycle:diag",
                                            "witness": [0, 0, "a"], "detail": ""}]}
+    aut = automorphism_doc(three_point_bundle)
+    aut["bundle"] = doc
+    code, out = run(capsys, ["validate", write(tmp_path, "aut.json", aut)])
+    assert code == 1 and json.loads(out)["checks"] == [cocycle]
     # a battery that needs the bundle keeps the constructor's guard
     assert main(["bundle", path, "--report", "trident"]) == 2
     assert capsys.readouterr().err.startswith("input error: invalid cocycle:")
@@ -802,6 +822,64 @@ def test_numeric_engine_loads_no_scipy():
     loaded = loaded_after("import groupoidal.scenario, groupoidal.connection")
     assert "numpy" in loaded
     assert "scipy" not in loaded
+
+
+def mutated(doc, rng):
+    """A copy of doc with one node below the root, picked at random, given a
+    wrong type, an out-of-range id or NaN, dropped, or duplicated: in its
+    list, or under a second key."""
+    doc = copy.deepcopy(doc)
+    spots, stack = [], [doc]  # (parent, key) of every node below the root
+    while stack:
+        node = stack.pop()
+        keys = node if isinstance(node, dict) else (
+            range(len(node)) if isinstance(node, list) else ())
+        spots += [(node, k) for k in keys]
+        stack += [node[k] for k in keys]
+    parent, key = rng.choice(spots)
+    kind = rng.choice(["type", "id", "nan", "drop", "dup"])
+    if kind == "drop":
+        del parent[key]
+    elif kind == "dup" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif kind == "dup":
+        parent[key + "2"] = copy.deepcopy(parent[key])
+    else:
+        parent[key] = rng.choice({"type": ["x", None, True, 1.5, [], {}],
+                                  "id": [-1, 2, 99, 10**20],
+                                  "nan": [math.nan, math.inf]}[kind])
+    return doc
+
+
+def test_mutated_documents_keep_the_exit_code_contract(capsys, tmp_path, z2_groupoid,
+                                                       three_point_bundle):
+    # seeded mutations of the five document kinds: nothing escapes main, the
+    # exit code is 0-4, and an input error is one line
+    rng = random.Random(24)
+    modes = ["counts", "axioms", "atiyah", "trident", "gauge"]
+    kinds = {
+        "groupoid": (z2_groupoid.to_json(), lambda p: [
+            rng.choice(["validate", "check-identities"]), p]),
+        "bundle": (bundle_to_json(three_point_bundle), lambda p: rng.choice(
+            [["validate", p]] + [["bundle", p, "--report", m] for m in modes])),
+        "automorphism": (automorphism_doc(three_point_bundle),
+                         lambda p: ["validate", p]),
+        "path": ({"waypoints": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], "charts": [0, 1]},
+                 lambda p: ["transport", "so2-two-chart", "--path", p, "--step", "0.05"]),
+        "scenario": ({"scenario": "so2-two-chart", "connection": "flat"},
+                     lambda p: ["transport", p, "--step", "0.05"]),
+    }
+    codes = set()
+    for k in range(500):
+        doc, argv = kinds[rng.choice(sorted(kinds))]
+        args = argv(write(tmp_path, "doc.json", mutated(doc, rng)))
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in range(5), args
+        if code == 2:
+            assert err.startswith("input error:") and err.count("\n") == 1, (args, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def test_reports_round_trip_json(capsys, groupoid_doc):
