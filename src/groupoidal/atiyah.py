@@ -10,16 +10,16 @@ conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
 In canonical charts the table over the shadow points is the product
-Pair(B) x G, built once by arithmetic, its mul on first read; multiplication,
-element lookup and every battery read it, the batteries as walks over int tables.
+Pair(B) x G, its rows built by arithmetic and its mul only on first read;
+the batteries walk those rows and int tables, and multiplication reads mul.
 """
 
 from collections import Counter, namedtuple
-from itertools import product
+from itertools import chain, product
 
 from .bisection import Bisection, _search, conjugate, left_mult, right_mult
 from .bundle import FPoint, PPoint, MomentMismatch, _tables
-from .groupoid import pair_groupoid, product_groupoid
+from .groupoid import _rows, pair_groupoid, product_groupoid
 from .report import ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
@@ -126,22 +126,29 @@ class AdjointBundle:
 
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     """Exactness over the pair groupoid of the base; the projection of the
-    table's products is checked as one column of int pair ids."""
+    table's rows is checked as one column of int pair ids, keyed at failures."""
     at = at or AtiyahGroupoid(bundle)
     adjoint = adjoint or AdjointBundle(bundle)
     report = ValidationReport()
     pairs = list(product(bundle.base.base, repeat=2))
     proj = [at.project(e) for e in at.elements]
     report.record("sequence:surjective", set(proj) == set(pairs))
-    mul, k = at.as_finite_groupoid().mul, len(bundle.base.base)
+    fg, k = at.as_finite_groupoid(), len(bundle.base.base)
     index = {s: i for i, s in enumerate(bundle.base.base)}
     first, second = [index[s1] * k for s1, _ in proj], [index[s2] for _, s2 in proj]
     pair = [i + j for i, j in zip(first, second)]
-    factors = list(mul)
+    rows, src, targets = _rows(fg, typed=False), fg.src, fg.target_fibres
+    if rows is None:  # mul is not exactly the rows: walked in its own order
+        products, rhs = fg.mul.values(), [first[a] + second[b] for a, b in fg.mul]
+    else:
+        seconds = [[second[b] for b in fibre] for fibre in targets]
+        products = chain.from_iterable(rows)
+        rhs = [i + j for i, m in zip(first, src) for j in seconds[m]]
     report.record_columns([(
-        "sequence:morphism", [pair[c] for c in mul.values()],
-        [first[a] + second[b] for a, b in factors], range(len(factors)),
-        lambda i: (at.elements[factors[i][0]], at.elements[factors[i][1]]))])
+        "sequence:morphism", [pair[c] for c in products], rhs,
+        lambda: list(enumerate(fg.mul if rows is None else (
+            (a, b) for a in fg.arrows for b in targets[src[a]]))),
+        lambda key: (at.elements[key[1][0]], at.elements[key[1][1]]))])
     kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
     image = {adjoint.embed(e) for e in adjoint.elements}
     report.record("sequence:kernel", kernel == image)
@@ -156,42 +163,44 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
 
 def verify_trident(bundle, at=None):
     """The commuting pair of actions on the bundle, both principal, checked on
-    the tables of _tables and at's left action (e, p) -> point and division
-    (p1, p2) -> element, by two routes each: act then right, right then act."""
+    the rows of _tables by two routes each: act then right, right then act.
+    Element (s1 * k + s2) * n + a acts as point s1 * n + a does on the right."""
     at = at or AtiyahGroupoid(bundle)
     g, points, elements = bundle.groupoid, bundle.points, at.elements
     fg = at.as_finite_groupoid()
-    moment, duck, fibres, right = _tables(bundle)
-    # element (s1 * k + s2) * n + a carries point s2 * n + b to s1 * n + a.b
-    n, k = g.n_arrows, len(bundle.base.base)
-    act = {(e, p): e // n // k * n + g.compose(e % n, p % n)
-           for e in fg.arrows for p in fibres[fg.src[e]]}
-    div = {(p1, s * n + a): (p1 // n * k + s) * n + g.compose(p1 % n, g.inv[a])
-           for p1, m in enumerate(moment) for s in range(k) for a in g.source_fibres[m]}
-    ep, qs = list(act), list(act.values())
-    # keys in loop order: (e, p) before the h's at p, (e, p, h), (e, p, n) after
-    eph = [(e, p, h) for e, p in ep for h in g.target_fibres[moment[p]]]
-    # e acts only on points sitting over src(e), so the shadow of e.p is tgt(e)
-    ducks, tgts = [duck[q] for q in qs], [fg.tgt[e] for e, _ in ep]
+    moment, duck, fibres, rows, right = _tables(bundle)
+    n, k, pos = g.n_arrows, len(bundle.base.base), g.row_index
+    act = [right[e // n // k * n + e % n] for e in fg.arrows]
 
-    def at_ep(key):
-        return elements[key[0]], points[key[1]]
+    def div(p1, p2):  # the element carrying p2 to p1
+        return (p1 // n * k + p2 // n) * n + rows[p1 % n][pos[g.inv[p2 % n]]]
+    # per (e, p), in loop order: e, p and e.p
+    es = [e for e, f in enumerate(fg.src) for _ in fibres[f]]
+    ps = list(chain.from_iterable(map(fibres.__getitem__, fg.src)))
+    qs = list(chain.from_iterable(act))
+    # e acts only on points sitting over src(e), so the shadow of e.p is tgt(e)
+    ducks, tgts = [duck[q] for q in qs], [fg.tgt[e] for e in es]
+    p1p2 = [(p1, p2) for p1, m in enumerate(moment) for p2, m2 in enumerate(moment) if m2 == m]
     report = ValidationReport()
     report.record_columns([
-        ("trident:covers-pair", [q // n * k + p // n for (_, p), q in act.items()],
-         [e // n for e, _ in ep]),
+        ("trident:covers-pair", [q // n * k + p // n for q, p in zip(qs, ps)],
+         [e // n for e in es]),
         ("trident:duck-of-action", ducks, tgts),
-        ("trident:moment-invariant", [moment[q] for q in qs], [moment[p] for _, p in ep]),
+        ("trident:moment-invariant", [moment[q] for q in qs], [moment[p] for p in ps]),
         ("trident:shadow-intertwines", tgts, ducks),
-        ("trident:actions-commute", [act[e, right[p, h]] for e, p, h in eph],
-         [right[act[e, p], h] for e, p, h in eph], eph, lambda key: at_ep(key) + key[2:]),
-        ("trident:division-inverts", [div[q, p] for (_, p), q in act.items()],
-         [e for e, _ in ep], [(e, p, n) for e, p in ep])], ep, at_ep)
+        ("trident:actions-commute",
+         [act[e][pos[r % n]] for e, p in zip(es, ps) for r in right[p]],
+         list(chain.from_iterable(map(right.__getitem__, qs))),
+         lambda: [(e, p, h) for e, p in zip(es, ps) for h in g.target_fibres[moment[p]]],
+         lambda key: (elements[key[0]], points[key[1]], key[2])),
+        ("trident:division-inverts", list(map(div, qs, ps)), es,
+         lambda: [(e, p, n) for e, p in zip(es, ps)])],
+        lambda: list(zip(es, ps)), lambda key: (elements[key[0]], points[key[1]]))
     report.record_columns([(
-        "trident:act-after-division", [act[e, p2] for (_, p2), e in div.items()],
-        [p1 for p1, _ in div], list(div), lambda key: (points[key[0]], points[key[1]]))])
+        "trident:act-after-division", [act[div(p1, p2)][pos[p2 % n]] for p1, p2 in p1p2],
+        [p1 for p1, _ in p1p2], p1p2, lambda key: (points[key[0]], points[key[1]]))])
     report.record_columns([(
-        "trident:unit-acts-trivially", [act[fg.unit[f], p] for p, f in enumerate(duck)],
+        "trident:unit-acts-trivially", [act[fg.unit[f]][pos[p % n]] for p, f in enumerate(duck)],
         list(range(len(points))), range(len(points)), points.__getitem__)])
     return report
 

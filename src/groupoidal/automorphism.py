@@ -107,13 +107,13 @@ def _canonical(bundle, f, local):
                                           for s, g in local.items()})
 
 
-def automorphism_from_json(doc):
-    """The automorphism a document gives: its bundle, the base map f (an
-    object) and gamma, a list of {j, i, sigma, bisection}.  A document of
-    another shape raises StructuralError; gamma values are checked later, by
-    validate_automorphism."""
+def automorphism_from_json(doc, bundle=None):
+    """The automorphism a document gives: its bundle, unless one already built
+    from it is passed, the base map f (an object) and gamma, a list of {j, i,
+    sigma, bisection}.  A document of another shape raises StructuralError;
+    gamma values are checked later, by validate_automorphism."""
     try:
-        bundle, f = bundle_from_json(doc["bundle"]), {**doc["f"]}
+        bundle, f = bundle or bundle_from_json(doc["bundle"]), {**doc["f"]}
         gamma = {(e["j"], e["i"], e["sigma"]): Bisection.from_json(
             bundle.groupoid, e["bisection"]) for e in doc["gamma"]}
     except (KeyError, TypeError) as exc:

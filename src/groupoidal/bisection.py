@@ -7,6 +7,8 @@ identities relating these actions to the groupoid maps are checked here by
 brute force.
 """
 
+from functools import cached_property
+
 from .report import (EnumerationBound, InternalError, StructuralError,
                      ValidationReport, differ)
 
@@ -28,6 +30,14 @@ class Bisection:
         """The object bijection m -> t(beta(m))."""
         g = self.groupoid
         return tuple(g.tgt[a] for a in self.assign)
+
+    @cached_property
+    def shadow_inverse(self):
+        """The inverse of the shadow bijection, as a tuple indexed by objects."""
+        out = [0] * len(self.assign)
+        for m, n in enumerate(self.shadow()):
+            out[n] = m
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, Bisection) and self.assign == other.assign
@@ -61,15 +71,6 @@ def unit_bisection(g):
     return Bisection(g, g.unit)
 
 
-def shadow_inverse(b):
-    """The inverse of the shadow bijection, as a tuple indexed by objects."""
-    sh = b.shadow()
-    out = [0] * len(sh)
-    for m, n in enumerate(sh):
-        out[n] = m
-    return tuple(out)
-
-
 def bisection_product(b2, b1):
     """(b2 . b1)(m) = b2(t(b1(m))) . b1(m)."""
     g = b1.groupoid
@@ -79,7 +80,7 @@ def bisection_product(b2, b1):
 def bisection_inverse(b):
     """Inv o beta o (shadow)^{-1}."""
     g = b.groupoid
-    shinv = shadow_inverse(b)
+    shinv = b.shadow_inverse
     return Bisection(g, [g.inv[b(shinv[m])] for m in g.objects])
 
 
@@ -92,8 +93,7 @@ def left_mult(b, a):
 def right_mult(a, b):
     """a <| beta = a . beta(shadow(beta)^{-1}(s(a)))."""
     g = b.groupoid
-    shinv = shadow_inverse(b)
-    return g.compose(a, b(shinv[g.src[a]]))
+    return g.compose(a, b(b.shadow_inverse[g.src[a]]))
 
 
 def conjugate(b, a):
@@ -299,7 +299,7 @@ def check_structure_identities(g, cap=100000):
 
     # per bisection: the value landing on each object, and the inverse
     # bisection at the preimage of each object under its own shadow (read
-    # as shadow_inverse reads it)
+    # as Bisection.shadow_inverse reads it)
     rows = []
     for A in assigns:
         AS = sorted(A, key=tgt.__getitem__)

@@ -8,7 +8,7 @@ cover index containing the base point, so equality is plain tuple equality.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 
 from .bisection import (Bisection, bisection_inverse, bisection_product,
                         left_mult, right_mult, unit_bisection, validate_bisection)
@@ -101,8 +101,8 @@ def validate_cocycle(base, c):
 class PrincipaloidBundle:
     """The glued bundle with groupoid fibres, its shadow, and the actions."""
 
-    def __init__(self, base, cocycle, groupoid):
-        report = validate_cocycle(base, cocycle)
+    def __init__(self, base, cocycle, groupoid, report=None):
+        report = validate_cocycle(base, cocycle) if report is None else report
         if not report.ok:
             raise StructuralError("invalid cocycle: {}".format(report.violations))
         self.base = base
@@ -196,45 +196,45 @@ def bundle_from_json(doc):
 
 def _tables(bundle):
     """The points s * |Ar G| + a as int tables: moment, sitting duck s * |Ob G|
-    + t(a), each duck fibre's points, and the right action (p, h) -> point."""
+    + t(a), each duck fibre's points, G.rows() and the right action's rows."""
     g = bundle.groupoid
-    n, ks = g.n_arrows, range(len(bundle.base.base))
+    n, ks, rows = g.n_arrows, range(len(bundle.base.base)), g.rows()
     moment = [g.src[a] for _ in ks for a in g.arrows]
     duck = [s * g.n_objects + g.tgt[a] for s in ks for a in g.arrows]
     fibres = [[s * n + a for a in fibre] for s in ks for fibre in g.target_fibres]
-    rows = [[(h, g.compose(a, h)) for h in g.target_fibres[g.src[a]]] for a in g.arrows]
-    right = {(s * n + a, h): s * n + c for s in ks for a, row in enumerate(rows)
-             for h, c in row}
-    return moment, duck, fibres, right
+    right = [[s * n + c for c in row] for s in ks for row in rows]
+    return moment, duck, fibres, rows, right
 
 
 def verify_principal_axioms(bundle):
-    """The module axioms and the principality bijection on the tables of
+    """The module axioms and the principality bijection on the rows of
     _tables, keyed in the loops over p, h, k, then duck fibres f, p1, p2 or h;
-    each witness names the points and arrows of its key."""
+    each witness names the points and arrows of its key; p1 \\ p2 is inv(p1).p2."""
     g, points = bundle.groupoid, bundle.points
-    moment, duck, fibres, right = _tables(bundle)
-    ph, qs, pts = list(right), list(right.values()), range(len(points))
-    phk = [(p, h, k) for p, h in ph for k in g.target_fibres[g.src[h]]]
-    div = {(f, p1, 0, p2): g.compose(g.inv[p1 % g.n_arrows], p2 % g.n_arrows)
-           for f, fibre in enumerate(fibres) for p1 in fibre for p2 in fibre}
-    fph = [(f, p1, 1, h) for f, fibre in enumerate(fibres) for p1 in fibre
-           for h in g.target_fibres[moment[p1]]]
+    moment, duck, fibres, rows, right = _tables(bundle)
+    n, at, targets, pts = g.n_arrows, g.row_index, g.target_fibres, range(len(points))
+    ph = [(p, h) for p, m in enumerate(moment) for h in targets[m]]
+    qs = list(chain.from_iterable(right))
+    fp = [(f, p1) for f, fibre in enumerate(fibres) for p1 in fibre]
+    div = [rows[g.inv[p1 % n]] for _, p1 in fp]
     report = ValidationReport()
     report.record_columns([
-        ("GrM2:unit", [right[p, g.unit[m]] for p, m in enumerate(moment)], list(pts),
+        ("GrM2:unit", [right[p][at[g.unit[m]]] for p, m in enumerate(moment)], list(pts),
          [(p,) for p in pts]),
         ("GrM1:moment", [moment[q] for q in qs], [g.src[h] for _, h in ph]),
         ("PGr2:duck-invariant", [duck[q] for q in qs], [duck[p] for p, _ in ph]),
-        ("GrM3:assoc", [right[right[p, h], k] for p, h, k in phk],
-         [right[p, g.compose(h, k)] for p, h, k in phk], phk)],
+        ("GrM3:assoc", list(chain.from_iterable(map(right.__getitem__, qs))),
+         [right[p][at[c]] for p, h in ph for c in rows[h]],
+         lambda: [(p, h, k) for p, h in ph for k in targets[g.src[h]]])],
         ph, lambda key: (points[key[0]],) + key[1:] if key[1:] else points[key[0]])
     report.record_columns([
-        ("PGr3:div-target", [g.tgt[d] for d in div.values()],
-         [moment[key[1]] for key in div]),
-        ("PGr3:div-act", [right[key[1], d] for key, d in div.items()],
-         [key[3] for key in div]),
-        ("PGr3:act-div", [div[f, p1, 0, right[p1, h]] for f, p1, _, h in fph],
-         [h for *_, h in fph], fph)],
-        list(div), lambda key: (points[key[1]], points[key[3]] if key[2] == 0 else key[3]))
+        ("PGr3:div-target", [g.tgt[d] for row in div for d in row],
+         [moment[p1] for (_, p1), row in zip(fp, div) for _ in row]),
+        ("PGr3:div-act", [right[p1][at[d]] for (_, p1), row in zip(fp, div) for d in row],
+         [p2 for f, _ in fp for p2 in fibres[f]]),
+        ("PGr3:act-div", [row[at[q % n]] for (_, p1), row in zip(fp, div) for q in right[p1]],
+         [h for _, p1 in fp for h in targets[moment[p1]]],
+         lambda: [(f, p1, 1, h) for f, p1 in fp for h in targets[moment[p1]]])],
+        lambda: [(f, p1, 0, p2) for f, p1 in fp for p2 in fibres[f]],
+        lambda key: (points[key[1]], points[key[3]] if key[2] == 0 else key[3]))
     return report

@@ -58,16 +58,17 @@ def _push(report, name, vr):
 
 
 def _bundle_checks(doc):
-    """(name, report) for a bundle document's fibre and then, on a fibre that
-    passes, its cocycle: the cocycle check composes in the fibre."""
-    from .bundle import bundle_parts, validate_cocycle
+    """(name, report) for a bundle document's fibre and, on a fibre that passes,
+    its cocycle, which composes in it; and the bundle once both pass, else None."""
+    from .bundle import PrincipaloidBundle, bundle_parts, validate_cocycle
     from .groupoid import validate_groupoid
 
     base, cocycle, groupoid = bundle_parts(doc)
     checks = [("groupoid-axioms", validate_groupoid(groupoid))]
     if checks[0][1].ok:
         checks.append(("cocycle", validate_cocycle(base, cocycle)))
-    return checks
+    ok = all(r.ok for _, r in checks)
+    return checks, PrincipaloidBundle(base, cocycle, groupoid, checks[-1][1]) if ok else None
 
 
 def cmd_validate(args):
@@ -76,18 +77,21 @@ def cmd_validate(args):
     report = _base_report("validate", args)
     doc = _load_json(args.path)
     if isinstance(doc, dict) and "cocycle" in doc and "f" not in doc:
-        ok = all(_push(report, *c) for c in _bundle_checks(doc))
+        ok = all(_push(report, *c) for c in _bundle_checks(doc)[0])
     elif isinstance(doc, dict) and "f" in doc:
         from .automorphism import automorphism_from_json, validate_automorphism
 
+        if "bundle" not in doc:
+            raise StructuralError("malformed automorphism document: no key 'bundle'")
         # the automorphism's bundle is built on a fibre and cocycle that pass;
         # the first of them that fails is the report
-        failed = [c for c in _bundle_checks(doc.get("bundle")) if not c[1].ok]
+        checks, bundle = _bundle_checks(doc["bundle"])
+        failed = [c for c in checks if not c[1].ok]
         if failed:
             ok = _push(report, *failed[0])
         else:
-            aut = automorphism_from_json(doc)
-            ok = _push(report, "automorphism", validate_automorphism(aut.bundle, aut))
+            aut = automorphism_from_json(doc, bundle)
+            ok = _push(report, "automorphism", validate_automorphism(bundle, aut))
     elif isinstance(doc, dict) and "arrows" in doc:
         ok = _push(report, "groupoid-axioms",
                    validate_groupoid(FiniteGroupoid.from_json(doc)))

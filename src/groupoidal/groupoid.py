@@ -2,13 +2,14 @@
 
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
 the multiplication table is a dict keyed by composable pairs, since those
-are sparse in the square of the arrow set.  The labelled stock tables come
-from one builder that fills mul fibre by fibre, products by arithmetic on
-first read; validation compares columns, walking fibres after a failure.
+are sparse in the square of the arrow set, and read as rows of products.  The
+stock tables come from one builder that fills mul fibre by fibre, a product's
+rows by arithmetic, its mul from them on first read; validation compares the
+rows as columns, walking fibres after a failure.
 """
 
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 from .report import CompositionError, StructuralError, ValidationReport
 
@@ -92,6 +93,19 @@ class FiniteGroupoid:
         except KeyError:
             raise self.composition_error(a, b)
 
+    def rows(self):
+        """rows[a] lists a.b for b in target_fibres[src(a)]: a.b is rows[a][row_index[b]]."""
+        mul, targets, src = self.mul, self.target_fibres, self.src
+        try:
+            return [[mul[a, b] for b in targets[src[a]]] for a in self.arrows]
+        except KeyError as exc:
+            raise self.composition_error(*exc.args[0]) from None
+
+    @cached_property
+    def row_index(self):
+        """row_index[b]: b's place in target_fibres[tgt(b)], and so in rows."""
+        return {b: k for fibre in self.target_fibres for k, b in enumerate(fibre)}
+
     def composition_error(self, a, b):
         """The error for a product a.b that mul does not define."""
         return CompositionError(
@@ -154,20 +168,22 @@ def validate_groupoid(g):
 
     Axiom (i): src/tgt compatibility of the product and totality of mul on
     composable pairs.  (ii): associativity.  (iii): units.  (iv): inverses.
-    (i) and (ii) are certified on whole columns, by _rows and Light's test,
-    else walked along target fibres pair by pair and triple by triple, with
-    witnesses, a mul entry on a non-composable pair in its (a, b) place.
-    (iii) and (iv) are compared as columns, through record_columns.
+    (i) and (ii) are certified on the table's rows, by _rows and Light's
+    test, else walked in (a, b) order pair by pair and triple by triple, with
+    witnesses.  (iii) and (iv) are compared as columns, through
+    record_columns, their products read from the rows once (i) holds.
     """
     report = ValidationReport()
     rows = _rows(g)
     if rows is not None:  # every check of (i) passes
-        report.record_all(2 * len(g.mul))
+        report.record_all(2 * sum(map(len, rows)))
     else:
         _mul_walk(g, report)
     if rows is None or not _assoc_on_generators(g, report, rows):
         _assoc_walk(g, report)
-    src, tgt, unit, inv, get = g.src, g.tgt, g.unit, g.inv, g.mul.get
+    src, tgt, unit, inv, at = g.src, g.tgt, g.unit, g.inv, g.row_index
+    get = g.mul.get if rows is None else (  # x.y, None off mul
+        lambda xy: rows[xy[0]][at[xy[1]]] if src[xy[0]] == tgt[xy[1]] else None)
     objects, arrows = list(g.objects), list(g.arrows)
     e_t, e_s = [unit[m] for m in tgt], [unit[m] for m in src]
     for columns, keys in (
@@ -184,42 +200,35 @@ def validate_groupoid(g):
 
 
 def _mul_walk(g, report):
-    """Record axiom (i) pair by pair, with witnesses."""
-    src, tgt, mul, fibres = g.src, g.tgt, g.mul, g.target_fibres
-    strays = {}
-    for a, b in mul:
+    """Record axiom (i) on the composable pairs and the keys of mul, in (a, b)
+    order, with witnesses."""
+    src, tgt, mul = g.src, g.tgt, g.mul
+    for a, b in sorted({(a, b) for a in g.arrows for b in g.target_fibres[src[a]]}.union(mul)):
         if src[a] != tgt[b]:
-            strays.setdefault(a, []).append(b)
-    for a in g.arrows:
-        bs = fibres[src[a]]
-        if a in strays:
-            bs = sorted(bs + tuple(strays[a]))
-        for b in bs:
-            if src[a] != tgt[b]:
-                report.add("i:mul-domain", (a, b), "mul defined on non-composable pair")
-            elif (a, b) not in mul:
-                report.add("i:mul-total", (a, b), "composable pair missing from mul")
-            else:
-                c = mul[(a, b)]
-                report.record("i:src", src[c] == src[b], (a, b), "s(a.b) != s(b)")
-                report.record("i:tgt", tgt[c] == tgt[a], (a, b), "t(a.b) != t(a)")
+            report.add("i:mul-domain", (a, b), "mul defined on non-composable pair")
+        elif (a, b) not in mul:
+            report.add("i:mul-total", (a, b), "composable pair missing from mul")
+        else:
+            c = mul[(a, b)]
+            report.record("i:src", src[c] == src[b], (a, b), "s(a.b) != s(b)")
+            report.record("i:tgt", tgt[c] == tgt[a], (a, b), "t(a.b) != t(a)")
 
 
-def _rows(g):
-    """rows[a], the products a.c for c in target_fibres[src(a)], if axiom (i)
-    holds, else None: each object's block of products, over its source x
-    target fibre, is complete and typed, and the blocks hold all of mul."""
-    src, tgt, get, rows = g.src, g.tgt, g.mul.get, [None] * g.n_arrows
-    for left, right in zip(g.source_fibres, g.target_fibres):
-        w = len(right)
-        block = list(map(get, product(left, right)))
-        lefts = chain.from_iterable(map(repeat, map(tgt.__getitem__, left), repeat(w)))
-        if (None in block or list(map(tgt.__getitem__, block)) != list(lefts)
-                or list(map(src.__getitem__, block)) != [src[b] for b in right] * len(left)):
+def _rows(g, typed=True):
+    """g.rows() if axiom (i) holds, else None: mul holds a product on every
+    composable pair and on no other (an unfilled product table is its rows),
+    each typed, s(a.b) = s(b) and t(a.b) = t(a), unless typed is False."""
+    try:
+        rows = g.rows()
+    except CompositionError:
+        return None
+    if "mul" in vars(g) and sum(map(len, rows)) != len(g.mul):
+        return None
+    src, tgt, srcs = g.src, g.tgt, [[g.src[b] for b in fibre] for fibre in g.target_fibres]
+    for a, row in enumerate(rows if typed else ()):
+        if [src[c] for c in row] != srcs[src[a]] or [tgt[c] for c in row] != [tgt[a]] * len(row):
             return None
-        for k, a in enumerate(left):
-            rows[a] = block[k * w:k * w + w]
-    return rows if sum(map(len, rows)) == len(g.mul) else None
+    return rows
 
 
 def _assoc_walk(g, report):
@@ -247,11 +256,10 @@ def _assoc_on_generators(g, report, rows):
     (a.y^-1).y with y: m -> root.  When S covers every arrow and passes,
     ii:assoc is credited with every composable triple and True returned.
     Rows are _rows(g)'s: rows[a.b] lists (a.b).c by c; a.(b.c) is rows[a][at[b.c]]."""
-    src, tgt = g.src, g.tgt
+    src, tgt, at = g.src, g.tgt, g.row_index
     sources, targets = g.source_fibres, g.target_fibres
     roots = {min(tgt[a] for a in fibre) for fibre in sources if fibre}
     gens = {b for b in g.arrows if src[b] in roots or tgt[b] in roots}
-    at = {x: k for fibre in targets for k, x in enumerate(fibre)}
     covered = {c for x in gens for c, y in zip(rows[x], targets[src[x]]) if y in gens}
     if len(covered) != g.n_arrows:
         return False
@@ -362,29 +370,37 @@ def product_groupoid(g1, g2):
 
 
 class _ProductGroupoid(FiniteGroupoid):
-    """A product table that fills mul on first read, by arithmetic from the
-    factors' rows of products: keys in _from_labels' order, one int per id."""
+    """A product table: rows by arithmetic from the factors', mul from the rows
+    on first read, in _from_labels' key order, and then the table as on any other."""
 
     def __init__(self, g1, g2):
         n2, k2 = g2.n_objects, g2.n_arrows
-        ids = self._ids = list(range(g1.n_arrows * k2))
         self._set_maps(
             g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
             [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
-            [ids[u1 * k2 + u2] for u1 in g1.unit for u2 in g2.unit],
-            [ids[i1 * k2 + i2] for i1 in g1.inv for i2 in g2.inv],
+            [u1 * k2 + u2 for u1 in g1.unit for u2 in g2.unit],
+            [i1 * k2 + i2 for i1 in g1.inv for i2 in g2.inv],
             product(g1.arrows, g2.arrows), None)
         # built now, so that a factor missing a product raises here
-        self._factor_rows = [[[(b, f.compose(a, b)) for b in f.target_fibres[f.src[a]]]
-                              for a in f.arrows] for f in (g1, g2)]
+        self._factor_rows = g1.rows(), g2.rows()
+        self._ids = sorted(chain.from_iterable(self.target_fibres))  # shared by rows and mul
+
+    def rows(self):
+        return super().rows() if "mul" in vars(self) else self._product_rows
+
+    @cached_property
+    def _product_rows(self):
+        # (a1 * k2 + a2).(b1 * k2 + b2) = c1 * k2 + c2, b1 and b2 in fibre order
+        ids, (rows1, rows2) = self._ids, self._factor_rows
+        k2, c1s = len(rows2), range(len(rows1))
+        blocks = [[[ids[c1 * k2 + c2] for c2 in row2] for c1 in c1s] for row2 in rows2]
+        return [list(chain.from_iterable(map(block.__getitem__, row1)))
+                for row1 in rows1 for block in blocks]
 
     @cached_property
     def mul(self):
-        ids, (rows1, rows2) = self._ids, self._factor_rows
-        k2 = len(rows2)
-        return {(ids[a1 * k2 + a2], ids[b1 * k2 + b2]): ids[c1 * k2 + c2]
-                for a1, row1 in enumerate(rows1) for a2, row2 in enumerate(rows2)
-                for b1, c1 in row1 for b2, c2 in row2}
+        return {(a, b): c for a, row in zip(self._ids, self._product_rows)
+                for b, c in zip(self.target_fibres[self.src[a]], row)}
 
 
 def z2_swap_action():

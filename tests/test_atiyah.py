@@ -7,7 +7,7 @@ from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
                         enumerate_projectable_bisections, pair_groupoid,
                         product_groupoid, validate_groupoid,
                         verify_atiyah_sequence, verify_bisection_correspondence,
-                        verify_gauge_group, verify_trident)
+                        verify_gauge_group, verify_principal_axioms, verify_trident)
 from groupoidal.atiyah import AtElement
 
 
@@ -183,6 +183,9 @@ def test_batteries_that_never_read_mul_leave_it_unfilled(request, chain_bundle, 
     at = AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
     gauge = enumerate_gauge_group(bundle)
+    assert validate_groupoid(fg).ok
+    assert verify_atiyah_sequence(bundle, at).ok
+    assert verify_principal_axioms(bundle).ok
     assert verify_trident(bundle, at).ok
     assert all(verify_bisection_correspondence(bundle, at, aut).ok for aut in gauge[::7])
     assert verify_gauge_group(bundle, gauge, at=at).ok

@@ -37,7 +37,8 @@ from groupoidal import (AtiyahGroupoid, Bisection, CechBase, Cocycle,
                         validate_bisection, validate_groupoid,
                         verify_gauge_group, z2_swap_action)
 import groupoidal.bisection as bisection_module
-from groupoidal.bisection import _Columns, shadow_inverse
+import groupoidal.groupoid as groupoid_module
+from groupoidal.bisection import _Columns
 
 
 def source_fibre(g, m):
@@ -67,7 +68,7 @@ def oracle_identities(g, cap=100000):
     for b in bis:
         binv = bisection_inverse(b)
         sh = b.shadow()
-        shinv = shadow_inverse(b)
+        shinv = b.shadow_inverse
         for h in g.arrows:
             lh = left_mult(b, h)
             rh = right_mult(h, b)
@@ -117,7 +118,7 @@ def oracle_identities(g, cap=100000):
         for b in bis:
             if b(g.src[a]) != a:
                 continue
-            shinv = shadow_inverse(b)
+            shinv = b.shadow_inverse
             report.record("e3-i:through-target", b(shinv[g.tgt[a]]) == a,
                           (b.assign, a))
             for h in source_fibre(g, g.tgt[a]):
@@ -270,7 +271,7 @@ def identity_check_count(g, bis):
     into = Counter(g.tgt)
     count = 0
     for b in bis:
-        sh, shinv = b.shadow(), shadow_inverse(b)
+        sh, shinv = b.shadow(), b.shadow_inverse
         count += 9 * g.n_arrows + 3 * g.n_objects + 3 * len(g.mul)
         count += sum(out_of[sh[g.tgt[h]]] + into[shinv[g.src[h]]] for h in g.arrows)
         count += sum(1 + out_of[g.tgt[a]] for a in b.assign)
@@ -393,9 +394,9 @@ def action(draw):
 groups = perms.map(lambda dg: group_groupoid(*permutation_group(dg[1], dg[0])))
 small = st.one_of(st.integers(1, 2).map(pair_groupoid), fibred(max_points=3),
                   groups.filter(lambda g: g.n_arrows <= 3))
+products = st.tuples(small, small).map(lambda gs: product_groupoid(*gs))
 groupoids = st.one_of(
-    st.integers(1, 4).map(pair_groupoid), fibred(), groups, action(),
-    st.tuples(small, small).map(lambda gs: product_groupoid(*gs)))
+    st.integers(1, 4).map(pair_groupoid), fibred(), groups, action(), products)
 
 
 @given(groupoids.filter(lambda g: g.n_arrows <= 12),
@@ -715,7 +716,6 @@ def test_compensating_faults_fail_the_certificate(z2_groupoid, pair3,
 def walk_forbidden(monkeypatch):
     """validate_groupoid with the triple walk made to fail, and the report
     it gives with the certificate turned off instead."""
-    import groupoidal.groupoid as groupoid_module
     real_walk = groupoid_module._assoc_walk
 
     def walked(g):
@@ -928,3 +928,19 @@ def test_chain_projectable_match_oracle(request, chain_bundle, fibre, k):
 
 def test_running_example_projectable_match_oracle(three_point_bundle):
     assert_projectable_matches_oracle(three_point_bundle)
+
+
+@given(st.one_of(products, chain_bundles().map(
+    lambda bundle: AtiyahGroupoid(bundle).as_finite_groupoid())))
+@example(product_groupoid(product_groupoid(pair_groupoid(2), Z2),
+                          fibred_pair_groupoid([[0], [1, 2]])))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_product_rows_match_filled_table(g):
+    # the rows come by arithmetic, mul unfilled; once it is filled from
+    # them, validation reads the same rows back from the dict
+    rows = g.rows()
+    assert "mul" not in vars(g)
+    assert len(g.mul) == sum(map(len, rows))
+    assert groupoid_module._rows(g) == rows

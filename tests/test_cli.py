@@ -111,6 +111,32 @@ def automorphism_doc(bundle, aut=None):
                       for (j, i, s), b in sorted(aut.gamma.items())]}
 
 
+def test_automorphism_bundle_read_once(capsys, tmp_path, monkeypatch,
+                                       three_point_bundle):
+    # the cocycle is checked once, and the automorphism built on that bundle
+    import groupoidal.bundle as bundle_module
+    calls, real = [], bundle_module.validate_cocycle
+
+    def counted(base, cocycle):
+        calls.append(base)
+        return real(base, cocycle)
+    monkeypatch.setattr(bundle_module, "validate_cocycle", counted)
+    path = write(tmp_path, "aut.json", automorphism_doc(three_point_bundle))
+    code, out = run(capsys, ["validate", path])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == 1
+
+
+def test_automorphism_without_bundle_is_input_error(capsys, tmp_path,
+                                                    three_point_bundle):
+    doc = automorphism_doc(three_point_bundle)
+    del doc["bundle"]
+    assert main(["validate", write(tmp_path, "aut.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: malformed automorphism document: no key 'bundle'\n"
+
+
 def test_gamma_entries_checked_before_use(capsys, tmp_path,
                                           three_point_bundle):
     path = write(tmp_path, "aut.json", automorphism_doc(three_point_bundle))
