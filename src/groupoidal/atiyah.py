@@ -10,8 +10,8 @@ conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
 In canonical charts the table over the shadow points is the product
-Pair(B) x G, its rows built by arithmetic and its mul only on first read;
-the batteries walk those rows and int tables, and multiplication reads mul.
+Pair(B) x G, its rows built by arithmetic on first read; the batteries walk
+those rows and int tables, and multiplication reads them too.
 """
 
 from collections import Counter, namedtuple
@@ -19,7 +19,7 @@ from itertools import chain, product
 
 from .bisection import Bisection, _search, conjugate, left_mult, right_mult
 from .bundle import FPoint, PPoint, MomentMismatch, _tables
-from .groupoid import _rows, pair_groupoid, product_groupoid
+from .groupoid import pair_groupoid, product_groupoid
 from .report import ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
@@ -137,17 +137,11 @@ def verify_atiyah_sequence(bundle, at=None, adjoint=None):
     index = {s: i for i, s in enumerate(bundle.base.base)}
     first, second = [index[s1] * k for s1, _ in proj], [index[s2] for _, s2 in proj]
     pair = [i + j for i, j in zip(first, second)]
-    rows, src, targets = _rows(fg, typed=False), fg.src, fg.target_fibres
-    if rows is None:  # mul is not exactly the rows: walked in its own order
-        products, rhs = fg.mul.values(), [first[a] + second[b] for a, b in fg.mul]
-    else:
-        seconds = [[second[b] for b in fibre] for fibre in targets]
-        products = chain.from_iterable(rows)
-        rhs = [i + j for i, m in zip(first, src) for j in seconds[m]]
+    seconds = [[second[b] for b in fibre] for fibre in fg.target_fibres]
     report.record_columns([(
-        "sequence:morphism", [pair[c] for c in products], rhs,
-        lambda: list(enumerate(fg.mul if rows is None else (
-            (a, b) for a in fg.arrows for b in targets[src[a]]))),
+        "sequence:morphism", [pair[c] for c in chain.from_iterable(fg.rows())],
+        [i + j for i, m in zip(first, fg.src) for j in seconds[m]],
+        lambda: list(enumerate((a, b) for a, m in enumerate(fg.src) for b in fg.target_fibres[m])),
         lambda key: (at.elements[key[1][0]], at.elements[key[1][1]]))])
     kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
     image = {adjoint.embed(e) for e in adjoint.elements}

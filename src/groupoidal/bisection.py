@@ -270,7 +270,7 @@ def check_structure_identities(g, cap=100000):
         return report
     cols = _Columns(g.n_arrows)
     column, table, apply, checked = cols.column, cols.table, cols.apply, cols.checked
-    src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, g.mul
+    src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, dict(g.mul.items())
     sources, targets = g.source_fibres, g.target_fibres
     compose = g.compose
     assigns = [b.assign for b in bis]
@@ -402,9 +402,9 @@ def r_equivariant_commutant(g, cap=10_000_000):
     # each check is filed under the larger of the two arrows it reads, so it
     # runs once, as soon as both are assigned
     pairs_by_arrow = [[] for _ in g.arrows]
-    for (x, h), prod in g.mul.items():
+    src, tgt, mul = g.src, g.tgt, dict(g.mul.items())  # one walk of the rows
+    for (x, h), prod in mul.items():
         pairs_by_arrow[max(x, prod)].append((x, h, prod))
-    src, tgt, mul = g.src, g.tgt, g.mul
     arrows = [g.arrows] * g.n_arrows
 
     def r_consistent(phi):

@@ -59,22 +59,22 @@ class Cocycle:
 
     def __init__(self, groupoid, entries):
         self.groupoid = groupoid
-        self.entries = dict(entries)
+        self.entries, self._beta = dict(entries), dict(entries)
         for (i, j, sigma), b in self.entries.items():
             if not isinstance(b, Bisection) or not validate_bisection(groupoid, b):
                 raise StructuralError(
                     "cocycle value at {} is not a valid bisection".format((i, j, sigma)))
 
     def beta(self, i, j, sigma):
-        """beta_ij(sigma), falling back to Id on the diagonal and to the
-        inverse of the transposed entry when only one direction was given."""
-        if (i, j, sigma) in self.entries:
-            return self.entries[(i, j, sigma)]
-        if i == j:
-            return unit_bisection(self.groupoid)
-        if (j, i, sigma) in self.entries:
-            return bisection_inverse(self.entries[(j, i, sigma)])
-        raise StructuralError("no cocycle entry for {}".format((i, j, sigma)))
+        """beta_ij(sigma), else Id on the diagonal, else the inverse of the
+        transposed entry when only one direction was given, built once."""
+        key = (i, j, sigma)
+        if key not in self._beta:
+            if i != j and (j, i, sigma) not in self.entries:
+                raise StructuralError("no cocycle entry for {}".format(key))
+            self._beta[key] = (unit_bisection(self.groupoid) if i == j
+                               else bisection_inverse(self.entries[j, i, sigma]))
+        return self._beta[key]
 
 
 def validate_cocycle(base, c):

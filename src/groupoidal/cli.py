@@ -135,11 +135,12 @@ def cmd_bundle(args):
     # every check below reads the fibre's tables as a groupoid's, and the
     # bundle is built on a cocycle that passes
     ok = _push(report, "fibre-groupoid", validate_groupoid(groupoid))
-    if ok and mode == "axioms":
-        ok = _push(report, "cocycle", validate_cocycle(base, cocycle))
+    checked = validate_cocycle(base, cocycle) if ok and mode == "axioms" else None
+    if checked is not None:
+        ok = _push(report, "cocycle", checked)
     if not ok:
         return _emit(report, False, args)
-    bundle = PrincipaloidBundle(base, cocycle, groupoid)
+    bundle = PrincipaloidBundle(base, cocycle, groupoid, checked)
     if mode != "axioms":
         from .atiyah import (AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence,
                              verify_trident)

@@ -1,13 +1,14 @@
 """Finite groupoids: arrows over objects with a partial multiplication table.
 
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
-the multiplication table is a dict keyed by composable pairs, since those
-are sparse in the square of the arrow set, and read as rows of products.  The
-stock tables come from one builder that fills mul fibre by fibre, a product's
-rows by arithmetic, its mul from them on first read; validation compares the
-rows as columns, walking fibres after a failure.
+the multiplication table is rows of products on composable pairs, which are
+sparse in the square of the arrow set, and mul a read-only view of it.  The
+stock tables come from one builder that fills rows fibre by fibre, a
+product's by arithmetic on first read; validation compares the rows as
+columns, walking fibres after a failure.
 """
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, product
 
@@ -19,27 +20,69 @@ def _is_id(x, n):
     return type(x) is int and 0 <= x < n
 
 
+class _Pairs(Mapping):
+    """mul: the rows as a read-only mapping (a, b) -> a.b; len builds nothing."""
+
+    def __init__(self, g):
+        self._g = g
+
+    def __getitem__(self, key):
+        c = self._g._product(*key) if type(key) is tuple and len(key) == 2 else None
+        if c is None:
+            raise KeyError(key)
+        return c
+
+    def __len__(self):
+        g = self._g
+        return (sum(len(s) * len(t) for s, t in zip(g.source_fibres, g.target_fibres))
+                - len(g._missing) + len(g._strays))
+
+    def __iter__(self):
+        return (ab for ab, _ in self.items())
+
+    def items(self):
+        """((a, b), a.b) walked off the rows once, in the table's pair order."""
+        g = self._g
+        if g._order is not None:
+            return ((ab, g._product(*ab)) for ab in g._order)
+        return (((a, b), c) for a, row in enumerate(g._table)
+                for b, c in zip(g.target_fibres[g.src[a]], row))
+
+
 class FiniteGroupoid:
     """A small category with all morphisms invertible, on finite data.
 
     Fields follow the usual structure maps: src/tgt per arrow, unit per
-    object, inv per arrow, and mul defined exactly on pairs (a, b) with
-    src(a) == tgt(b).  source_fibres[m] and target_fibres[m] hold the arrows
-    with source and target m, in arrow order.  Instances are immutable after
-    construction; product_groupoid's tables fill mul on first read.
+    object, inv per arrow, and rows of products on exactly the pairs (a, b)
+    with src(a) == tgt(b).  source_fibres[m] and target_fibres[m] hold the
+    arrows with source and target m, in arrow order.  Rows made from a
+    mapping mul keep its defects: the pairs it lacks, its strays (products
+    on other pairs) and its pair order, which the view mul follows.
+    Instances are immutable after construction.
     """
+
+    _missing, _strays, _order = (), {}, None  # a built table has no defects
+    mul = property(_Pairs)
 
     def __init__(self, n_objects, src, tgt, unit, inv, mul, arrow_labels=None,
                  object_labels=None):
-        self.mul = dict(mul)
+        mul = dict(mul)
         self._set_maps(n_objects, src, tgt, unit, inv, arrow_labels, object_labels)
-        n = self.n_arrows
-        for (a, b), c in self.mul.items():
+        n, at, targets = self.n_arrows, self.row_index, self.target_fibres
+        self._table = [[None] * len(targets[m]) for m in self.src]
+        self._strays, self._order = {}, tuple(mul)
+        for (a, b), c in mul.items():
             if not (_is_id(a, n) and _is_id(b, n) and _is_id(c, n)):
                 raise StructuralError("mul entry not ints in range: {!r}".format((a, b, c)))
+            if self.src[a] == self.tgt[b]:
+                self._table[a][at[b]] = c
+            else:
+                self._strays[a, b] = c
+        self._missing = tuple((a, b) for a in self.arrows for b in targets[self.src[a]]
+                              if (a, b) not in mul)
 
     def _set_maps(self, n_objects, src, tgt, unit, inv, arrow_labels, object_labels):
-        """Set and check every field but mul, and the fibres."""
+        """Set and check every field but the table, and the fibres."""
         self.n_objects = n_objects
         self.src = tuple(src)
         self.tgt = tuple(tgt)
@@ -88,18 +131,24 @@ class FiniteGroupoid:
 
     def compose(self, a, b):
         """The product a.b, defined when src(a) == tgt(b)."""
-        try:
-            return self.mul[(a, b)]
-        except KeyError:
+        c = self._product(a, b)
+        if c is None:
             raise self.composition_error(a, b)
+        return c
+
+    def _product(self, a, b):
+        """a.b, or None where the table holds no product."""
+        src = self.src
+        if 0 <= a < len(src) and 0 <= b < len(src) and src[a] == self.tgt[b]:
+            return self._table[a][self.row_index[b]]
+        return self._strays.get((a, b))
 
     def rows(self):
-        """rows[a] lists a.b for b in target_fibres[src(a)]: a.b is rows[a][row_index[b]]."""
-        mul, targets, src = self.mul, self.target_fibres, self.src
-        try:
-            return [[mul[a, b] for b in targets[src[a]]] for a in self.arrows]
-        except KeyError as exc:
-            raise self.composition_error(*exc.args[0]) from None
+        """The table, read only: rows[a] lists a.b for b in target_fibres[src(a)],
+        so a.b is rows[a][row_index[b]]; a missing product raises, the first in row order."""
+        if self._missing:
+            raise self.composition_error(*self._missing[0])
+        return self._table
 
     @cached_property
     def row_index(self):
@@ -181,9 +230,8 @@ def validate_groupoid(g):
         _mul_walk(g, report)
     if rows is None or not _assoc_on_generators(g, report, rows):
         _assoc_walk(g, report)
-    src, tgt, unit, inv, at = g.src, g.tgt, g.unit, g.inv, g.row_index
-    get = g.mul.get if rows is None else (  # x.y, None off mul
-        lambda xy: rows[xy[0]][at[xy[1]]] if src[xy[0]] == tgt[xy[1]] else None)
+    src, tgt, unit, inv, at, table = g.src, g.tgt, g.unit, g.inv, g.row_index, g._table
+    get = lambda xy: table[xy[0]][at[xy[1]]] if src[xy[0]] == tgt[xy[1]] else g._strays.get(xy)
     objects, arrows = list(g.objects), list(g.arrows)
     e_t, e_s = [unit[m] for m in tgt], [unit[m] for m in src]
     for columns, keys in (
@@ -200,51 +248,47 @@ def validate_groupoid(g):
 
 
 def _mul_walk(g, report):
-    """Record axiom (i) on the composable pairs and the keys of mul, in (a, b)
+    """Record axiom (i) on the pairs the table holds or lacks, in (a, b)
     order, with witnesses."""
-    src, tgt, mul = g.src, g.tgt, g.mul
-    for a, b in sorted({(a, b) for a in g.arrows for b in g.target_fibres[src[a]]}.union(mul)):
+    src, tgt = g.src, g.tgt
+    for a, b in sorted(chain(g.mul, g._missing)):
+        c = g._product(a, b)
         if src[a] != tgt[b]:
             report.add("i:mul-domain", (a, b), "mul defined on non-composable pair")
-        elif (a, b) not in mul:
+        elif c is None:
             report.add("i:mul-total", (a, b), "composable pair missing from mul")
         else:
-            c = mul[(a, b)]
             report.record("i:src", src[c] == src[b], (a, b), "s(a.b) != s(b)")
             report.record("i:tgt", tgt[c] == tgt[a], (a, b), "t(a.b) != t(a)")
 
 
-def _rows(g, typed=True):
-    """g.rows() if axiom (i) holds, else None: mul holds a product on every
-    composable pair and on no other (an unfilled product table is its rows),
-    each typed, s(a.b) = s(b) and t(a.b) = t(a), unless typed is False."""
-    try:
-        rows = g.rows()
-    except CompositionError:
-        return None
-    if "mul" in vars(g) and sum(map(len, rows)) != len(g.mul):
+def _rows(g):
+    """g.rows() if axiom (i) holds, else None: the table holds a product on
+    every composable pair and on no other, each typed, s(a.b) = s(b) and
+    t(a.b) = t(a)."""
+    if g._missing or g._strays:
         return None
     src, tgt, srcs = g.src, g.tgt, [[g.src[b] for b in fibre] for fibre in g.target_fibres]
-    for a, row in enumerate(rows if typed else ()):
+    for a, row in enumerate(g.rows()):
         if [src[c] for c in row] != srcs[src[a]] or [tgt[c] for c in row] != [tgt[a]] * len(row):
             return None
-    return rows
+    return g.rows()
 
 
 def _assoc_walk(g, report):
     """Record ii:assoc on every composable triple, with its witness."""
-    src, mul, fibres = g.src, g.mul, g.target_fibres
+    src, mul, fibres = g.src, g._product, g.target_fibres
     for a in g.arrows:
         for b in fibres[src[a]]:
-            ab = mul.get((a, b))
+            ab = mul(a, b)
             if ab is None:
                 continue
             for c in fibres[src[b]]:
-                bc = mul.get((b, c))
+                bc = mul(b, c)
                 if bc is None:
                     continue
-                left = mul.get((ab, c))
-                report.record("ii:assoc", left is not None and left == mul.get((a, bc)),
+                left = mul(ab, c)
+                report.record("ii:assoc", left is not None and left == mul(a, bc),
                               (a, b, c))
 
 
@@ -312,19 +356,18 @@ def _from_labels(labels, source, target, units, inverse, compose):
     """The finite groupoid whose arrows are labels, its structure given on them.
 
     source and target send a label to an object id, units lists each
-    object's unit label, and inverse and compose act on labels.  mul is
-    filled by walking target fibres, each a with every b whose target is
-    src(a), so only composable pairs are formed and the keys come in
-    lexicographic order.  The label index built here is the one arrow_index
-    reads.
+    object's unit label, and inverse and compose act on labels.  The rows
+    are filled by walking target fibres, each a with every b whose target is
+    src(a), so only composable pairs are formed.  The label index built here
+    is the one arrow_index reads.
     """
     labels = tuple(labels)
     ids = {x: k for k, x in enumerate(labels)}
-    g = FiniteGroupoid(len(units), map(source, labels), map(target, labels),
-                       [ids[u] for u in units], [ids[inverse(x)] for x in labels],
-                       {}, arrow_labels=labels)
-    g.mul.update(((a, b), ids[compose(x, labels[b])])
-                 for a, x in enumerate(labels) for b in g.target_fibres[g.src[a]])
+    g = FiniteGroupoid.__new__(FiniteGroupoid)
+    g._set_maps(len(units), map(source, labels), map(target, labels),
+                [ids[u] for u in units], [ids[inverse(x)] for x in labels], labels, None)
+    g._table = [[ids[compose(x, labels[b])] for b in g.target_fibres[g.src[a]]]
+                for a, x in enumerate(labels)]
     g._arrow_ids = ids
     return g
 
@@ -370,8 +413,7 @@ def product_groupoid(g1, g2):
 
 
 class _ProductGroupoid(FiniteGroupoid):
-    """A product table: rows by arithmetic from the factors', mul from the rows
-    on first read, in _from_labels' key order, and then the table as on any other."""
+    """A product table: its rows by arithmetic from the factors', on first read."""
 
     def __init__(self, g1, g2):
         n2, k2 = g2.n_objects, g2.n_arrows
@@ -383,24 +425,15 @@ class _ProductGroupoid(FiniteGroupoid):
             product(g1.arrows, g2.arrows), None)
         # built now, so that a factor missing a product raises here
         self._factor_rows = g1.rows(), g2.rows()
-        self._ids = sorted(chain.from_iterable(self.target_fibres))  # shared by rows and mul
-
-    def rows(self):
-        return super().rows() if "mul" in vars(self) else self._product_rows
 
     @cached_property
-    def _product_rows(self):
+    def _table(self):
         # (a1 * k2 + a2).(b1 * k2 + b2) = c1 * k2 + c2, b1 and b2 in fibre order
-        ids, (rows1, rows2) = self._ids, self._factor_rows
+        ids, (rows1, rows2) = sorted(chain.from_iterable(self.target_fibres)), self._factor_rows
         k2, c1s = len(rows2), range(len(rows1))
         blocks = [[[ids[c1 * k2 + c2] for c2 in row2] for c1 in c1s] for row2 in rows2]
         return [list(chain.from_iterable(map(block.__getitem__, row1)))
                 for row1 in rows1 for block in blocks]
-
-    @cached_property
-    def mul(self):
-        return {(a, b): c for a, row in zip(self._ids, self._product_rows)
-                for b, c in zip(self.target_fibres[self.src[a]], row)}
 
 
 def z2_swap_action():

@@ -172,11 +172,6 @@ def test_projectable_bisections(three_point_bundle, at):
             assert at.elements[b(k)].sigma1 == fp.sigma
 
 
-def filled(fg):
-    """Whether a product table has filled its mul, which it does on first read."""
-    return "mul" in vars(fg)
-
-
 @pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
 def test_batteries_that_never_read_mul_leave_it_unfilled(request, chain_bundle, fibre):
     bundle = chain_bundle(request.getfixturevalue(fibre), 3, seed=3)
@@ -191,18 +186,41 @@ def test_batteries_that_never_read_mul_leave_it_unfilled(request, chain_bundle, 
     assert verify_gauge_group(bundle, gauge, at=at).ok
     projectable, vertical = enumerate_projectable_bisections(bundle, at)
     assert len(projectable) == 6 * len(gauge) and len(vertical) == len(gauge)
-    assert not filled(fg)
     assert list(fg.mul.items()) == list(all_pairs_table(at).mul.items())
-    assert filled(fg) and fg.mul is fg.mul
+
+
+def stores_pair_dict(fg):
+    """Whether a table holds a dict keyed by pairs of arrows."""
+    return any(isinstance(v, dict) and v and all(type(k) is tuple for k in v)
+               for v in vars(fg).values())
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_mul_view_builds_nothing(request, chain_bundle, fibre):
+    bundle = chain_bundle(request.getfixturevalue(fibre), 4, seed=4)
+    fg = AtiyahGroupoid(bundle).as_finite_groupoid()
+    before = set(vars(fg))
+    # the count of composable pairs, read off the fibres: no rows, no dict
+    assert len(fg.mul) == sum(len(s) * len(t) for s, t in zip(fg.source_fibres,
+                                                               fg.target_fibres))
+    assert set(vars(fg)) == before and "_table" not in before
+    assert len(fg.mul) == sum(map(len, fg.rows())) == len(list(fg.mul))
+    key = next(iter(fg.mul))
+    with pytest.raises(TypeError):
+        fg.mul[key] = 0
+    with pytest.raises(AttributeError):
+        fg.mul = {}
+    assert not stores_pair_dict(fg)
+    assert not stores_pair_dict(all_pairs_table(AtiyahGroupoid(bundle)))
 
 
 @pytest.mark.parametrize("fibre,k", [("z2_groupoid", 9), ("pair3", 6)])
-def test_filled_mul_shares_one_int_per_id(request, chain_bundle, fibre, k):
+def test_rows_share_one_int_per_id(request, chain_bundle, fibre, k):
     # past id 256, so the ints are not CPython's small-int singletons
     fg = AtiyahGroupoid(chain_bundle(request.getfixturevalue(fibre), k,
                                      seed=k)).as_finite_groupoid()
     assert fg.n_arrows > 257
-    assert len({id(x) for (a, b), c in fg.mul.items() for x in (a, b, c)}) <= fg.n_arrows
+    assert len({id(c) for row in fg.rows() for c in row}) <= fg.n_arrows
 
 
 @pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
@@ -211,9 +229,7 @@ def test_unfilled_table_acts_as_filled(request, chain_bundle, fibre):
     oracle = all_pairs_table(AtiyahGroupoid(bundle))
 
     def fresh():
-        fg = AtiyahGroupoid(bundle).as_finite_groupoid()
-        assert not filled(fg)
-        return fg
+        return AtiyahGroupoid(bundle).as_finite_groupoid()
     assert fresh() == oracle and oracle == fresh() and fresh() != pair_groupoid(3)
     assert fresh().to_json() == oracle.to_json()
     pairs = [(a, b) for a in (0, 5, oracle.n_arrows - 1) for b in oracle.arrows]

@@ -457,6 +457,28 @@ def test_fixtures_match_oracle_wide(wide, z2_groupoid, pair3):
     test_fixtures_match_oracle(z2_groupoid, pair3)
 
 
+def test_identity_witnesses_follow_the_document_pair_order():
+    # a four-element group with two products swapped, as a document and as
+    # a copy with its mul rows reversed: each bisection's v and c-v
+    # witnesses (u, h) come in the order of that document's rows
+    z4 = group_groupoid(list(range(4)), {(a, b): (a + b) % 4 for a in range(4)
+                                         for b in range(4)},
+                        0, {a: (-a) % 4 for a in range(4)})
+    doc = corrupt(z4, "mul", 1, 6).to_json()
+    seen = []
+    for d in (doc, {**doc, "mul": doc["mul"][::-1]}):
+        report = check_structure_identities(FiniteGroupoid.from_json(d))
+        place = {(a, b): k for k, (a, b, _) in enumerate(d["mul"])}
+        by_bisection = {}
+        for v in report.violations:
+            if v.check.startswith(("v:", "c-v:")):
+                by_bisection.setdefault(v.witness[0], []).append(place[v.witness[1:]])
+        assert by_bisection
+        assert all(ks == sorted(ks) for ks in by_bisection.values())
+        seen.append([(v.check, v.witness) for v in report.violations])
+    assert seen[0] != seen[1] and sorted(seen[0]) == sorted(seen[1])
+
+
 def boundary_groupoid(n_arrows):
     """A fibred pair groupoid with n_arrows arrows: singletons, then one
     2-point block, whose four arrows take the largest ids.  It has 2
@@ -937,10 +959,13 @@ def test_running_example_projectable_match_oracle(three_point_bundle):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
-def test_product_rows_match_filled_table(g):
-    # the rows come by arithmetic, mul unfilled; once it is filled from
-    # them, validation reads the same rows back from the dict
+def test_product_rows_match_mul_view(g):
+    # the rows come by arithmetic; mul walks them pair by pair, and a table
+    # built from those pairs has the same rows
     rows = g.rows()
-    assert "mul" not in vars(g)
-    assert len(g.mul) == sum(map(len, rows))
-    assert groupoid_module._rows(g) == rows
+    pairs = [((a, b), c) for a, row in enumerate(rows) for b, c in zip(
+        g.target_fibres[g.src[a]], row)]
+    assert list(g.mul.items()) == pairs and len(g.mul) == len(pairs)
+    assert all(g.mul[ab] == g.compose(*ab) == c for ab, c in pairs)
+    rebuilt = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, dict(pairs))
+    assert groupoid_module._rows(g) == rows == rebuilt.rows() and rebuilt == g

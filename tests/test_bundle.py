@@ -24,6 +24,17 @@ def test_base_shape():
         CechBase(["a"], [["a"], []])
 
 
+def test_cocycle_fallbacks_are_built_once(three_point_bundle):
+    c = three_point_bundle.cocycle
+    assert (1, 0, "b") not in c.entries and (0, 0, "b") not in c.entries
+    assert c.beta(0, 0, "b") is c.beta(0, 0, "b") == unit_bisection(c.groupoid)
+    assert c.beta(1, 0, "b") is c.beta(1, 0, "b")
+    assert c.beta(1, 0, "b") == bisection_inverse(c.entries[0, 1, "b"])
+    assert c.beta(0, 1, "b") is c.entries[0, 1, "b"]
+    with pytest.raises(StructuralError):
+        c.beta(0, 1, "a")
+
+
 def test_point_counts(three_point_bundle):
     assert len(three_point_bundle.points) == 12
     assert len(three_point_bundle.shadow_points) == 6

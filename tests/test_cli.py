@@ -127,6 +127,20 @@ def test_automorphism_bundle_read_once(capsys, tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+def test_bundle_axioms_check_the_cocycle_once(capsys, monkeypatch, bundle_doc):
+    # the cocycle report is the one the bundle is built on
+    import groupoidal.bundle as bundle_module
+    calls, real = [], bundle_module.validate_cocycle
+
+    def counted(base, cocycle):
+        calls.append(base)
+        return real(base, cocycle)
+    monkeypatch.setattr(bundle_module, "validate_cocycle", counted)
+    code, out = run(capsys, ["bundle", bundle_doc, "--report", "axioms"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == 1
+
+
 def test_automorphism_without_bundle_is_input_error(capsys, tmp_path,
                                                     three_point_bundle):
     doc = automorphism_doc(three_point_bundle)

@@ -80,6 +80,18 @@ def test_non_composable_raises(z2_groupoid):
         g.compose(a, a)
 
 
+def test_negative_ids_are_off_the_table(z2_groupoid):
+    # -1 does not wrap around to the last arrow's row
+    g = z2_groupoid
+    last = g.n_arrows - 1
+    b = next(b for b in g.arrows if g.composable(last, b))
+    for a, b in ((-1, b), (last, b - g.n_arrows)):
+        with pytest.raises(CompositionError) as got:
+            g.compose(a, b)
+        assert str(got.value) == str(g.composition_error(a, b))
+        assert (a, b) not in g.mul
+
+
 def test_corrupted_inverse_detected(z2_groupoid):
     g = z2_groupoid
     bad_inv = list(g.inv)
@@ -92,13 +104,20 @@ def test_corrupted_inverse_detected(z2_groupoid):
 
 def test_missing_product_detected(pair3):
     g = pair3
-    mul = dict(g.mul)
-    key = next(iter(mul))
-    del mul[key]
+    mul = dict(reversed(list(g.mul.items())))
+    key, last = next(iter(g.mul)), list(g.mul)[-1]
+    del mul[key], mul[last]
     bad = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
     report = validate_groupoid(bad)
     assert any(v.check == "i:mul-total" and v.witness == key
                for v in report.violations)
+    # rows() raises at the first missing product in row order, not the
+    # mapping's order, and compose at the pair it is asked for
+    for call in (bad.rows, lambda: bad.compose(*key)):
+        with pytest.raises(CompositionError) as got:
+            call()
+        assert str(got.value) == str(bad.composition_error(*key)) != str(
+            bad.composition_error(*last))
 
 
 def test_extra_product_detected(z2_groupoid):
