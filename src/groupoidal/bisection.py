@@ -204,6 +204,8 @@ def is_id_reducible(g):
 
 # Below this many arrows the identity suite keeps its columns as bytes.
 BYTE_ARROWS = 255
+# Byte columns pack x.y as x.K + row_index[y], K the longest row, while n_arrows.K <= this.
+PACKED_CODES = 256
 
 
 class _Columns:
@@ -253,8 +255,9 @@ def check_structure_identities(g, cap=100000):
     _Columns).  A column holds one id per bisection: per object, the
     bisection's value there and the value landing there; per arrow h, L(h),
     R(h) and C(h).  A product with one side fixed is a table applied to a
-    whole column: x -> x.h and y -> u.y.  Only C and c-v, whose factors
-    both vary with the bisection, are looked up pair by pair.  The vi
+    whole column: x -> x.h and y -> u.y.  C and c-v, whose factors both
+    vary, translate one byte per pair, its code x.K + row_index[y], while
+    codes fit a byte (PACKED_CODES), else look pairs up in mul.  The vi
     checks read a bisection through one arrow only, so they run once per
     value that arrow takes, with its whole fibre as the column.
     A product mul lacks raises CompositionError.
@@ -283,6 +286,11 @@ def check_structure_identities(g, cap=100000):
         by_right[y].append((x, p))
     LEFT = [table(r) for r in by_left]  # LEFT[u]: y -> u.y
     RIGHT = [table(r) for r in by_right]  # RIGHT[h]: x -> x.h
+    K, at = max(map(len, targets), default=0), g.row_index
+    packed = cols.byte and g.n_arrows * K <= PACKED_CODES
+    if packed:  # AT: y -> row_index[y]; FLAT: x.K + row_index[y] -> x.y
+        AT, FLAT = table(at.items()), table(
+            (x * K + at[y], p) for (x, y), p in mul.items() if src[x] == tgt[y])
 
     def left(u, col):
         return checked(apply(col, LEFT[u]), lambda i: compose(u, col[i]))
@@ -291,7 +299,12 @@ def check_structure_identities(g, cap=100000):
         return checked(apply(col, RIGHT[h]), lambda i: compose(col[i], h))
 
     def pairwise(xs, ys):
-        """The column of x.y for x, y in zip(xs, ys), looked up in mul."""
+        """The column of x.y for x, y in zip(xs, ys): packed when the columns
+        compose (no code carries, x.K + row_index[y] < n_arrows.K), else by mul."""
+        if packed and apply(xs, SRC) == apply(ys, TGT):
+            code = int.from_bytes(xs, "little") * K + int.from_bytes(apply(ys, AT), "little")
+            return checked(code.to_bytes(nb, "little").translate(FLAT),
+                           lambda i: compose(xs[i], ys[i]))
         try:
             return column(map(mul.__getitem__, zip(xs, ys)))
         except KeyError as exc:

@@ -138,8 +138,8 @@ class FiniteGroupoid:
 
     def _product(self, a, b):
         """a.b, or None where the table holds no product."""
-        src = self.src
-        if 0 <= a < len(src) and 0 <= b < len(src) and src[a] == self.tgt[b]:
+        n = len(self.src)
+        if type(a) is type(b) is int and 0 <= a < n and 0 <= b < n and self.src[a] == self.tgt[b]:
             return self._table[a][self.row_index[b]]
         return self._strays.get((a, b))
 
@@ -157,8 +157,10 @@ class FiniteGroupoid:
 
     def composition_error(self, a, b):
         """The error for a product a.b that mul does not define."""
-        return CompositionError(
-            "non-composable pair: src={} tgt={}".format(self.src[a], self.tgt[b]))
+        n = self.n_arrows
+        return CompositionError("non-composable pair: " + (
+            "src={} tgt={}".format(self.src[a], self.tgt[b]) if _is_id(a, n) and _is_id(b, n)
+            else "{!r} is off the table".format((a, b))))
 
     def arrow_index(self, label):
         """Look an arrow up by its label, when labels were supplied."""

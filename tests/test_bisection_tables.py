@@ -457,6 +457,77 @@ def test_fixtures_match_oracle_wide(wide, z2_groupoid, pair3):
     test_fixtures_match_oracle(z2_groupoid, pair3)
 
 
+@pytest.fixture
+def per_pair(monkeypatch):
+    """The identity suite on byte columns, its C and c-v products looked up
+    pair by pair, whatever the size of the table."""
+    monkeypatch.setattr(bisection_module, "PACKED_CODES", 0)
+    assert _Columns(1).byte
+
+
+def test_generated_groupoids_match_oracle_per_pair(per_pair):
+    test_generated_groupoids_match_oracle()
+
+
+def test_fixtures_match_oracle_per_pair(per_pair, z2_groupoid, pair3):
+    test_fixtures_match_oracle(z2_groupoid, pair3)
+
+
+def cyclic_group(n):
+    elements = list(range(n))
+    return group_groupoid(elements, {(a, b): (a + b) % n for a in elements
+                                     for b in elements},
+                          0, {a: (-a) % n for a in elements})
+
+
+def suite_outcome(g):
+    """The identity report as a dict, or the class and message of what the
+    suite raised."""
+    try:
+        return check_structure_identities(g).to_dict()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("g, packed", [
+    (cyclic_group(15), True), (cyclic_group(16), True), (cyclic_group(17), False),
+    (product_groupoid(pair_groupoid(2), cyclic_group(5)), True),
+    (product_groupoid(pair_groupoid(2), cyclic_group(6)), False)],
+    ids=["z15", "z16", "z17", "pair2xz5", "pair2xz6"])
+def test_packing_limit_matches_oracle(monkeypatch, g, packed):
+    # n_arrows * K on either side of one byte; at 256 (z16) the last code,
+    # 255, is also the mark of a missing product
+    K = max(map(len, g.target_fibres))
+    assert (g.n_arrows * K <= bisection_module.PACKED_CODES) == packed
+    tables = [g] + [corrupt(g, kind, i, 2 * i + 1) for kind in ("mul", "drop", "stray")
+                    for i in (0, len(g.mul) // 2, len(g.mul) - 1)]
+    for t in tables:
+        assert_matches_oracle(t)
+    packed_outcomes = [suite_outcome(t) for t in tables]
+    monkeypatch.setattr(bisection_module, "PACKED_CODES", 0)
+    assert [suite_outcome(t) for t in tables] == packed_outcomes
+
+
+def test_columns_leaving_their_hom_set_fall_back_to_mul(monkeypatch, pair3):
+    # mul holds every composable product of pair(3) and no other, but one is
+    # moved out of its hom-set, so some L(h) column does not compose with the
+    # inverse values it meets in C(h), and the lookup in mul raises
+    K = max(map(len, pair3.target_fibres))
+    assert pair3.n_arrows * K <= bisection_module.PACKED_CODES
+    mul = dict(pair3.mul)
+    key = next(iter(mul))
+    mul[key] = next(x for x in pair3.arrows if pair3.src[x] != pair3.src[key[1]])
+    g = FiniteGroupoid(pair3.n_objects, pair3.src, pair3.tgt, pair3.unit, pair3.inv, mul)
+    assert set(g.mul) == set(pair3.mul)
+    assert any(g.src[left_mult(b, h)] != g.tgt[g.inv[b(g.src[h])]]
+               for b in enumerate_bisections(g) for h in g.arrows)
+    assert outcome(oracle_identities, g) is CompositionError
+    got = suite_outcome(g)
+    assert got[0] is CompositionError and got[1].startswith("non-composable pair: src=")
+    monkeypatch.setattr(bisection_module, "PACKED_CODES", 0)
+    assert suite_outcome(g) == got
+
+
 def test_identity_witnesses_follow_the_document_pair_order():
     # a four-element group with two products swapped, as a document and as
     # a copy with its mul rows reversed: each bisection's v and c-v
@@ -517,18 +588,33 @@ def missing_products(g):
         yield FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
 
 
-@pytest.mark.parametrize("encoding", ["byte", "wide"])
+@pytest.mark.parametrize("encoding", ["byte", "wide", "per_pair"])
 @pytest.mark.parametrize("n", [3, 254, 255])
 def test_missing_products_raise_composition_error(request, encoding, n):
     # pair(3), and the boundary tables on either side of the bytes' limit
-    if encoding == "wide":
-        request.getfixturevalue("wide")
+    if encoding != "byte":
+        request.getfixturevalue(encoding)
     for g in missing_products(pair_groupoid(n) if n == 3 else boundary_groupoid(n)):
         if n == 3:
             assert outcome(oracle_identities, g) is CompositionError
         # never KeyError or IndexError, and never a report read off a mark
         with pytest.raises(CompositionError, match="non-composable pair"):
             check_structure_identities(g)
+
+
+def test_packed_product_missing_from_mul_raises():
+    # three objects and two arrows, 3: 0 -> 1 and 4: 2 -> 0, with no way
+    # back, so no bisection takes them and no L or R column holds the pair
+    # (3, 4); its product, missing, is first met in a packed C column, and
+    # raises as the lookup would
+    g = FiniteGroupoid(3, [0, 1, 2, 0, 2], [0, 1, 2, 1, 0], [0, 1, 2], [4, 1, 1, 2, 3],
+                       {(0, 0): 3, (0, 4): 1, (1, 1): 4, (1, 3): 1, (2, 2): 0,
+                        (3, 0): 2, (4, 2): 4})
+    assert g.n_arrows * 2 <= bisection_module.PACKED_CODES
+    with pytest.raises(CompositionError, match="src=0 tgt=0"):
+        check_structure_identities(g)
+    assert g.composable(3, 4) and (3, 4) not in g.mul
+    assert outcome(oracle_identities, g) is CompositionError
 
 
 @st.composite
@@ -565,6 +651,10 @@ def test_total_tables_match_oracle(g):
 
 
 def test_total_tables_match_oracle_wide(wide):
+    test_total_tables_match_oracle()
+
+
+def test_total_tables_match_oracle_per_pair(per_pair):
     test_total_tables_match_oracle()
 
 

@@ -92,6 +92,26 @@ def test_negative_ids_are_off_the_table(z2_groupoid):
         assert (a, b) not in g.mul
 
 
+@pytest.mark.parametrize("a, b", [(99, 0), (0, 99), (-1, 0)])
+def test_ids_off_the_table_raise_composition_error(a, b):
+    # never IndexError, and no wrapped arrow's source or target in the message
+    g = pair_groupoid(2)
+    with pytest.raises(CompositionError) as got:
+        g.compose(a, b)
+    assert str(got.value) == "non-composable pair: {!r} is off the table".format((a, b))
+
+
+def test_mul_view_answers_keys_that_are_not_ids():
+    # as a dict of int pairs would: absent, never TypeError
+    g = pair_groupoid(2)
+    for key in (("a", "b"), (0.5, 0), (0, 0.5), (None, 0), (0, 0, 0), "x", (-1, 0)):
+        assert key not in g.mul
+        assert g.mul.get(key) is None
+        with pytest.raises(KeyError):
+            g.mul[key]
+    assert (0, 0) in g.mul and g.mul.get((0, 0)) == 0
+
+
 def test_corrupted_inverse_detected(z2_groupoid):
     g = z2_groupoid
     bad_inv = list(g.inv)
