@@ -140,6 +140,12 @@ def validate_automorphism(bundle, aut):
     held = {key[2] for key in aut.gamma}
     for sigma in (s for s in base.base if s not in held):
         report.add("aut:chart-data", sigma, "no gamma entry at this base point")
+    charts = range(base.n_charts)
+    for j, i, sigma in aut.gamma:  # off its charts an entry is ignored or misread
+        fs = aut.f.get(sigma)  # f off the base fails aut:f-bijection instead
+        if not (i in charts and j in charts and sigma in base.cover[i]
+                and (fs not in points or fs in base.cover[j])):
+            report.add("aut:chart-domain", (j, i, sigma), "sigma or f(sigma) off its chart")
     if not report.ok:  # the checks below read f and gamma at every point
         return report
     for sigma in base.base:

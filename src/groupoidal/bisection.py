@@ -400,47 +400,47 @@ def check_structure_identities(g, cap=100000):
     return report
 
 
+def _commutant(g, checks, cap):
+    """Arrow bijections phi, sorted, with p[phi(x)] == phi(y) for each check
+    (x, y, p), p a list, None off its domain.  Slots run target fibre by fibre
+    in object order, unit first, and a check at the later of its two slots:
+    the callers' checks force a fibre once its unit is chosen, in any numbering."""
+    order = [a for m in g.objects
+             for a in sorted(g.target_fibres[m], key=lambda a: a != g.unit[m])]
+    slot, at = {a: i for i, a in enumerate(order)}, [[] for _ in order]
+    for x, y, p in checks:
+        at[max(slot[x], slot[y])].append((slot[x], slot[y], p))
+
+    def consistent(phi):
+        for i, j, p in at[len(phi) - 1]:
+            if p[phi[i]] != phi[j]:
+                return False
+        return True
+
+    found = _search([g.arrows] * g.n_arrows, g.arrows, cap, consistent)
+    return sorted(tuple(t[slot[a]] for a in g.arrows) for t in found)
+
+
 def r_equivariant_commutant(g, cap=10_000_000):
     """Arrow bijections commuting with all right translations, and with R(B).
 
     Returns a dict with the r-equivariant commutant, whether it equals
     L(B) exactly, the R(B)-commutant found by the same search, and whether
     that one equals L(B).  The latter equality is reported, not asserted.
+    Each is one _commutant, under its own cap: phi(x.h) == phi(x).h for each
+    entry (x, h) of mul, x.h read on composable pairs only, or phi(R(x)) ==
+    R(phi(x)) for each R in R(B) and arrow x.
     """
     bis = enumerate_bisections(g, cap=cap)
     # L(B) and R(B) are both built before either search, so a missing
     # product raises CompositionError before any cap is reached
     left_maps = sorted({tuple(left_mult(b, a) for a in g.arrows) for b in bis})
     right_maps = [[right_mult(a, b) for a in g.arrows] for b in bis]
-    # each check is filed under the larger of the two arrows it reads, so it
-    # runs once, as soon as both are assigned
-    pairs_by_arrow = [[] for _ in g.arrows]
-    src, tgt, mul = g.src, g.tgt, dict(g.mul.items())  # one walk of the rows
-    for (x, h), prod in mul.items():
-        pairs_by_arrow[max(x, prod)].append((x, h, prod))
-    arrows = [g.arrows] * g.n_arrows
-
-    def r_consistent(phi):
-        for x, h, prod in pairs_by_arrow[len(phi) - 1]:
-            fx = phi[x]
-            if src[fx] != tgt[h] or mul[fx, h] != phi[prod]:
-                return False
-        return True
-
-    r_comm = _search(arrows, g.arrows, cap, r_consistent)
-
-    triples_by_arrow = [[] for _ in g.arrows]
-    for perm in right_maps:
-        for x in g.arrows:
-            triples_by_arrow[max(x, perm[x])].append((x, perm))
-
-    def rb_consistent(phi):
-        for x, perm in triples_by_arrow[len(phi) - 1]:
-            if perm[phi[x]] != phi[perm[x]]:
-                return False
-        return True
-
-    rb_comm = _search(arrows, g.arrows, cap, rb_consistent)
+    mul = dict(g.mul.items())
+    by_h = [[mul.get((x, h)) if g.src[x] == g.tgt[h] else None for x in g.arrows]
+            for h in g.arrows]  # by_h[h][x] = x.h
+    r_comm = _commutant(g, [(x, prod, by_h[h]) for (x, h), prod in mul.items()], cap)
+    rb_comm = _commutant(g, [(x, p[x], p) for p in right_maps for x in g.arrows], cap)
     return {
         "r_commutant": r_comm,
         "r_equals_left_translations": r_comm == left_maps,

@@ -31,6 +31,9 @@ class CechBase:
 
     def __init__(self, base, cover):
         self.base = list(base)
+        twice = [(t, s) for k, s in enumerate(self.base) for t in self.base[:k] if t == s]
+        if twice:
+            raise StructuralError("base lists a point twice: {!r} and {!r}".format(*twice[0]))
         self.cover = [frozenset(chart) for chart in cover]
         if not self.cover or any(not chart for chart in self.cover):
             raise StructuralError("every chart must be nonempty")
@@ -82,6 +85,10 @@ def validate_cocycle(base, c):
     report = ValidationReport()
     unit = unit_bisection(c.groupoid)
     charts = range(base.n_charts)
+    for key in c.entries:  # an entry off the overlap of its charts is never read
+        i, j, sigma = key
+        if i in charts and j in charts and sigma not in base.cover[i] & base.cover[j]:
+            report.add("cocycle:domain", key, "sigma off chart i or chart j")
     for key in ((i, i, sigma) for i in charts for sigma in base.cover[i]):
         if key in c.entries:
             report.record("cocycle:diag", c.entries[key] == unit, key)

@@ -17,6 +17,7 @@ exception class where the oracle raises.
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -400,7 +401,7 @@ groupoids = st.one_of(
 
 
 @given(groupoids.filter(lambda g: g.n_arrows <= 12),
-       st.sampled_from([None, "mul", "inv", "unit"]),
+       st.sampled_from((None,) + CORRUPTIONS),
        st.integers(0, 1000), st.integers(0, 1000))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
@@ -414,6 +415,75 @@ def test_generated_commutants_match_oracle(g, kind, i, j):
         assert got is expected
     else:
         assert (got["r_commutant"], got["rb_commutant"]) == expected
+
+
+def relabel(g, arrows, objects):
+    """g with arrow a renamed arrows[a] and object m renamed objects[m]."""
+    src, tgt, inv = ([None] * g.n_arrows for _ in range(3))
+    for a in g.arrows:
+        src[arrows[a]], tgt[arrows[a]] = objects[g.src[a]], objects[g.tgt[a]]
+        inv[arrows[a]] = arrows[g.inv[a]]
+    unit = [None] * g.n_objects
+    for m in g.objects:
+        unit[objects[m]] = arrows[g.unit[m]]
+    return FiniteGroupoid(g.n_objects, src, tgt, unit, inv, {
+        (arrows[a], arrows[b]): arrows[c] for (a, b), c in g.mul.items()})
+
+
+def relabelled_maps(maps, arrows):
+    """Arrow maps phi carried along the renaming: a -> phi(a) becomes
+    arrows[a] -> arrows[phi(a)]; sorted, as the commutant lists are."""
+    out = []
+    for phi in maps:
+        moved = [None] * len(phi)
+        for a, b in enumerate(phi):
+            moved[arrows[a]] = arrows[b]
+        out.append(tuple(moved))
+    return sorted(out)
+
+
+def counted_commutant(g):
+    """r_equivariant_commutant(g), and the consistency calls of its searches."""
+    calls, search = [0], bisection_module._search
+
+    def counting(choices, key, cap, consistent=None):
+        def counted(prefix):
+            calls[0] += 1
+            return consistent(prefix)
+        return search(choices, key, cap, consistent and counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisection_module, "_search", counting)
+        return r_equivariant_commutant(g), calls[0]
+
+
+@given(groupoids.filter(lambda g: g.n_arrows <= 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_commutants_follow_a_relabelling(g, seed):
+    # the commutants of a renamed table are the renamed commutants; with the
+    # objects kept, the searches make as many consistency calls
+    rng = random.Random(seed)
+    arrows = rng.sample(range(g.n_arrows), g.n_arrows)
+    objects = rng.sample(range(g.n_objects), g.n_objects)
+    comm, calls = counted_commutant(g)
+    for objects_kept, names in ((True, list(g.objects)), (False, objects)):
+        got, got_calls = counted_commutant(relabel(g, arrows, names))
+        for key in ("r_commutant", "rb_commutant", "left_translations"):
+            assert got[key] == relabelled_maps(comm[key], arrows)
+        for key in ("r_equals_left_translations", "rb_equals_left_translations"):
+            assert got[key] == comm[key]
+        if objects_kept:
+            assert got_calls == calls
+
+
+def test_commutant_work_does_not_follow_the_numbering():
+    # z2 x pair(3) is pair(6) renumbered: each search examines pair(6)'s
+    # 396,612 candidates, so the cap one below refuses
+    g = product_groupoid(action_groupoid(z2_swap_action()), pair_groupoid(3))
+    assert len(r_equivariant_commutant(g, cap=396_612)["r_commutant"]) == 720
+    with pytest.raises(EnumerationBound):
+        r_equivariant_commutant(g, cap=396_611)
 
 
 @given(groupoids, st.sampled_from([None, "mul", "inv", "unit"]),

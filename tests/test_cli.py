@@ -202,6 +202,65 @@ def test_missing_chart_data_is_a_violation(capsys, tmp_path, three_point_bundle)
                                     "detail": "no gamma entry at this base point"}]
 
 
+def test_cocycle_entries_off_their_charts_are_violations(capsys, tmp_path, bundle_doc):
+    # the swap again at a, which chart 1 does not hold, and a diagonal entry
+    # at a in chart 1: neither is ever read
+    with open(bundle_doc) as fh:
+        doc = json.load(fh)
+    swap = doc["cocycle"][0]
+    for k, (i, j) in enumerate(((0, 1), (1, 1))):
+        d, key = copy.deepcopy(doc), [i, j, "a"]
+        d["cocycle"].append(dict(swap, i=i, j=j, sigma="a"))
+        path = write(tmp_path, "off{}.json".format(k), d)
+        code, out = run(capsys, ["validate", path])
+        assert code == 1
+        assert json.loads(out)["checks"][1]["violations"] == [{
+            "check": "cocycle:domain", "witness": key,
+            "detail": "sigma off chart i or chart j"}]
+        assert run(capsys, ["bundle", path, "--report", "axioms"])[0] == 1
+        for mode in ("counts", "atiyah", "gauge"):
+            assert main(["bundle", path, "--report", mode]) == 2, mode
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("input error: invalid cocycle:")
+
+
+def test_gamma_entries_off_their_charts_are_violations(capsys, tmp_path,
+                                                       three_point_bundle):
+    # a non-unit entry at a in chart 1, which does not hold a, beside a's own
+    # entry and as a's only one; and one sending a into chart 1
+    doc = automorphism_doc(three_point_bundle)
+    off = dict(doc["bundle"]["cocycle"][0], j=1, i=1, sigma="a")
+    extra = copy.deepcopy(doc)
+    extra["gamma"].append(off)
+    only = copy.deepcopy(doc)
+    only["gamma"] = [e for e in doc["gamma"] if e["sigma"] != "a"] + [off]
+    into = copy.deepcopy(doc)
+    into["gamma"].append(dict(off, i=0))
+    for k, (d, key) in enumerate(((extra, [1, 1, "a"]), (only, [1, 1, "a"]),
+                                  (into, [1, 0, "a"]))):
+        code, out = run(capsys, ["validate", write(tmp_path, "g{}.json".format(k), d)])
+        assert code == 1, key
+        (check,) = json.loads(out)["checks"]
+        assert check["violations"] == [{"check": "aut:chart-domain", "witness": key,
+                                        "detail": "sigma or f(sigma) off its chart"}]
+
+
+@pytest.mark.parametrize("base,repeat", [(["a", "a", "b"], "'a' and 'a'"),
+                                         ([1, True], "1 and True")],
+                         ids=["a-twice", "one-and-true"])
+def test_repeated_base_point_is_input_error(capsys, tmp_path, bundle_doc, base, repeat):
+    # [1, true] are one point to Python
+    with open(bundle_doc) as fh:
+        doc = json.load(fh)
+    doc.update(base=base, cover=[base[1:]], cocycle=[])
+    path = write(tmp_path, "twice.json", doc)
+    for argv in (["validate", path], ["bundle", path, "--report", "counts"],
+                 ["bundle", path, "--report", "atiyah"], ["bundle", path, "--report", "gauge"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "input error: base lists a point twice: {}\n".format(repeat)
+
+
 def test_base_map_values_checked_before_inversion(capsys, tmp_path,
                                                   three_point_bundle):
     # two points sent to one, and a value that cannot be a base point

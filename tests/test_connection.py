@@ -743,12 +743,18 @@ def undeclared_fields(sc):
                 sc, construct_connection(sc), {0: gauge, 1: gauge})}
 
 
-@pytest.mark.parametrize("build", [so2_two_chart_scenario, so3_two_chart_scenario],
-                         ids=lambda b: b.__name__)
-@pytest.mark.parametrize("n_steps", [1, 2, 511, 512, 513, 1100])
-def test_rk4_loop_matches_oracle_bitwise(build, n_steps):
-    # the step counts straddle the block of 512 steps whose path nodes are
-    # evaluated as one column; the polyline switches chart twice
+@pytest.mark.parametrize("n_steps,build", [
+    (n, build) for n in (1, 2, 7, 8, 9, 22)
+    for build in (so2_two_chart_scenario, so3_two_chart_scenario)]
+    + [(513, so2_two_chart_scenario)], ids=lambda x: getattr(x, "__name__", None))
+def test_rk4_loop_matches_oracle_bitwise(monkeypatch, n_steps, build):
+    # the step counts straddle the block of steps whose path nodes are
+    # evaluated as one column, set to 8 steps here: each block starts at the
+    # last end time of the one before, so the bits do not depend on the
+    # block's length.  513 steps straddle the real BLOCK = 512.  The polyline
+    # switches chart twice
+    if n_steps < connection.BLOCK:
+        monkeypatch.setattr(connection, "BLOCK", 8)
     sc = build()
     rng = np.random.default_rng(100 + n_steps)
     path = random_polyline(rng)
