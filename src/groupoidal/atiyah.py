@@ -9,18 +9,19 @@ The kernel of the projection onto the pair groupoid of the base is the
 conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
-In canonical charts the table over the shadow points is the product
-Pair(B) x G, its rows built by arithmetic on first read; the batteries walk
-those rows and int tables, and multiplication reads them too.
+In canonical charts the table over the shadow points is Pair(B) x G; only its
+maps are built at once, its rows, labels and the element list on first read.
+The batteries walk those rows and int tables, and multiplication reads them.
 """
 
 from collections import Counter, namedtuple
+from functools import cached_property
 from itertools import chain, product
 
 from .bisection import Bisection, _search, conjugate, left_mult, right_mult
 from .bundle import FPoint, PPoint, MomentMismatch, _tables
-from .groupoid import pair_groupoid, product_groupoid
-from .report import ValidationReport
+from .groupoid import _is_id, _ProductGroupoid, pair_groupoid
+from .report import StructuralError, ValidationReport
 
 AtElement = namedtuple("AtElement", ["sigma1", "chart_i", "arrow", "sigma2", "chart_j"])
 AdElement = namedtuple("AdElement", ["sigma", "chart", "arrow"])
@@ -31,13 +32,13 @@ class AtiyahGroupoid:
 
     def __init__(self, bundle):
         self.bundle, base = bundle, bundle.base
-        charts = [(s, base.canonical_chart(s)) for s in base.base]
-        self.elements = [AtElement(s1, i, a, s2, j) for (s1, i), (s2, j)
-                         in product(charts, repeat=2) for a in bundle.groupoid.arrows]
-        self.shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
-        self._table = product_groupoid(pair_groupoid(len(base.base)), bundle.groupoid)
-        self._table.arrow_labels = tuple(self.elements)
-        self._table.object_labels = tuple(bundle.shadow_points)
+        self._pos = {(s, base.canonical_chart(s)): k for k, s in enumerate(base.base)}
+        self._table = _Table(pair_groupoid(len(base.base)), bundle.groupoid)
+        self._table._ends, self._table._bundle = list(self._pos), bundle
+
+    elements = cached_property(lambda at: list(at._table.arrow_labels))
+    shadow_index = cached_property(
+        lambda at: {f: k for k, f in enumerate(at.bundle.shadow_points)})
 
     def canonical(self, sigma1, chart_k, arrow, sigma2, chart_l):
         """Transport (sigma1, arrow, sigma2) from charts (k, l) to canonical.
@@ -54,7 +55,11 @@ class AtiyahGroupoid:
         return AtElement(sigma1, i, a, sigma2, j)
 
     def index(self, e):
-        return self._table.arrow_index(e)
+        """(pos(sigma1) * |B| + pos(sigma2)) * |Ar G| + arrow, pos the place in the base."""
+        p1, p2, n = self._pos.get(e[:2]), self._pos.get(e[3:]), self.bundle.groupoid.n_arrows
+        if p1 is None or p2 is None or not _is_id(e[2], n):
+            raise StructuralError("not an element in canonical charts: {!r}".format(e))
+        return (p1 * len(self._pos) + p2) * n + e[2]
 
     def source(self, e):
         return FPoint(e.sigma2, e.chart_j, self.bundle.groupoid.src[e.arrow])
@@ -102,6 +107,16 @@ class AtiyahGroupoid:
     def as_finite_groupoid(self):
         """The element set as a plain finite groupoid over shadow points."""
         return self._table
+
+
+class _Table(_ProductGroupoid):
+    """Pair(B) x G over the shadow points of _bundle, labelled on first read;
+    _ends lists each base point with its canonical chart, in base order."""
+
+    object_labels = cached_property(lambda self: tuple(self._bundle.shadow_points))
+    arrow_labels = cached_property(lambda self: tuple(
+        AtElement(*end1, a, *end2) for end1, end2 in product(self._ends, repeat=2)
+        for a in self._bundle.groupoid.arrows))
 
 
 class AdjointBundle:
@@ -160,8 +175,7 @@ def verify_trident(bundle, at=None):
     the rows of _tables by two routes each: act then right, right then act.
     Element (s1 * k + s2) * n + a acts as point s1 * n + a does on the right."""
     at = at or AtiyahGroupoid(bundle)
-    g, points, elements = bundle.groupoid, bundle.points, at.elements
-    fg = at.as_finite_groupoid()
+    g, points, fg = bundle.groupoid, bundle.points, at.as_finite_groupoid()
     moment, duck, fibres, rows, right = _tables(bundle)
     n, k, pos = g.n_arrows, len(bundle.base.base), g.row_index
     act = [right[e // n // k * n + e % n] for e in fg.arrows]
@@ -186,10 +200,10 @@ def verify_trident(bundle, at=None):
          [act[e][pos[r % n]] for e, p in zip(es, ps) for r in right[p]],
          list(chain.from_iterable(map(right.__getitem__, qs))),
          lambda: [(e, p, h) for e, p in zip(es, ps) for h in g.target_fibres[moment[p]]],
-         lambda key: (elements[key[0]], points[key[1]], key[2])),
+         lambda key: (at.elements[key[0]], points[key[1]], key[2])),
         ("trident:division-inverts", list(map(div, qs, ps)), es,
          lambda: [(e, p, n) for e, p in zip(es, ps)])],
-        lambda: list(zip(es, ps)), lambda key: (elements[key[0]], points[key[1]]))
+        lambda: list(zip(es, ps)), lambda key: (at.elements[key[0]], points[key[1]]))
     report.record_columns([(
         "trident:act-after-division", [act[div(p1, p2)][pos[p2 % n]] for p1, p2 in p1p2],
         [p1 for p1, _ in p1p2], p1p2, lambda key: (points[key[0]], points[key[1]]))])

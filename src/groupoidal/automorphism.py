@@ -33,12 +33,6 @@ class BundleAutomorphism:
             raise StructuralError("base map is not a bijection")
         self.gamma = dict(gamma)
 
-    def _with_gamma(self, gamma):
-        """A map with chart data gamma, as given, and this map's f and f_inv."""
-        aut = object.__new__(BundleAutomorphism)
-        aut.bundle, aut.f, aut.f_inv, aut.gamma = self.bundle, self.f, self.f_inv, gamma
-        return aut
-
     def gamma_at(self, j, i, sigma):
         """gamma_(j,i)(sigma): the stored entry, or one derived, and not
         stored, from the first entry stored at sigma by the gluing rule
@@ -98,6 +92,16 @@ class BundleAutomorphism:
         -> (f(sigma), gamma_sigma(t(a)).a), which fixes them at unit arrows."""
         return (tuple(self.f[s] for s in self._local),
                 tuple(g.assign for g in self._local.values()))
+
+
+class _GaugeMap(BundleAutomorphism):
+    """A vertical map by its choice of bisections; _local and gamma built on read."""
+
+    def __init__(self, ident, choice):
+        self.bundle, self.f, self.f_inv, self._choice = ident.bundle, ident.f, ident.f_inv, choice
+
+    _local = cached_property(lambda self: dict(zip(self.bundle.base.base, self._choice)))
+    gamma = cached_property(lambda self: _canonical(self.bundle, self.f, self._local).gamma)
 
 
 def _canonical(bundle, f, local):
@@ -231,18 +235,15 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     its canonical chart.  The map sends the point (sigma, e_m) to the
     arrow gamma(m) of the bisection chosen at sigma, so distinct choices
     act differently and the list needs no deduplication.  All share one
-    identity f and f_inv, checked once; no method writes them.
+    identity f and f_inv, checked once, never written; gamma is built on read.
     """
     bis = enumerate_bisections(bundle.groupoid, cap=cap)
     n = len(bundle.base.base)
     if len(bis) ** n > cap:
         raise EnumerationBound(
             "{}^{} candidate gauge maps exceed cap {}".format(len(bis), n, cap))
-    keys = [(bundle.base.canonical_chart(s), bundle.base.canonical_chart(s), s)
-            for s in bundle.base.base]
     ident = BundleAutomorphism(bundle, {s: s for s in bundle.base.base}, {})
-    return [ident._with_gamma(dict(zip(keys, choice)))
-            for choice in iproduct(bis, repeat=n)]
+    return [_GaugeMap(ident, choice) for choice in iproduct(bis, repeat=n)]
 
 
 def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):

@@ -142,8 +142,8 @@ def cmd_bundle(args):
         return _emit(report, False, args)
     bundle = PrincipaloidBundle(base, cocycle, groupoid, checked)
     if mode != "axioms":
-        from .atiyah import (AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence,
-                             verify_trident)
+        from .atiyah import AtiyahGroupoid, AdjointBundle, verify_atiyah_sequence, verify_trident
+    if mode in ("counts", "gauge"):
         from .automorphism import (enumerate_gauge_group, verify_bisection_correspondence,
                                    verify_gauge_group)
     if mode == "counts":

@@ -62,12 +62,15 @@ class FiniteGroupoid:
     """
 
     _missing, _strays, _order = (), {}, None  # a built table has no defects
+    arrow_labels = object_labels = None
     mul = property(_Pairs)
 
     def __init__(self, n_objects, src, tgt, unit, inv, mul, arrow_labels=None,
                  object_labels=None):
         mul = dict(mul)
-        self._set_maps(n_objects, src, tgt, unit, inv, arrow_labels, object_labels)
+        self._set_maps(n_objects, src, tgt, unit, inv)
+        self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
+        self.object_labels = tuple(object_labels) if object_labels is not None else None
         n, at, targets = self.n_arrows, self.row_index, self.target_fibres
         self._table = [[None] * len(targets[m]) for m in self.src]
         self._strays, self._order = {}, tuple(mul)
@@ -81,15 +84,13 @@ class FiniteGroupoid:
         self._missing = tuple((a, b) for a in self.arrows for b in targets[self.src[a]]
                               if (a, b) not in mul)
 
-    def _set_maps(self, n_objects, src, tgt, unit, inv, arrow_labels, object_labels):
-        """Set and check every field but the table, and the fibres."""
+    def _set_maps(self, n_objects, src, tgt, unit, inv):
+        """Set and check every field but the table and the labels, and the fibres."""
         self.n_objects = n_objects
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.unit = tuple(unit)
         self.inv = tuple(inv)
-        self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
-        self.object_labels = tuple(object_labels) if object_labels is not None else None
         self._check_shape()
         sources = [[] for _ in self.objects]
         targets = [[] for _ in self.objects]
@@ -354,23 +355,24 @@ class FiniteGroupAction:
                     h, self.inverse[h]))
 
 
-def _from_labels(labels, source, target, units, inverse, compose):
+def _from_labels(labels, source, target, units, inverse, compose=None):
     """The finite groupoid whose arrows are labels, its structure given on them.
 
     source and target send a label to an object id, units lists each
     object's unit label, and inverse and compose act on labels.  The rows
     are filled by walking target fibres, each a with every b whose target is
-    src(a), so only composable pairs are formed.  The label index built here
-    is the one arrow_index reads.
+    src(a), so only composable pairs are formed; without compose the caller
+    fills them.  The label index built here is the one arrow_index reads.
     """
     labels = tuple(labels)
     ids = {x: k for k, x in enumerate(labels)}
     g = FiniteGroupoid.__new__(FiniteGroupoid)
     g._set_maps(len(units), map(source, labels), map(target, labels),
-                [ids[u] for u in units], [ids[inverse(x)] for x in labels], labels, None)
-    g._table = [[ids[compose(x, labels[b])] for b in g.target_fibres[g.src[a]]]
-                for a, x in enumerate(labels)]
-    g._arrow_ids = ids
+                [ids[u] for u in units], [ids[inverse(x)] for x in labels])
+    if compose is not None:
+        g._table = [[ids[compose(x, labels[b])] for b in g.target_fibres[g.src[a]]]
+                    for a, x in enumerate(labels)]
+    g.arrow_labels, g._arrow_ids = labels, ids
     return g
 
 
@@ -402,10 +404,13 @@ def fibred_pair_groupoid(blocks):
     points = sorted(p for block in blocks for p in block)
     if points != list(range(len(points))):
         raise StructuralError("blocks must partition a dense range of object ids")
-    return _from_labels(
-        [(m2, m1) for block in blocks for m2 in block for m1 in block],
-        lambda x: x[1], lambda x: x[0], [(m, m) for m in points],
-        lambda x: (x[1], x[0]), lambda x, y: (x[0], y[1]))
+    g = _from_labels([(m2, m1) for block in blocks for m2 in block for m1 in block],
+                     lambda x: x[1], lambda x: x[0], [(m, m) for m in points],
+                     lambda x: (x[1], x[0]))
+    # (m2, m1).(m1, y) = (m2, y): a's row is the target fibre of t(a), one list per target
+    rows = [list(fibre) for fibre in g.target_fibres]
+    g._table = [rows[m] for m in g.tgt]
+    return g
 
 
 def product_groupoid(g1, g2):
@@ -423,19 +428,22 @@ class _ProductGroupoid(FiniteGroupoid):
             g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
             [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
             [u1 * k2 + u2 for u1 in g1.unit for u2 in g2.unit],
-            [i1 * k2 + i2 for i1 in g1.inv for i2 in g2.inv],
-            product(g1.arrows, g2.arrows), None)
+            [i1 * k2 + i2 for i1 in g1.inv for i2 in g2.inv])
         # built now, so that a factor missing a product raises here
         self._factor_rows = g1.rows(), g2.rows()
 
+    arrow_labels = property(lambda self: tuple(product(*map(range, map(len, self._factor_rows)))))
+
     @cached_property
     def _table(self):
-        # (a1 * k2 + a2).(b1 * k2 + b2) = c1 * k2 + c2, b1 and b2 in fibre order
+        # (a1 * k2 + a2).(b1 * k2 + b2) = c1 * k2 + c2, b1 and b2 in fibre order: a
+        # row depends on a1's row and on a2, so one is built per distinct row of g1
         ids, (rows1, rows2) = sorted(chain.from_iterable(self.target_fibres)), self._factor_rows
         k2, c1s = len(rows2), range(len(rows1))
         blocks = [[[ids[c1 * k2 + c2] for c2 in row2] for c1 in c1s] for row2 in rows2]
-        return [list(chain.from_iterable(map(block.__getitem__, row1)))
-                for row1 in rows1 for block in blocks]
+        made = {id(row1): [list(chain.from_iterable(map(block.__getitem__, row1)))
+                           for block in blocks] for row1 in {id(r): r for r in rows1}.values()}
+        return list(chain.from_iterable(made[id(row1)] for row1 in rows1))
 
 
 def z2_swap_action():

@@ -1,9 +1,13 @@
 """The symmetry groupoid over the shadow bundle and its exact sequence."""
 
+import re
+from itertools import product as iproduct
+
 import pytest
 
 from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
-                        FiniteGroupoid, MomentMismatch, enumerate_gauge_group,
+                        FiniteGroupoid, MomentMismatch, StructuralError,
+                        enumerate_gauge_group,
                         enumerate_projectable_bisections, pair_groupoid,
                         product_groupoid, validate_groupoid,
                         verify_atiyah_sequence, verify_bisection_correspondence,
@@ -242,3 +246,66 @@ def test_unfilled_table_acts_as_filled(request, chain_bundle, fibre):
     with pytest.raises(CompositionError) as want:
         oracle.compose(a, b)
     assert str(got.value) == str(want.value)
+
+
+def eager_atiyah(bundle):
+    """The element list, shadow index and table labels as the symmetry groupoid
+    once built them, all at construction: canonical charts at both ends, base
+    pairs in base order, then fibre arrows."""
+    base = bundle.base
+    charts = [(s, base.canonical_chart(s)) for s in base.base]
+    elements = [AtElement(s1, i, a, s2, j) for (s1, i), (s2, j)
+                in iproduct(charts, repeat=2) for a in bundle.groupoid.arrows]
+    shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
+    return elements, shadow_index, tuple(elements), tuple(bundle.shadow_points)
+
+
+def built_on_read(at):
+    """The parts of at and its table that are built on first read, and are built."""
+    return ({"elements", "shadow_index"} & set(vars(at))
+            | {"arrow_labels", "object_labels", "_arrow_ids"} & set(vars(at.as_finite_groupoid())))
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+@pytest.mark.parametrize("k", range(3, 9))
+def test_lazy_parts_match_eager_construction(request, chain_bundle, fibre, k):
+    bundle = chain_bundle(request.getfixturevalue(fibre), k, seed=k)
+    elements, shadow_index, arrow_labels, object_labels = eager_atiyah(bundle)
+    at = AtiyahGroupoid(bundle)
+    fg = at.as_finite_groupoid()
+    # ids by arithmetic, as the label lookup gave them, with nothing built
+    assert [at.index(e) for e in elements] == list(range(len(elements)))
+    assert not built_on_read(at)
+    assert fg.arrow_labels == arrow_labels and fg.object_labels == object_labels
+    assert at.elements == elements
+    assert list(at.shadow_index.items()) == list(shadow_index.items())
+    assert at.elements is at.elements and at.shadow_index is at.shadow_index
+    assert fg.arrow_labels is fg.arrow_labels and fg.object_labels is fg.object_labels
+    assert [fg.arrow_index(e) for e in elements] == list(range(len(elements)))
+    # Pair(k) rows are shared per target, so one row per (target, fibre arrow)
+    assert len({id(row) for row in fg.rows()}) == k * bundle.groupoid.n_arrows
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_batteries_that_read_no_element_build_none(request, chain_bundle, fibre):
+    bundle = chain_bundle(request.getfixturevalue(fibre), 4, seed=4)
+    at = AtiyahGroupoid(bundle)
+    fg = at.as_finite_groupoid()
+    assert not built_on_read(at)
+    assert validate_groupoid(fg).ok and verify_trident(bundle, at).ok
+    assert len(fg.mul) == sum(map(len, fg.rows()))
+    assert not built_on_read(at)
+    assert at.multiply(at.elements[0], at.elements[0]) == at.elements[0]
+    assert built_on_read(at) == {"elements", "arrow_labels"}
+
+
+def test_elements_off_canonical_charts_are_structural_errors(at):
+    # c lies only in chart 1; arrow 4 is past the fibre's four arrows
+    for bad in (AtElement("c", 0, 0, "a", 0), AtElement("a", 0, 0, "c", 0),
+                AtElement("a", 0, 4, "a", 0), AtElement("d", 0, 0, "a", 0),
+                AtElement("a", 0, True, "a", 0)):
+        with pytest.raises(StructuralError, match=re.escape(repr(bad))):
+            at.index(bad)
+    bad = AtElement("c", 0, 0, "a", 0)
+    with pytest.raises(StructuralError, match=re.escape(repr(bad))):
+        at.multiply(at.elements[0], bad)

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 
 from groupoidal import (AtiyahGroupoid, BundleAutomorphism, FPoint, PPoint,
                         StructuralError, bisection_inverse, bisection_product,
-                        bisection_to_automorphism, enumerate_gauge_group,
+                        bisection_to_automorphism, enumerate_bisections,
+                        enumerate_gauge_group,
                         enumerate_projectable_bisections,
                         identity_automorphism, left_mult, unit_bisection,
                         validate_automorphism, verify_bisection_correspondence,
@@ -240,16 +241,27 @@ def test_gauge_maps_share_one_read_only_base_map(example, three_point_bundle,
     bundle = (three_point_bundle if example == "running"
               else chain_bundle(pair3, 3, seed=3))
     gauge = enumerate_gauge_group(bundle)
+    base, chart = bundle.base.base, bundle.base.canonical_chart
     f = gauge[0].f
-    assert f == {s: s for s in bundle.base.base}
+    assert f == {s: s for s in base}
     assert all(aut.f is f and aut.f_inv is gauge[0].f_inv for aut in gauge)
-    built = [BundleAutomorphism(bundle, f, aut.gamma) for aut in gauge]
+    # each map holds one fibre bisection per base point, and builds its
+    # chart data and local table only when read
+    assert not any({"gamma", "_local"} & set(vars(aut)) for aut in gauge)
+    built = [BundleAutomorphism(bundle, f, {(chart(s), chart(s), s): b
+                                            for s, b in zip(base, choice)})
+             for choice in itertools.product(enumerate_bisections(bundle.groupoid),
+                                             repeat=len(base))]
+    assert len(built) == len(gauge)
     # every map now reads one read-only view, so a write into it would raise
     frozen = MappingProxyType(f)
     for aut in gauge:
         aut.f = aut.f_inv = frozen
     others = list(zip(gauge, built))[::23]
     for aut, ref in zip(gauge, built):
+        assert list(aut.gamma.items()) == list(ref.gamma.items())
+        assert list(aut._local.items()) == list(ref._local.items())
+        assert aut.gamma is aut.gamma and aut._local is aut._local
         assert aut.action_key() == ref.action_key()
         assert aut.inverse().action_key() == ref.inverse().action_key()
         assert (validate_automorphism(bundle, aut).to_dict()

@@ -878,6 +878,13 @@ def test_check_identities_loads_no_bundle_module(tmp_path):
                 "numpy"} & loaded
 
 
+@pytest.mark.parametrize("mode", ["trident", "atiyah"])
+def test_bundle_reports_without_gauge_maps_load_no_automorphism_module(bundle_doc, mode):
+    loaded = loaded_after("from groupoidal.cli import main; assert main(['--json', 'bundle', "
+                          "{!r}, '--report', {!r}]) == 0".format(bundle_doc, mode))
+    assert "groupoidal.atiyah" in loaded and "groupoidal.automorphism" not in loaded
+
+
 # every name the package exported when it imported its modules eagerly
 EXPORTED = [
     "AdElement", "AdjointBundle", "AtElement", "AtiyahGroupoid", "Bisection",
