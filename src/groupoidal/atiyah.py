@@ -9,9 +9,10 @@ The kernel of the projection onto the pair groupoid of the base is the
 conjugation-glued bundle of fibres, and the whole structure acts on the
 bundle and its shadow from the left.
 
-In canonical charts the table over the shadow points is Pair(B) x G; only its
-maps are built at once, its rows, labels and the element list on first read.
-The batteries walk those rows and int tables, and multiplication reads them.
+In canonical charts the table over the shadow points is Pair(B) x G, element
+(s1 * k + s2) * |Ar G| + a lying over the base pair (s1, s2); its maps are
+built at once, its rows on first read.  The batteries read rows, int tables
+and ids, and build labels only for the witnesses of a failure.
 """
 
 from collections import Counter, namedtuple
@@ -37,8 +38,6 @@ class AtiyahGroupoid:
         self._table._ends, self._table._bundle = list(self._pos), bundle
 
     elements = cached_property(lambda at: list(at._table.arrow_labels))
-    shadow_index = cached_property(
-        lambda at: {f: k for k, f in enumerate(at.bundle.shadow_points)})
 
     def canonical(self, sigma1, chart_k, arrow, sigma2, chart_l):
         """Transport (sigma1, arrow, sigma2) from charts (k, l) to canonical.
@@ -68,8 +67,7 @@ class AtiyahGroupoid:
         return FPoint(e.sigma1, e.chart_i, self.bundle.groupoid.tgt[e.arrow])
 
     def unit(self, f):
-        return AtElement(f.sigma, f.chart, self.bundle.groupoid.unit[f.obj],
-                         f.sigma, f.chart)
+        return AtElement(f.sigma, f.chart, self.bundle.groupoid.unit[f.obj], f.sigma, f.chart)
 
     def invert(self, e):
         return AtElement(e.sigma2, e.chart_j, self.bundle.groupoid.inv[e.arrow],
@@ -77,7 +75,7 @@ class AtiyahGroupoid:
 
     def multiply(self, e1, e2):
         """The product read from the table; CompositionError off its domain."""
-        return self.elements[self._table.compose(self.index(e1), self.index(e2))]
+        return self._table.label(self._table.compose(self.index(e1), self.index(e2)))
 
     def project(self, e):
         """The arrow (sigma1, sigma2) of the pair groupoid of the base."""
@@ -87,8 +85,7 @@ class AtiyahGroupoid:
         """Left action on bundle points: [(s1,g,s2)] . [(s2,h)] = [(s1,g.h)]."""
         if self.source(e) != self.bundle.sitting_duck(p):
             raise MomentMismatch("element source differs from the duck of the point")
-        return PPoint(e.sigma1, e.chart_i,
-                      self.bundle.groupoid.compose(e.arrow, p.arrow))
+        return PPoint(e.sigma1, e.chart_i, self.bundle.groupoid.compose(e.arrow, p.arrow))
 
     def act_on_shadow(self, e, f):
         if self.source(e) != f:
@@ -100,8 +97,7 @@ class AtiyahGroupoid:
         g = self.bundle.groupoid
         if self.bundle.moment(p1) != self.bundle.moment(p2):
             raise MomentMismatch("moments differ")
-        return AtElement(p1.sigma, p1.chart,
-                         g.compose(p1.arrow, g.inv[p2.arrow]),
+        return AtElement(p1.sigma, p1.chart, g.compose(p1.arrow, g.inv[p2.arrow]),
                          p2.sigma, p2.chart)
 
     def as_finite_groupoid(self):
@@ -114,9 +110,12 @@ class _Table(_ProductGroupoid):
     _ends lists each base point with its canonical chart, in base order."""
 
     object_labels = cached_property(lambda self: tuple(self._bundle.shadow_points))
-    arrow_labels = cached_property(lambda self: tuple(
-        AtElement(*end1, a, *end2) for end1, end2 in product(self._ends, repeat=2)
-        for a in self._bundle.groupoid.arrows))
+    arrow_labels = cached_property(lambda self: tuple(map(self.label, self.arrows)))
+
+    def label(self, c):
+        """The element with id c = (s1 * k + s2) * n + a, n = |Ar G|."""
+        (p, a), k = divmod(c, self._bundle.groupoid.n_arrows), len(self._ends)
+        return AtElement(*self._ends[p // k], a, *self._ends[p % k])
 
 
 class AdjointBundle:
@@ -125,8 +124,7 @@ class AdjointBundle:
     def __init__(self, bundle):
         self.bundle = bundle
         self.elements = [AdElement(sigma, bundle.base.canonical_chart(sigma), a)
-                         for sigma in bundle.base.base
-                         for a in bundle.groupoid.arrows]
+                         for sigma in bundle.base.base for a in bundle.groupoid.arrows]
 
     def canonical(self, sigma, chart, arrow):
         """(sigma, arrow, chart) glued by conjugation into the least chart."""
@@ -140,55 +138,50 @@ class AdjointBundle:
 
 
 def verify_atiyah_sequence(bundle, at=None, adjoint=None):
-    """Exactness over the pair groupoid of the base; the projection of the
-    table's rows is checked as one column of int pair ids, keyed at failures."""
+    """Exactness over the pair groupoid of the base, on ids: element c lies over
+    pair p = c // |Ar G| = pos(sigma1) * k + pos(sigma2), the kernel over p // k == p % k.
+    The projection of the rows is checked as one column of pair ids, keyed at failures."""
     at = at or AtiyahGroupoid(bundle)
     adjoint = adjoint or AdjointBundle(bundle)
     report = ValidationReport()
-    pairs = list(product(bundle.base.base, repeat=2))
-    proj = [at.project(e) for e in at.elements]
-    report.record("sequence:surjective", set(proj) == set(pairs))
-    fg, k = at.as_finite_groupoid(), len(bundle.base.base)
-    index = {s: i for i, s in enumerate(bundle.base.base)}
-    first, second = [index[s1] * k for s1, _ in proj], [index[s2] for _, s2 in proj]
-    pair = [i + j for i, j in zip(first, second)]
-    seconds = [[second[b] for b in fibre] for fibre in fg.target_fibres]
+    fg, k, n = at.as_finite_groupoid(), len(bundle.base.base), bundle.groupoid.n_arrows
+    pair = [c // n for c in fg.arrows]
+    report.record("sequence:surjective", set(pair) == set(range(k * k)))
+    first = [p - p % k for p in pair]
+    seconds = [[pair[b] % k for b in fibre] for fibre in fg.target_fibres]
     report.record_columns([(
         "sequence:morphism", [pair[c] for c in chain.from_iterable(fg.rows())],
         [i + j for i, m in zip(first, fg.src) for j in seconds[m]],
         lambda: list(enumerate((a, b) for a, m in enumerate(fg.src) for b in fg.target_fibres[m])),
         lambda key: (at.elements[key[1][0]], at.elements[key[1][1]]))])
-    kernel = {e for e in at.elements if e.sigma1 == e.sigma2}
-    image = {adjoint.embed(e) for e in adjoint.elements}
-    report.record("sequence:kernel", kernel == image)
-    report.record("sequence:embedding-injective",
-                  len(image) == len(adjoint.elements))
-    fibre_sizes = Counter(proj)
-    for pair in pairs:
-        report.record("sequence:fibre-size",
-                      fibre_sizes[pair] == bundle.groupoid.n_arrows, pair)
+    image = {at.index(adjoint.embed(e)) for e in adjoint.elements}
+    report.record("sequence:kernel", {c for c, p in enumerate(pair) if p // k == p % k} == image)
+    report.record("sequence:embedding-injective", len(image) == len(adjoint.elements))
+    sizes = Counter(pair)
+    for p, ends in enumerate(product(bundle.base.base, repeat=2)):
+        report.record("sequence:fibre-size", sizes[p] == n, ends)
     return report
 
 
 def verify_trident(bundle, at=None):
     """The commuting pair of actions on the bundle, both principal, checked on
     the rows of _tables by two routes each: act then right, right then act.
-    Element (s1 * k + s2) * n + a acts as point s1 * n + a does on the right."""
+    Element (s1 * k + s2) * n + a acts as point s1 * n + a does on the right,
+    and (p1 // n * k + p2 // n) * n + (p1 % n).inv(p2 % n) carries p2 to p1."""
     at = at or AtiyahGroupoid(bundle)
     g, points, fg = bundle.groupoid, bundle.points, at.as_finite_groupoid()
     moment, duck, fibres, rows, right = _tables(bundle)
     n, k, pos = g.n_arrows, len(bundle.base.base), g.row_index
     act = [right[e // n // k * n + e % n] for e in fg.arrows]
-
-    def div(p1, p2):  # the element carrying p2 to p1
-        return (p1 // n * k + p2 // n) * n + rows[p1 % n][pos[g.inv[p2 % n]]]
+    at_inv = [pos[i] for i in g.inv]
     # per (e, p), in loop order: e, p and e.p
     es = [e for e, f in enumerate(fg.src) for _ in fibres[f]]
     ps = list(chain.from_iterable(map(fibres.__getitem__, fg.src)))
     qs = list(chain.from_iterable(act))
     # e acts only on points sitting over src(e), so the shadow of e.p is tgt(e)
     ducks, tgts = [duck[q] for q in qs], [fg.tgt[e] for e in es]
-    p1p2 = [(p1, p2) for p1, m in enumerate(moment) for p2, m2 in enumerate(moment) if m2 == m]
+    p1p2 = [(p1, s * n + a) for p1, m in enumerate(moment) for s in range(k)
+            for a in g.source_fibres[m]]  # the points with moment m, in order
     report = ValidationReport()
     report.record_columns([
         ("trident:covers-pair", [q // n * k + p // n for q, p in zip(qs, ps)],
@@ -201,11 +194,14 @@ def verify_trident(bundle, at=None):
          list(chain.from_iterable(map(right.__getitem__, qs))),
          lambda: [(e, p, h) for e, p in zip(es, ps) for h in g.target_fibres[moment[p]]],
          lambda key: (at.elements[key[0]], points[key[1]], key[2])),
-        ("trident:division-inverts", list(map(div, qs, ps)), es,
+        ("trident:division-inverts",
+         [(q // n * k + p // n) * n + rows[q % n][at_inv[p % n]] for q, p in zip(qs, ps)], es,
          lambda: [(e, p, n) for e, p in zip(es, ps)])],
         lambda: list(zip(es, ps)), lambda key: (at.elements[key[0]], points[key[1]]))
     report.record_columns([(
-        "trident:act-after-division", [act[div(p1, p2)][pos[p2 % n]] for p1, p2 in p1p2],
+        "trident:act-after-division",
+        [act[(p1 // n * k + p2 // n) * n + rows[p1 % n][at_inv[p2 % n]]][pos[p2 % n]]
+         for p1, p2 in p1p2],
         [p1 for p1, _ in p1p2], p1p2, lambda key: (points[key[0]], points[key[1]]))])
     report.record_columns([(
         "trident:unit-acts-trivially", [act[fg.unit[f]][pos[p % n]] for p, f in enumerate(duck)],
@@ -221,8 +217,8 @@ def enumerate_projectable_bisections(bundle, at=None, cap=1_000_000):
     """
     at = at or AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
-    n = bundle.groupoid.n_objects
-    sigma1 = [e.sigma1 for e in at.elements]
+    n, na, nb = bundle.groupoid.n_objects, bundle.groupoid.n_arrows, len(bundle.base.base)
+    sigma1 = [c // na // nb for c in fg.arrows]  # pos(sigma1) of element c
 
     def covers_base_map(prefix):
         # shadow points come n to a sigma; k - k % n is the first over k's sigma
@@ -232,5 +228,5 @@ def enumerate_projectable_bisections(bundle, at=None, cap=1_000_000):
     # f is injective: the n points over sigma fill the n points over f(sigma)
     projectable = [Bisection(fg, assign) for assign in
                    _search(fg.source_fibres, fg.tgt, cap, covers_base_map)]
-    diagonal = {a for a, e in enumerate(at.elements) if e.sigma1 == e.sigma2}
+    diagonal = {c for c in fg.arrows if sigma1[c] == c // na % nb}
     return projectable, [b for b in projectable if diagonal.issuperset(b.assign)]

@@ -15,7 +15,7 @@ from .atiyah import AtElement, AtiyahGroupoid
 from .bisection import (Bisection, _search, bisection_inverse,
                         bisection_product, conjugate, enumerate_bisections,
                         left_mult, unit_bisection, validate_bisection)
-from .bundle import FPoint, PPoint, bundle_from_json
+from .bundle import FPoint, MomentMismatch, PPoint, bundle_from_json
 from .report import EnumerationBound, StructuralError, ValidationReport
 
 
@@ -180,49 +180,42 @@ def automorphism_to_bisection(at, aut):
     """The global bisection of the symmetry groupoid attached to an
     automorphism: over (sigma, m) it places the class of the arrow
     gamma_(j,i)(sigma)(m) from (sigma, m) to its image shadow point."""
-    bundle = at.bundle
-    assign = []
-    for fp in bundle.shadow_points:
-        fs = aut.f[fp.sigma]
-        e = AtElement(fs, bundle.base.canonical_chart(fs),
-                      aut._local[fp.sigma](fp.obj), fp.sigma, fp.chart)
-        assign.append(at.index(e))
-    return Bisection(at.as_finite_groupoid(), assign)
+    chart = at.bundle.base.canonical_chart
+    return Bisection(at.as_finite_groupoid(), [at.index(AtElement(
+        aut.f[fp.sigma], chart(aut.f[fp.sigma]), aut._local[fp.sigma](fp.obj), fp.sigma,
+        fp.chart)) for fp in at.bundle.shadow_points])
 
 
 def bisection_to_automorphism(bundle, at, b):
-    """Recover the automorphism from a projectable bisection of the
-    symmetry groupoid.  Raises if the bisection does not cover a base map."""
-    g = bundle.groupoid
-    f, local = {}, {}
+    """Recover the automorphism from a projectable bisection of the symmetry
+    groupoid, read off its ids.  Raises if it does not cover a base map."""
+    g, base = bundle.groupoid, bundle.base.base
+    f, local, nk = {}, {}, g.n_arrows * len(base)
     for k, fp in enumerate(bundle.shadow_points):
-        e = at.elements[b(k)]
-        if f.setdefault(fp.sigma, e.sigma1) != e.sigma1:
-            raise StructuralError(
-                "bisection does not project over {}".format(fp.sigma))
-        local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = e.arrow
-    return _canonical(bundle, f, {s: Bisection(g, assign)
-                                  for s, assign in local.items()})
+        if f.setdefault(fp.sigma, base[b(k) // nk]) != base[b(k) // nk]:
+            raise StructuralError("bisection does not project over {}".format(fp.sigma))
+        local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = b(k) % g.n_arrows
+    return _canonical(bundle, f, {s: Bisection(g, assign) for s, assign in local.items()})
 
 
 def verify_bisection_correspondence(bundle, at, aut):
     """The attached bisection is a section of S, covers the shadow map
     through T, implements the automorphism through the left action, and
-    survives the round trip back to automorphism data."""
+    survives the round trip back to automorphism data.  Read on ids c, whose
+    source is the table's and arrow c % n; sigma1 is f(sigma) by construction."""
     report = ValidationReport()
-    b = automorphism_to_bisection(at, aut)
-    report.record("corr:is-bisection",
-                  validate_bisection(at.as_finite_groupoid(), b))
-    for k, fp in enumerate(bundle.shadow_points):
-        e = at.elements[b(k)]
-        report.record("corr:section-of-S", at.source(e) == fp, fp)
+    b, fg, g = automorphism_to_bisection(at, aut), at.as_finite_groupoid(), bundle.groupoid
+    report.record("corr:is-bisection", validate_bisection(fg, b))
+    for j, fp in enumerate(bundle.shadow_points):
+        report.record("corr:section-of-S", fg.src[b(j)] == j, fp)
         report.record("corr:T-is-shadow-map",
-                      at.target(e) == aut.apply_shadow(fp), fp)
-    for p in bundle.points:
-        fp = bundle.sitting_duck(p)
-        e = at.elements[b(at.shadow_index[fp])]
+                      g.tgt[b(j) % g.n_arrows] == aut.apply_shadow(fp).obj, fp)
+    for q, p in enumerate(bundle.points):  # q = s * n + a sits over s * |Ob G| + t(a)
+        c = b(duck := q // g.n_arrows * g.n_objects + g.tgt[p.arrow])
+        if fg.src[c] != duck:
+            raise MomentMismatch("element source differs from the duck of the point")
         report.record("corr:implements",
-                      at.act_on_bundle(e, p) == aut.apply(p), p)
+                      g.compose(c % g.n_arrows, p.arrow) == aut.apply(p).arrow, p)
     back = bisection_to_automorphism(bundle, at, b)
     report.record("corr:round-trip", back.action_key() == aut.action_key())
     return report
@@ -256,8 +249,8 @@ def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
             "{}^2 gauge products exceed cap {}".format(len(gauge), cap))
     # the bisections of at covering the identity: those of the kernel over the diagonal
     at = at or AtiyahGroupoid(bundle)
-    fg, els = at.as_finite_groupoid(), at.elements
-    n_vertical = len(_search([[a for a in fibre if els[a].sigma1 == els[a].sigma2]
+    fg, n, k = at.as_finite_groupoid(), bundle.groupoid.n_arrows, len(bundle.base.base)
+    n_vertical = len(_search([[a for a in fibre if a // n // k == a // n % k]
                               for fibre in fg.source_fibres], fg.tgt, cap))
     report = ValidationReport()
     keys = {aut.action_key() for aut in gauge}

@@ -151,7 +151,7 @@ def cmd_bundle(args):
         adj = AdjointBundle(bundle)
         gauge = enumerate_gauge_group(bundle, cap=args.cap)
         counts = [len(bundle.points), len(bundle.shadow_points),
-                  len(adj.elements), len(at.elements), len(gauge)]
+                  len(adj.elements), at.as_finite_groupoid().n_arrows, len(gauge)]
         report["counts"] = counts
         sys.stdout.write("/".join(str(c) for c in counts) + "\n")
     elif mode == "axioms":

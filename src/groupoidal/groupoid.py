@@ -2,10 +2,10 @@
 
 Objects and arrows are dense integer ids.  Structure maps are array-backed;
 the multiplication table is rows of products on composable pairs, which are
-sparse in the square of the arrow set, and mul a read-only view of it.  The
-stock tables come from one builder that fills rows fibre by fibre, a
-product's by arithmetic on first read; validation compares the rows as
-columns, walking fibres after a failure.
+sparse in the square of the arrow set, and mul a read-only view of it.
+Action and group tables are filled from their labels fibre by fibre; pair
+and product tables come by arithmetic and are labelled on first read.
+Validation compares the rows as columns, walking fibres after a failure.
 """
 
 from collections.abc import Mapping
@@ -84,36 +84,32 @@ class FiniteGroupoid:
         self._missing = tuple((a, b) for a in self.arrows for b in targets[self.src[a]]
                               if (a, b) not in mul)
 
-    def _set_maps(self, n_objects, src, tgt, unit, inv):
-        """Set and check every field but the table and the labels, and the fibres."""
-        self.n_objects = n_objects
-        self.src = tuple(src)
-        self.tgt = tuple(tgt)
-        self.unit = tuple(unit)
-        self.inv = tuple(inv)
-        self._check_shape()
-        sources = [[] for _ in self.objects]
-        targets = [[] for _ in self.objects]
-        for a in self.arrows:
-            sources[self.src[a]].append(a)
-            targets[self.tgt[a]].append(a)
-        self.source_fibres = tuple(map(tuple, sources))
-        self.target_fibres = tuple(map(tuple, targets))
-
-    def _check_shape(self):
-        n = self.n_arrows
-        if type(self.n_objects) is not int:
-            raise StructuralError("object count is not an int: {!r}".format(
-                self.n_objects))
-        if len(self.tgt) != n or len(self.inv) != n:
-            raise StructuralError("src/tgt/inv tables disagree in length")
-        if len(self.unit) != self.n_objects:
-            raise StructuralError("unit table length differs from object count")
-        for ids, bound, kind in ((self.inv + self.unit, n, "arrow"),
-                                 (self.src + self.tgt, self.n_objects, "object")):
-            if ids and not (set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < bound):
-                raise StructuralError("{} id not an int in range: {!r}".format(
-                    kind, next(x for x in ids if not _is_id(x, bound))))
+    def _set_maps(self, n_objects, src, tgt, unit, inv, fibres=None):
+        """Set every field but the table and the labels, and the fibres: given as
+        (sources, targets) by factors that checked their ids, else checked and found."""
+        self.n_objects, self.src, self.tgt, self.unit, self.inv = (
+            n_objects, tuple(src), tuple(tgt), tuple(unit), tuple(inv))
+        if fibres is None:
+            n = self.n_arrows
+            if type(self.n_objects) is not int:
+                raise StructuralError("object count is not an int: {!r}".format(
+                    self.n_objects))
+            if len(self.tgt) != n or len(self.inv) != n:
+                raise StructuralError("src/tgt/inv tables disagree in length")
+            if len(self.unit) != self.n_objects:
+                raise StructuralError("unit table length differs from object count")
+            for ids, bound, kind in ((self.inv + self.unit, n, "arrow"),
+                                     (self.src + self.tgt, self.n_objects, "object")):
+                if ids and not (set(map(type, ids)) == {int}
+                                and 0 <= min(ids) and max(ids) < bound):
+                    raise StructuralError("{} id not an int in range: {!r}".format(
+                        kind, next(x for x in ids if not _is_id(x, bound))))
+            fibres = [[] for _ in self.objects], [[] for _ in self.objects]
+            for a in self.arrows:
+                fibres[0][self.src[a]].append(a)
+                fibres[1][self.tgt[a]].append(a)
+            fibres = [tuple(map(tuple, f)) for f in fibres]
+        self.source_fibres, self.target_fibres = fibres
 
     @property
     def n_arrows(self):
@@ -268,12 +264,14 @@ def _mul_walk(g, report):
 def _rows(g):
     """g.rows() if axiom (i) holds, else None: the table holds a product on
     every composable pair and on no other, each typed, s(a.b) = s(b) and
-    t(a.b) = t(a)."""
+    t(a.b) = t(a).  A row object shared by several arrows is read once."""
     if g._missing or g._strays:
         return None
     src, tgt, srcs = g.src, g.tgt, [[g.src[b] for b in fibre] for fibre in g.target_fibres]
+    typed = {id(row): ([src[c] for c in row], [tgt[c] for c in row])
+             for row in {id(r): r for r in g.rows()}.values()}
     for a, row in enumerate(g.rows()):
-        if [src[c] for c in row] != srcs[src[a]] or [tgt[c] for c in row] != [tgt[a]] * len(row):
+        if typed[id(row)] != (srcs[src[a]], [tgt[a]] * len(row)):
             return None
     return g.rows()
 
@@ -355,30 +353,29 @@ class FiniteGroupAction:
                     h, self.inverse[h]))
 
 
-def _from_labels(labels, source, target, units, inverse, compose=None):
+def _from_labels(labels, source, target, units, inverse, compose):
     """The finite groupoid whose arrows are labels, its structure given on them.
 
     source and target send a label to an object id, units lists each
     object's unit label, and inverse and compose act on labels.  The rows
     are filled by walking target fibres, each a with every b whose target is
-    src(a), so only composable pairs are formed; without compose the caller
-    fills them.  The label index built here is the one arrow_index reads.
+    src(a), so only composable pairs are formed.  The label index built here
+    is the one arrow_index reads.
     """
     labels = tuple(labels)
     ids = {x: k for k, x in enumerate(labels)}
     g = FiniteGroupoid.__new__(FiniteGroupoid)
     g._set_maps(len(units), map(source, labels), map(target, labels),
                 [ids[u] for u in units], [ids[inverse(x)] for x in labels])
-    if compose is not None:
-        g._table = [[ids[compose(x, labels[b])] for b in g.target_fibres[g.src[a]]]
-                    for a, x in enumerate(labels)]
+    g._table = [[ids[compose(x, labels[b])] for b in g.target_fibres[g.src[a]]]
+                for a, x in enumerate(labels)]
     g.arrow_labels, g._arrow_ids = labels, ids
     return g
 
 
 def pair_groupoid(n):
     """The pair groupoid of an n-point set: one arrow (m2, m1) per ordered pair."""
-    return fibred_pair_groupoid([range(n)])
+    return _PairGroupoid([range(n)])
 
 
 def action_groupoid(action):
@@ -399,38 +396,49 @@ def group_groupoid(elements, mult, identity, inverse):
                         inverse.__getitem__, lambda x, y: mult[(x, y)])
 
 
-def fibred_pair_groupoid(blocks):
-    """The pair groupoid fibred over a partition: arrows only within blocks."""
-    points = sorted(p for block in blocks for p in block)
-    if points != list(range(len(points))):
-        raise StructuralError("blocks must partition a dense range of object ids")
-    g = _from_labels([(m2, m1) for block in blocks for m2 in block for m1 in block],
-                     lambda x: x[1], lambda x: x[0], [(m, m) for m in points],
-                     lambda x: (x[1], x[0]))
-    # (m2, m1).(m1, y) = (m2, y): a's row is the target fibre of t(a), one list per target
-    rows = [list(fibre) for fibre in g.target_fibres]
-    g._table = [rows[m] for m in g.tgt]
-    return g
+class _PairGroupoid(FiniteGroupoid):
+    """The pair groupoid fibred over a partition, arrows only within blocks:
+    (block[i2], block[i1]) is o + i2 * b + i1 for a block of b points after
+    o arrows.  Its maps come by arithmetic, its labels on first read."""
+
+    def __init__(self, blocks):
+        blocks = self._blocks = [list(block) for block in blocks]
+        points = sorted(p for block in blocks for p in block)
+        if points != list(range(len(points))):
+            raise StructuralError("blocks must partition a dense range of object ids")
+        unit, inv, o = {}, [], 0
+        for block in blocks:
+            for i, m in enumerate(block):
+                inv += range(o + i, o + len(block) ** 2, len(block))
+                unit[m] = o + i * len(block) + i
+            o += len(block) ** 2
+        self._set_maps(len(points), [m1 for b in blocks for _ in b for m1 in b],
+                       [m2 for b in blocks for m2 in b for _ in b], map(unit.get, points), inv)
+        # (m2, m1).(m1, y) = (m2, y): a's row is the target fibre of t(a), one list per target
+        rows = [list(fibre) for fibre in self.target_fibres]
+        self._table = [rows[m] for m in self.tgt]
+
+    arrow_labels = cached_property(lambda self: tuple(
+        (m2, m1) for block in self._blocks for m2 in block for m1 in block))
 
 
-def product_groupoid(g1, g2):
-    """The product groupoid: arrows a1 * |Ar g2| + a2, labelled (a1, a2), over
-    objects m1 * |Ob g2| + m2."""
-    return _ProductGroupoid(g1, g2)
+fibred_pair_groupoid = _PairGroupoid
 
 
 class _ProductGroupoid(FiniteGroupoid):
-    """A product table: its rows by arithmetic from the factors', on first read."""
+    """The product groupoid: arrows a1 * |Ar g2| + a2, labelled (a1, a2), over
+    objects m1 * |Ob g2| + m2.  Its maps and fibres come by arithmetic from the
+    factors' (in arrow order as a1 and a2 are), its rows so on first read."""
 
     def __init__(self, g1, g2):
+        self._factor_rows = g1.rows(), g2.rows()  # so a factor missing a product raises here
         n2, k2 = g2.n_objects, g2.n_arrows
-        self._set_maps(
-            g1.n_objects * n2, [s1 * n2 + s2 for s1 in g1.src for s2 in g2.src],
-            [t1 * n2 + t2 for t1 in g1.tgt for t2 in g2.tgt],
-            [u1 * k2 + u2 for u1 in g1.unit for u2 in g2.unit],
-            [i1 * k2 + i2 for i1 in g1.inv for i2 in g2.inv])
-        # built now, so that a factor missing a product raises here
-        self._factor_rows = g1.rows(), g2.rows()
+        cross = lambda xs, ys, m: [x * m + y for x in xs for y in ys]
+        self._set_maps(g1.n_objects * n2, cross(g1.src, g2.src, n2), cross(g1.tgt, g2.tgt, n2),
+                       cross(g1.unit, g2.unit, k2), cross(g1.inv, g2.inv, k2), [
+                           tuple([tuple(cross(f1, f2, k2)) for f1 in fs1 for f2 in fs2])
+                           for fs1, fs2 in zip((g1.source_fibres, g1.target_fibres),
+                                               (g2.source_fibres, g2.target_fibres))])
 
     arrow_labels = property(lambda self: tuple(product(*map(range, map(len, self._factor_rows)))))
 
@@ -444,6 +452,9 @@ class _ProductGroupoid(FiniteGroupoid):
         made = {id(row1): [list(chain.from_iterable(map(block.__getitem__, row1)))
                            for block in blocks] for row1 in {id(r): r for r in rows1}.values()}
         return list(chain.from_iterable(made[id(row1)] for row1 in rows1))
+
+
+product_groupoid = _ProductGroupoid
 
 
 def z2_swap_action():

@@ -1,12 +1,16 @@
 """The per-check loops of the principal, Atiyah-sequence and trident
-batteries, kept as test oracles.  Each walks namedtuple points and elements
-through the public structure maps and records every check one at a time, so
-its report fixes the check names, the witnesses and their order."""
+batteries, and the label-reading bisection correspondence, kept as test
+oracles.  Each walks namedtuple points and elements through the public
+structure maps and records every check one at a time, so its report fixes
+the check names, the witnesses and their order, and the exception it raises
+fixes the one the battery must raise."""
 
 from collections import Counter
 from itertools import product
 
-from groupoidal import AdjointBundle, AtiyahGroupoid, ValidationReport
+from groupoidal import (AdjointBundle, AtiyahGroupoid, Bisection,
+                        BundleAutomorphism, StructuralError, ValidationReport,
+                        automorphism_to_bisection, validate_bisection)
 
 
 def oracle_principal_axioms(bundle):
@@ -102,4 +106,39 @@ def oracle_trident(bundle, at=None):
         f = bundle.sitting_duck(p)
         report.record("trident:unit-acts-trivially",
                       at.act_on_bundle(at.unit(f), p) == p, p)
+    return report
+
+
+def oracle_bisection_to_automorphism(bundle, at, b):
+    """The automorphism read off the labels of the elements b places."""
+    g, chart = bundle.groupoid, bundle.base.canonical_chart
+    f, local = {}, {}
+    for k, fp in enumerate(bundle.shadow_points):
+        e = at.elements[b(k)]
+        if f.setdefault(fp.sigma, e.sigma1) != e.sigma1:
+            raise StructuralError(
+                "bisection does not project over {}".format(fp.sigma))
+        local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = e.arrow
+    return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): Bisection(g, assign)
+                                          for s, assign in local.items()})
+
+
+def oracle_bisection_correspondence(bundle, at, aut):
+    report = ValidationReport()
+    b = automorphism_to_bisection(at, aut)
+    report.record("corr:is-bisection",
+                  validate_bisection(at.as_finite_groupoid(), b))
+    for k, fp in enumerate(bundle.shadow_points):
+        e = at.elements[b(k)]
+        report.record("corr:section-of-S", at.source(e) == fp, fp)
+        report.record("corr:T-is-shadow-map",
+                      at.target(e) == aut.apply_shadow(fp), fp)
+    shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
+    for p in bundle.points:
+        fp = bundle.sitting_duck(p)
+        e = at.elements[b(shadow_index[fp])]
+        report.record("corr:implements",
+                      at.act_on_bundle(e, p) == aut.apply(p), p)
+    back = oracle_bisection_to_automorphism(bundle, at, b)
+    report.record("corr:round-trip", back.action_key() == aut.action_key())
     return report

@@ -12,6 +12,7 @@ from groupoidal import (AtiyahGroupoid, AdjointBundle, CompositionError,
                         product_groupoid, validate_groupoid,
                         verify_atiyah_sequence, verify_bisection_correspondence,
                         verify_gauge_group, verify_principal_axioms, verify_trident)
+import groupoidal.atiyah as atiyah_module
 from groupoidal.atiyah import AtElement
 
 
@@ -249,20 +250,19 @@ def test_unfilled_table_acts_as_filled(request, chain_bundle, fibre):
 
 
 def eager_atiyah(bundle):
-    """The element list, shadow index and table labels as the symmetry groupoid
-    once built them, all at construction: canonical charts at both ends, base
-    pairs in base order, then fibre arrows."""
+    """The element list and table labels as the symmetry groupoid once built
+    them, all at construction: canonical charts at both ends, base pairs in
+    base order, then fibre arrows."""
     base = bundle.base
     charts = [(s, base.canonical_chart(s)) for s in base.base]
     elements = [AtElement(s1, i, a, s2, j) for (s1, i), (s2, j)
                 in iproduct(charts, repeat=2) for a in bundle.groupoid.arrows]
-    shadow_index = {f: k for k, f in enumerate(bundle.shadow_points)}
-    return elements, shadow_index, tuple(elements), tuple(bundle.shadow_points)
+    return elements, tuple(elements), tuple(bundle.shadow_points)
 
 
 def built_on_read(at):
     """The parts of at and its table that are built on first read, and are built."""
-    return ({"elements", "shadow_index"} & set(vars(at))
+    return ({"elements"} & set(vars(at))
             | {"arrow_labels", "object_labels", "_arrow_ids"} & set(vars(at.as_finite_groupoid())))
 
 
@@ -270,16 +270,15 @@ def built_on_read(at):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_lazy_parts_match_eager_construction(request, chain_bundle, fibre, k):
     bundle = chain_bundle(request.getfixturevalue(fibre), k, seed=k)
-    elements, shadow_index, arrow_labels, object_labels = eager_atiyah(bundle)
+    elements, arrow_labels, object_labels = eager_atiyah(bundle)
     at = AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
     # ids by arithmetic, as the label lookup gave them, with nothing built
     assert [at.index(e) for e in elements] == list(range(len(elements)))
     assert not built_on_read(at)
     assert fg.arrow_labels == arrow_labels and fg.object_labels == object_labels
-    assert at.elements == elements
-    assert list(at.shadow_index.items()) == list(shadow_index.items())
-    assert at.elements is at.elements and at.shadow_index is at.shadow_index
+    assert at.elements == elements and at.elements is at.elements
+    assert [fg.label(c) for c in fg.arrows] == elements
     assert fg.arrow_labels is fg.arrow_labels and fg.object_labels is fg.object_labels
     assert [fg.arrow_index(e) for e in elements] == list(range(len(elements)))
     # Pair(k) rows are shared per target, so one row per (target, fibre arrow)
@@ -288,15 +287,45 @@ def test_lazy_parts_match_eager_construction(request, chain_bundle, fibre, k):
 
 @pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
 def test_batteries_that_read_no_element_build_none(request, chain_bundle, fibre):
-    bundle = chain_bundle(request.getfixturevalue(fibre), 4, seed=4)
+    g = request.getfixturevalue(fibre)
+    bundle = chain_bundle(g, 4, seed=4)
     at = AtiyahGroupoid(bundle)
     fg = at.as_finite_groupoid()
     assert not built_on_read(at)
     assert validate_groupoid(fg).ok and verify_trident(bundle, at).ok
     assert len(fg.mul) == sum(map(len, fg.rows()))
+    assert verify_atiyah_sequence(bundle, at).ok
+    gauge = enumerate_gauge_group(bundle)
+    assert all(verify_bisection_correspondence(bundle, at, aut).ok for aut in gauge[::5])
+    projectable, vertical = enumerate_projectable_bisections(bundle, at)
+    assert len(projectable) == 24 * len(gauge) and len(vertical) == len(gauge)
+    # closure costs |gauge|^2 products, so the gauge group is checked over 3 points
+    small = chain_bundle(g, 3, seed=3)
+    small_at = AtiyahGroupoid(small)
+    assert verify_gauge_group(small, at=small_at).ok
+    assert not built_on_read(at) and not built_on_read(small_at)
+    # a product decodes its one label from its id
+    e = at.unit(bundle.shadow_points[5])
+    assert at.multiply(e, e) == e
     assert not built_on_read(at)
-    assert at.multiply(at.elements[0], at.elements[0]) == at.elements[0]
-    assert built_on_read(at) == {"elements", "arrow_labels"}
+
+
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_fresh_symmetry_groupoid_builds_no_pair_labels(request, chain_bundle,
+                                                       monkeypatch, fibre):
+    made = []
+
+    def pair(k):
+        made.append(pair_groupoid(k))
+        return made[-1]
+    monkeypatch.setattr(atiyah_module, "pair_groupoid", pair)
+    bundle = chain_bundle(request.getfixturevalue(fibre), 5, seed=5)
+    at = AtiyahGroupoid(bundle)
+    fg = at.as_finite_groupoid()
+    assert validate_groupoid(fg).ok and verify_trident(bundle, at).ok
+    assert verify_atiyah_sequence(bundle, at).ok
+    assert len(made) == 1 and made[0].n_objects == 5
+    assert not {"arrow_labels", "_arrow_ids"} & set(vars(made[0]))
 
 
 def test_elements_off_canonical_charts_are_structural_errors(at):

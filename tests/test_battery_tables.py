@@ -1,22 +1,29 @@
-"""The principal, Atiyah-sequence and trident batteries walk int tables;
-their reports must equal those of the per-check loops in battery_oracles,
-check counts, violations and witnesses included, in order.
+"""The principal, Atiyah-sequence and trident batteries walk int tables,
+and the bisection correspondence reads element ids; their reports must
+equal those of the per-check loops in battery_oracles, check counts,
+violations and witnesses included, in order, and they must raise what the
+oracles raise.
 
 Chain, triple-overlap and running-example bundles pass every check.
 Single-chart bundles over typed magmas (tables that are typed but need not
 associate, have units or inverses) fail many, so the witness path is
-compared too."""
+compared too; so do automorphisms with corrupted chart data."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from groupoidal import (AtiyahGroupoid, CechBase, Cocycle, FiniteGroupoid,
-                        PrincipaloidBundle, ValidationReport,
-                        verify_atiyah_sequence, verify_principal_axioms,
-                        verify_trident)
+from groupoidal import (AtiyahGroupoid, Bisection, BundleAutomorphism, CechBase,
+                        Cocycle, FiniteGroupoid, MomentMismatch, PrincipaloidBundle,
+                        ValidationReport, automorphism_to_bisection,
+                        bisection_to_automorphism, enumerate_bisections,
+                        enumerate_gauge_group, verify_atiyah_sequence,
+                        verify_bisection_correspondence,
+                        verify_principal_axioms, verify_trident)
 
-from battery_oracles import (oracle_atiyah_sequence, oracle_principal_axioms,
-                             oracle_trident)
+from battery_oracles import (oracle_atiyah_sequence,
+                             oracle_bisection_correspondence,
+                             oracle_bisection_to_automorphism,
+                             oracle_principal_axioms, oracle_trident)
 from test_bisection_tables import chain_bundles, typed_magmas
 
 
@@ -94,6 +101,82 @@ def test_corrupted_product_fails_sequence_as_oracle(three_point_bundle):
     got = verify_atiyah_sequence(three_point_bundle, at).to_dict()
     assert got == oracle_atiyah_sequence(three_point_bundle, at).to_dict()
     assert [v["check"] for v in got["violations"]] == ["sequence:morphism"]
+
+
+def outcome(fn, *args):
+    """fn's report as a dict, or its automorphism's base map and chart data,
+    or the type and message of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.to_dict() if isinstance(got, ValidationReport) else (got.f, got.gamma)
+
+
+def swapped(aut, i):
+    """aut with the first and last values of its i-th gamma entry swapped."""
+    gamma = dict(aut.gamma)
+    key = list(gamma)[i % len(gamma)]
+    assign = list(gamma[key].assign)
+    assign[0], assign[-1] = assign[-1], assign[0]
+    gamma[key] = Bisection(gamma[key].groupoid, assign)
+    return BundleAutomorphism(aut.bundle, aut.f, gamma)
+
+
+def mixed(aut, other, i):
+    """aut with its i-th gamma entry taken from another map."""
+    key = list(aut.gamma)[i % len(aut.gamma)]
+    return BundleAutomorphism(aut.bundle, aut.f, {**aut.gamma, key: other.gamma[key]})
+
+
+def assert_correspondence_matches_oracle(bundle, auts, bisections=()):
+    """The correspondence on each automorphism, and the recovery of an
+    automorphism from each bisection, give what the label-reading oracles
+    give, reports or exceptions alike; returns the reports."""
+    at = AtiyahGroupoid(bundle)
+    got = [outcome(verify_bisection_correspondence, bundle, at, aut) for aut in auts]
+    assert got == [outcome(oracle_bisection_correspondence, bundle, at, aut) for aut in auts]
+    for b in bisections:
+        assert (outcome(bisection_to_automorphism, bundle, at, b)
+                == outcome(oracle_bisection_to_automorphism, bundle, at, b))
+    return got
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", k) for k in range(3, 7)]
+                         + [("pair3", 3), ("pair3", 4)])
+def test_correspondence_matches_oracle_on_every_gauge_map(request, chain_bundle,
+                                                          fibre, k):
+    bundle = chain_bundle(request.getfixturevalue(fibre), k, seed=k)
+    gauge = enumerate_gauge_group(bundle)
+    at = AtiyahGroupoid(bundle)
+    others = [automorphism_to_bisection(at, aut) for aut in gauge[::-37]]
+    reports = assert_correspondence_matches_oracle(bundle, gauge, others)
+    assert all(r["ok"] for r in reports)
+
+
+def test_running_example_correspondence_matches_oracle(three_point_bundle):
+    bundle = three_point_bundle
+    gauge = enumerate_gauge_group(bundle)
+    fg = AtiyahGroupoid(bundle).as_finite_groupoid()
+    # every bisection of the symmetry groupoid: 48 project to a base map
+    bisections = enumerate_bisections(fg)
+    assert len(bisections) == 720
+    assert all(r["ok"] for r in assert_correspondence_matches_oracle(
+        bundle, gauge, bisections[::7]))
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 3), ("z2_groupoid", 5), ("pair3", 3)])
+def test_corrupted_chart_data_fails_correspondence_as_oracle(request, chain_bundle,
+                                                             three_point_bundle, fibre, k):
+    bundles = [three_point_bundle, chain_bundle(request.getfixturevalue(fibre), k, seed=k)]
+    for bundle in bundles:
+        gauge = enumerate_gauge_group(bundle)
+        auts = [swapped(aut, i) for i, aut in enumerate(gauge[::3])]
+        auts += [mixed(aut, gauge[-1 - i], i) for i, aut in enumerate(gauge[::5])]
+        got = assert_correspondence_matches_oracle(bundle, auts)
+        # a swapped entry is no section, so the left action meets a point it
+        # cannot act on
+        assert got[0] == (MomentMismatch, "element source differs from the duck of the point")
 
 
 def test_record_columns_reads_witnesses_only_at_failures():

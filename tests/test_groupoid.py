@@ -1,11 +1,13 @@
 """Axiom validation and the stock constructors."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from groupoidal import (CompositionError, FiniteGroupAction, FiniteGroupoid,
                         StructuralError, fibred_pair_groupoid, group_groupoid,
                         pair_groupoid, product_groupoid, validate_groupoid)
+
+from test_bisection_tables import action, fibred, groups
 
 
 def test_z2_action_groupoid_shape(z2_groupoid):
@@ -62,6 +64,83 @@ def test_pair_groupoid_is_one_block_fibred():
         g, h = pair_groupoid(n), fibred_pair_groupoid([list(range(n))])
         assert g == h
         assert g.arrow_labels == h.arrow_labels
+
+
+def eager_pair(blocks):
+    """The fibred pair groupoid as its labels once built it: every label
+    (m2, m1) at once, and mul found by trying every pair of labels."""
+    labels = [(m2, m1) for block in blocks for m2 in block for m1 in block]
+    points = sorted(p for block in blocks for p in block)
+    ids = {x: k for k, x in enumerate(labels)}
+    mul = {(ids[x], ids[y]): ids[x[0], y[1]] for x in labels for y in labels if x[1] == y[0]}
+    return FiniteGroupoid(len(points), [x[1] for x in labels], [x[0] for x in labels],
+                          [ids[m, m] for m in points], [ids[x[1], x[0]] for x in labels],
+                          mul, labels)
+
+
+@pytest.mark.parametrize("blocks", [[range(k)] for k in range(1, 9)]
+                         + [[[0, 2], [1]], [[1, 0], [2, 4, 3]], [[3], [0, 1, 2]]])
+def test_pair_groupoids_match_their_labelled_construction(blocks):
+    g, oracle = fibred_pair_groupoid(blocks), eager_pair(blocks)
+    if len(blocks) == 1:
+        assert g == pair_groupoid(len(blocks[0]))
+    # the maps and rows come from arithmetic; the labels on first read
+    assert not {"arrow_labels", "_arrow_ids"} & set(vars(g))
+    assert g == oracle and list(g.mul.items()) == list(oracle.mul.items())
+    assert (g.source_fibres, g.target_fibres) == (oracle.source_fibres, oracle.target_fibres)
+    assert g.to_json() == oracle.to_json()
+    assert g.arrow_labels == oracle.arrow_labels and g.arrow_labels is g.arrow_labels
+    assert [g.arrow_index(x) for x in oracle.arrow_labels] == list(oracle.arrows)
+    assert validate_groupoid(g).ok
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[0, 2]], "dense range"), ([[0, 1], [1]], "dense range"),
+    ([[0, 1.0]], "object id not an int in range: 1.0")])
+def test_pair_groupoid_blocks_are_checked(blocks, message):
+    with pytest.raises(StructuralError, match=message):
+        fibred_pair_groupoid(blocks)
+
+
+def all_pairs_product(g1, g2):
+    """The product as a FiniteGroupoid built from every ordered pair of its
+    arrows, composed factor by factor where they compose."""
+    n2, k2 = g2.n_objects, g2.n_arrows
+    arrows = [(a1, a2) for a1 in g1.arrows for a2 in g2.arrows]
+    src = [g1.src[a1] * n2 + g2.src[a2] for a1, a2 in arrows]
+    tgt = [g1.tgt[a1] * n2 + g2.tgt[a2] for a1, a2 in arrows]
+    mul = {(a, b): g1.compose(x[0], y[0]) * k2 + g2.compose(x[1], y[1])
+           for a, x in enumerate(arrows) for b, y in enumerate(arrows) if src[a] == tgt[b]}
+    return FiniteGroupoid(g1.n_objects * n2, src, tgt,
+                          [u1 * k2 + u2 for u1 in g1.unit for u2 in g2.unit],
+                          [g1.inv[a1] * k2 + g2.inv[a2] for a1, a2 in arrows], mul)
+
+
+factors = st.one_of(st.integers(1, 3).map(pair_groupoid), fibred(max_points=4),
+                    groups, action()).filter(lambda g: g.n_arrows <= 12)
+
+
+@given(factors, factors)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_generated_products_match_all_pairs_construction(g1, g2):
+    g, oracle = product_groupoid(g1, g2), all_pairs_product(g1, g2)
+    assert g == oracle and list(g.mul.items()) == list(oracle.mul.items())
+    assert (g.n_objects, g.unit, g.inv) == (oracle.n_objects, oracle.unit, oracle.inv)
+    assert (g.source_fibres, g.target_fibres) == (oracle.source_fibres, oracle.target_fibres)
+    assert g.arrow_labels == tuple((a1, a2) for a1 in g1.arrows for a2 in g2.arrows)
+
+
+def test_product_of_a_factor_missing_a_product_raises(z2_groupoid, pair3):
+    mul = dict(z2_groupoid.mul.items())
+    del mul[next(iter(mul))]
+    bad = FiniteGroupoid(2, z2_groupoid.src, z2_groupoid.tgt, z2_groupoid.unit,
+                         z2_groupoid.inv, mul)
+    with pytest.raises(CompositionError) as want:
+        bad.rows()
+    for g1, g2 in ((bad, pair3), (pair3, bad)):
+        with pytest.raises(CompositionError) as got:
+            product_groupoid(g1, g2)
+        assert str(got.value) == str(want.value)
 
 
 def test_stock_tables_fill_mul_in_sorted_order(z2_groupoid, pair3):
