@@ -186,7 +186,7 @@ def automorphism_to_bisection(at, aut):
         fp.chart)) for fp in at.bundle.shadow_points])
 
 
-def bisection_to_automorphism(bundle, at, b):
+def bisection_to_automorphism(bundle, b):
     """Recover the automorphism from a projectable bisection of the symmetry
     groupoid, read off its ids.  Raises if it does not cover a base map."""
     g, base = bundle.groupoid, bundle.base.base
@@ -216,7 +216,7 @@ def verify_bisection_correspondence(bundle, at, aut):
             raise MomentMismatch("element source differs from the duck of the point")
         report.record("corr:implements",
                       g.compose(c % g.n_arrows, p.arrow) == aut.apply(p).arrow, p)
-    back = bisection_to_automorphism(bundle, at, b)
+    back = bisection_to_automorphism(bundle, b)
     report.record("corr:round-trip", back.action_key() == aut.action_key())
     return report
 

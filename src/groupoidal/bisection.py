@@ -8,6 +8,7 @@ brute force.
 """
 
 from functools import cached_property
+from itertools import chain, repeat
 
 from .report import (EnumerationBound, InternalError, StructuralError,
                      ValidationReport, differ)
@@ -209,7 +210,7 @@ PACKED_CODES = 256
 
 
 class _Columns:
-    """Columns of ids, one entry per bisection, and the tables applied to them.
+    """Columns of ids, one per bisection or fibre slot, and the tables applied to them.
 
     Below BYTE_ARROWS arrows a column is a bytes object and a table a
     256-byte string applied with bytes.translate; from there on they are a
@@ -222,6 +223,7 @@ class _Columns:
         self.none = 255 if self.byte else n_arrows
         self.column = bytes if self.byte else tuple
         self.apply = bytes.translate if self.byte else self._lookup
+        self.join = b"".join if self.byte else lambda cols: tuple(chain.from_iterable(cols))
 
     def table(self, entries):
         """The table of an iterable of (id, value) pairs."""
@@ -235,9 +237,16 @@ class _Columns:
         """apply for tuple columns: the column of table[x] for x in col."""
         return tuple(table.get(x, self.none) for x in col)
 
+    def pick(self, cols):
+        """The entry other than none at each place of cols (bytes: as numbers)."""
+        if not self.byte:
+            return tuple(map(min, zip(*cols)))
+        n = len(cols[0])
+        total = sum(int.from_bytes(c, "little") for c in cols)
+        return (total - (len(cols) - 1) * (256 ** n - 1)).to_bytes(n, "little")
+
     def checked(self, col, explain):
-        """col, a column of products.  Where it holds none, explain(i)
-        raises the CompositionError of the product mul lacks."""
+        """col; where it holds none, explain(i) raises the product's CompositionError."""
         if self.none in col:
             explain(col.index(self.none))
             raise InternalError("a product table disagrees with mul")
@@ -251,46 +260,38 @@ def check_structure_identities(g, cap=100000):
     five conjugation identities, and the two identities tying the right
     action along a bisection through g to right translation by g.
 
-    Each check family runs column-wise over all bisections at once (see
-    _Columns).  A column holds one id per bisection: per object, the
-    bisection's value there and the value landing there; per arrow h, L(h),
-    R(h) and C(h).  A product with one side fixed is a table applied to a
-    whole column: x -> x.h and y -> u.y.  C and c-v, whose factors both
-    vary, translate one byte per pair, its code x.K + row_index[y], while
-    codes fit a byte (PACKED_CODES), else look pairs up in mul.  The vi
-    checks read a bisection through one arrow only, so they run once per
-    value that arrow takes, with its whole fibre as the column.
-    A product mul lacks raises CompositionError.
-
-    Checks are recorded with record_all, failures keyed by (bisection,
-    block, key, column), so witnesses come in the order of the per-check
-    loops: bisection, then arrow, object, mul entry or vi fibre slot, then
-    check.  The e3 checks cannot fail and are counted (see below).
+    Columns (see _Columns) run over all bisections: per object, the value
+    there and the one landing there; per arrow h, L(h), R(h) and C(h).  x ->
+    x.h and y -> u.y are tables; C and c-v code each pair x, y as one byte
+    x.K + row_index[y] while codes fit (PACKED_CODES), else look it up in
+    mul.  A family compares joins of columns, one per arrow, object or entry
+    of a row of mul, so place p is bisection p % nb of key p // nb; vi joins
+    over the values its column takes.  Failures are keyed (bisection, block,
+    key, column) for record_all, in the order of per-check loops; a product
+    mul lacks raises CompositionError, the first those loops meet.
     """
-    bis = enumerate_bisections(g, cap=cap)
+    assigns = [b.assign for b in enumerate_bisections(g, cap=cap)]
     report = ValidationReport()
-    if not bis:
+    if not assigns or not g.n_arrows:
         return report
     cols = _Columns(g.n_arrows)
-    column, table, apply, checked = cols.column, cols.table, cols.apply, cols.checked
-    src, tgt, inv, unit, mul = g.src, g.tgt, g.inv, g.unit, dict(g.mul.items())
-    sources, targets = g.source_fibres, g.target_fibres
-    compose = g.compose
-    assigns = [b.assign for b in bis]
-    nb = len(assigns)
+    column, table, apply, join, none = cols.column, cols.table, cols.apply, cols.join, cols.none
+    src, tgt, inv, unit, compose, checked = g.src, g.tgt, g.inv, g.unit, g.compose, cols.checked
+    sources, targets, arrows, nb = g.source_fibres, g.target_fibres, g.arrows, len(assigns)
 
     SRC, TGT, INV, UNIT = (table(enumerate(m)) for m in (src, tgt, inv, unit))
-    by_left, by_right = ([[] for _ in g.arrows] for _ in range(2))
-    for (x, y), p in mul.items():
-        by_left[x].append((y, p))
-        by_right[y].append((x, p))
-    LEFT = [table(r) for r in by_left]  # LEFT[u]: y -> u.y
-    RIGHT = [table(r) for r in by_right]  # RIGHT[h]: x -> x.h
-    K, at = max(map(len, targets), default=0), g.row_index
+    items = list(g.mul.items())
+    mul, by_left, by_right = dict(items), [[] for _ in arrows], [[] for _ in arrows]
+    for k, ((x, y), p) in enumerate(items):
+        by_left[x].append((k, y, p))
+        by_right[y].append((k, x, p))
+    LEFT = [table((y, p) for _, y, p in r) for r in by_left]  # LEFT[u]: y -> u.y
+    RIGHT = [table((x, p) for _, x, p in r) for r in by_right]  # RIGHT[h]: x -> x.h
+    K, at = max(map(len, targets)), g.row_index
     packed = cols.byte and g.n_arrows * K <= PACKED_CODES
     if packed:  # AT: y -> row_index[y]; FLAT: x.K + row_index[y] -> x.y
         AT, FLAT = table(at.items()), table(
-            (x * K + at[y], p) for (x, y), p in mul.items() if src[x] == tgt[y])
+            (x * K + at[y], p) for (x, y), p in items if src[x] == tgt[y])
 
     def left(u, col):
         return checked(apply(col, LEFT[u]), lambda i: compose(u, col[i]))
@@ -299,101 +300,100 @@ def check_structure_identities(g, cap=100000):
         return checked(apply(col, RIGHT[h]), lambda i: compose(col[i], h))
 
     def pairwise(xs, ys):
-        """The column of x.y for x, y in zip(xs, ys): packed when the columns
-        compose (no code carries, x.K + row_index[y] < n_arrows.K), else by mul."""
+        """The column of x.y for x, y in zip(xs, ys), none where mul lacks it: packed
+        when the columns compose (no code carries: x.K + row_index[y] < n_arrows.K)."""
         if packed and apply(xs, SRC) == apply(ys, TGT):
             code = int.from_bytes(xs, "little") * K + int.from_bytes(apply(ys, AT), "little")
-            return checked(code.to_bytes(nb, "little").translate(FLAT),
-                           lambda i: compose(xs[i], ys[i]))
-        try:
-            return column(map(mul.__getitem__, zip(xs, ys)))
-        except KeyError as exc:
-            raise g.composition_error(*exc.args[0]) from None
+            return code.to_bytes(len(xs), "little").translate(FLAT)
+        return column(map(mul.get, zip(xs, ys), repeat(none)))
 
-    # per bisection: the value landing on each object, and the inverse
-    # bisection at the preimage of each object under its own shadow (read
-    # as Bisection.shadow_inverse reads it)
-    rows = []
-    for A in assigns:
-        AS = sorted(A, key=tgt.__getitem__)
-        binv = [inv[x] for x in AS]
-        pre = [0] * len(A)
-        for m, x in enumerate(binv):
-            pre[tgt[x]] = m
-        rows.append((AS, [binv[m] for m in pre]))
+    # per object m: the values at m, and those landing on m, from the sources of its arrows
     value = [column(c) for c in zip(*assigns)]
-    landing, back = ([column(c) for c in zip(*side)] for side in zip(*rows))
-    sh = [apply(c, TGT) for c in value]
-    shinv = [apply(c, SRC) for c in landing]
-    inv_value = [apply(c, INV) for c in value]
-    inv_landing = [apply(c, INV) for c in landing]
+    landing = [cols.pick([apply(value[m], table(zip(into, into)))
+                          for m in dict.fromkeys(map(src.__getitem__, into))]) for into in targets]
+    sh, shinv = [apply(c, TGT) for c in value], [apply(c, SRC) for c in landing]
+    inv_value, inv_landing = [apply(c, INV) for c in value], [apply(c, INV) for c in landing]
+    # the inverse bisection at its shadow's preimage of m (inv of beta(m) if inv swaps s, t)
+    back = inv_value if all(apply(c, TGT) == s for c, s in zip(inv_landing, shinv)) else [
+        column(c) for c in zip(*(map(b, b.shadow_inverse) for b in (
+            bisection_inverse(Bisection(g, A)) for A in assigns)))]
     const = [column([m]) * nb for m in g.objects]
+    checks, fails, missing = 0, [], []
 
-    checks, fails = 0, []
-
-    def record(block, key, witness, columns):
+    def record(block, key, columns, c=0):
+        """Record columns (check, lhs, rhs) joined over keys, key(q) the q-th key and
+        witness; a product missing from rhs is noted, to raise in the loops' order."""
         nonlocal checks
-        for c, (check, lhs, rhs) in enumerate(columns):
-            checks += nb
-            if lhs != rhs:
-                fails.extend(((i, block, key, c), check, (assigns[i],) + witness(i))
-                             for i in differ(lhs, rhs))
+        for c, (check, lhs, rhs) in enumerate(columns, c):
+            checks += len(lhs)
+            if none in rhs:
+                missing.append((key(rhs.index(none) // nb)[0], c, rhs.index(none) % nb))
+            for p in differ(lhs, rhs) if lhs != rhs else ():
+                k, witness = key(p // nb)
+                fails.append(((p % nb, block, k, c), check, (assigns[p % nb],) + witness))
 
-    L = [right(value[tgt[h]], h) for h in g.arrows]
-    R = [left(h, landing[src[h]]) for h in g.arrows]
-    C = [pairwise(L[h], inv_value[src[h]]) for h in g.arrows]
-    for h in g.arrows:
-        s, t, ih = src[h], tgt[h], inv[h]
-        record(1, h, lambda i: (h,), (
-            ("i:s-left", apply(L[h], SRC), const[s]),
-            ("i:s-right", apply(R[h], SRC), shinv[s]),
-            ("ii:t-left", apply(L[h], TGT), sh[t]),
-            ("ii:t-right", apply(R[h], TGT), const[t]),
-            # the inverse bisection's actions at the inverse of h
-            ("iv:inv-left", apply(L[h], INV), left(ih, back[src[ih]])),
-            ("iv:inv-right", apply(R[h], INV), right(inv_landing[tgt[ih]], ih)),
-            ("c-i:s", apply(C[h], SRC), sh[s]),
-            ("c-ii:t", apply(C[h], TGT), sh[t]),
-            ("c-iv:inv", apply(C[h], INV), C[ih])))
-    for m in g.objects:
-        e = unit[m]
-        record(2, m, lambda i: (m,), (
-            ("iii:unit-left", L[e], value[m]),
-            ("iii:unit-right", R[e], landing[m]),
-            ("c-iii:unit", C[e], apply(sh[m], UNIT))))
-    for k, ((u, h), p) in enumerate(mul.items()):
-        record(3, k, lambda i: (u, h), (
-            ("v:left-vs-mul", L[p], right(L[u], h)),
-            ("v:right-vs-mul", R[p], left(u, R[h])),
-            ("c-v:conj-vs-mul", C[p], pairwise(C[u], C[h]))))
-
-    # vi reads a bisection through one arrow: a = beta(t(h)) in
-    # (w.a).h = w.(a.h) for w in s^-1(t(a)), and x, the value landing on
-    # s(h), in h.(x.y) = (h.x).y for y in t^-1(s(x)).  Each value in the
-    # column is checked once along its fibre, and its checks and failures
-    # are charged to every bisection taking it.
-    def record_vi(h, side, col, check, fibres, sides, witness):
-        nonlocal checks
-        for a in dict.fromkeys(col):
-            W = fibres[a]
-            lhs, rhs = sides(a, W)
-            checks += col.count(a) * len(W)
+    L = [right(value[tgt[h]], h) for h in arrows]
+    R = [left(h, landing[src[h]]) for h in arrows]
+    IV = join(inv_value[src[h]] for h in arrows)
+    C = checked(pairwise(join(L), IV), lambda p: compose(L[p // nb][p % nb], IV[p]))
+    C = [C[h * nb:(h + 1) * nb] for h in arrows]
+    # the inverse bisection's actions at the inverse of h
+    IL, IR = zip(*[(left(ih, back[src[ih]]), right(inv_landing[tgt[ih]], ih)) for ih in inv])
+    record(1, lambda h: (h, (h,)), ((check, apply(join(cs), T), join(map(rs.__getitem__, at)))
+                                     for check, cs, T, rs, at in (
+        ("i:s-left", L, SRC, const, src), ("i:s-right", R, SRC, shinv, src),
+        ("ii:t-left", L, TGT, sh, tgt), ("ii:t-right", R, TGT, const, tgt),
+        ("iv:inv-left", L, INV, IL, arrows), ("iv:inv-right", R, INV, IR, arrows),
+        ("c-i:s", C, SRC, sh, src), ("c-ii:t", C, TGT, sh, tgt), ("c-iv:inv", C, INV, C, inv))))
+    record(2, lambda m: (m, (m,)), [
+        ("iii:unit-left", join(map(L.__getitem__, unit)), join(value)),
+        ("iii:unit-right", join(map(R.__getitem__, unit)), join(landing)),
+        ("c-iii:unit", join(map(C.__getitem__, unit)), apply(join(sh), UNIT))])
+    # block 3 by rows (k, factor, product) of mul, both factors of c-v varying
+    for h, row in enumerate(by_right):
+        record(3, lambda q: (row[q][0], (row[q][1], h)), [(
+            "v:left-vs-mul", join(L[p] for _, _, p in row),
+            apply(join(L[x] for _, x, _ in row), RIGHT[h]))])
+    for u, row in enumerate(by_left):
+        record(3, lambda q: (row[q][0], (u, row[q][1])), [
+            ("v:right-vs-mul", join(R[p] for _, _, p in row),
+             apply(join(R[y] for _, y, _ in row), LEFT[u])),
+            ("c-v:conj-vs-mul", join(C[p] for _, _, p in row),
+             pairwise(C[u] * len(row), join(C[y] for _, y, _ in row)))], 1)
+    if missing:  # the first by mul entry, then check, then bisection
+        k, c, i = min(missing)
+        (u, h), _ = items[k]
+        compose(*((L[u][i], h), (u, R[h][i]), (C[u][i], C[h][i]))[c])
+        raise InternalError("a product table disagrees with mul")
+    # vi reads a = beta(t(h)) in (w.a).h = w.(a.h) for w in s^-1(t(a)), and x
+    # landing on s(h) in h.(x.y) = (h.x).y for y in t^-1(s(x)), joined over the
+    # values taken: w.a read off P, w.(a.h) too where t(a.h) = t(a); x likewise.
+    out_of, into = [column(sources[m]) for m in tgt], [column(targets[m]) for m in src]
+    sides = (("vi:right-then-mul", tgt, value, RIGHT, out_of, TGT, lambda u, w: (w, u)),
+             ("vi:mul-then-left", src, landing, LEFT, into, SRC, lambda u, w: (u, w)))
+    Ds = [[column(dict.fromkeys(c)) for c in cs] for _, _, cs, *_ in sides]
+    Ps = [[apply(W, T[a]) for a, W in enumerate(fibres)] for _, _, _, T, fibres, *_ in sides]
+    for h in arrows:
+        for side, (check, on, cs, TABLES, fibres, ends, pair) in enumerate(sides):
+            col, D, T, P = cs[on[h]], Ds[side][on[h]], TABLES[h], Ps[side]
+            AH = apply(D, T)  # a.h or h.x, in L[h] or R[h]
+            lhs, rhs = apply(join(map(P.__getitem__, D)), T), (
+                join(map(P.__getitem__, AH)) if apply(AH, ends) == apply(D, ends)
+                else join(apply(fibres[a], TABLES[x]) for a, x in zip(D, AH)))
+            for a, x in zip(D, AH) if none in lhs + rhs else ():  # raise as per value
+                W, wa = fibres[a], P[a]
+                for u, ws, got in ((a, W, wa), (h, wa, apply(wa, T)), (x, W, apply(W, TABLES[x]))):
+                    checked(got, lambda j: compose(*pair(u, ws[j])))
             if lhs != rhs:
-                at = [i for i, v in enumerate(col) if v == a]
+                place = [(a, j) for a in D for j in range(len(fibres[a]))]
                 fails.extend(((i, 4, (h, side, j), 0), check,
-                              (assigns[i],) + witness(W[j]))
-                             for j in differ(lhs, rhs) for i in at)
-
-    out_of = [column(sources[t]) for t in tgt]  # by a: the w with s(w) = t(a)
-    into = [column(targets[s]) for s in src]  # by x: the y with t(y) = s(x)
-    for h in g.arrows:
-        record_vi(h, 0, value[tgt[h]], "vi:right-then-mul", out_of,
-                  lambda a, W: (right(right(W, a), h), right(W, compose(a, h))),
-                  lambda w: (w, h))
-        record_vi(h, 1, landing[src[h]], "vi:mul-then-left", into,
-                  lambda x, Y: (left(h, left(x, Y)), left(compose(h, x), Y)),
-                  lambda y: (h, y))
-
+                              (assigns[i],) + pair(h, fibres[a][j]))
+                             for a, j in map(place.__getitem__, differ(lhs, rhs))
+                             for i, v in enumerate(col) if v == a)
+    # a vi check per bisection and fibre slot: |s^-1(t(beta(t(h))))| and |t^-1(s(x))|
+    NS, NT = (table(enumerate(map(len, f))) for f in (sources, targets))
+    checks += sum(len(targets[m]) * sum(apply(sh[m], NS))
+                  + len(sources[m]) * sum(apply(shinv[m], NT)) for m in g.objects)
     # e3 (r_g = R_beta) cannot fail: shadows are bijective, e3-ii is R[h]'s column
     checks += nb * (g.n_objects + g.n_arrows)
     report.record_all(checks, fails)

@@ -106,7 +106,7 @@ def test_criterion_5_gauge_correspondence(three_point_bundle):
     for aut in gauge:
         ok &= verify_bisection_correspondence(bundle, at, aut).ok
         b = automorphism_to_bisection(at, aut)
-        back = bisection_to_automorphism(bundle, at, b)
+        back = bisection_to_automorphism(bundle, b)
         ok &= back.action_key() == aut.action_key()
         images[aut.action_key()] = b
     # homomorphism property and surjectivity onto the vertical bisections

@@ -139,7 +139,7 @@ def test_correspondence_onto_vertical_bisections(three_point_bundle, at, gauge):
 def test_round_trip_both_ways(three_point_bundle, at, gauge):
     for aut in gauge:
         b = automorphism_to_bisection(at, aut)
-        back = bisection_to_automorphism(three_point_bundle, at, b)
+        back = bisection_to_automorphism(three_point_bundle, b)
         assert back.action_key() == aut.action_key()
         assert automorphism_to_bisection(at, back) == b
 

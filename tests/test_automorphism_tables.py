@@ -122,7 +122,7 @@ def nonvertical(bundle, limit=24):
     at = AtiyahGroupoid(bundle)
     projectable, _ = enumerate_projectable_bisections(bundle, at)
     step = max(1, len(projectable) // limit)
-    return [bisection_to_automorphism(bundle, at, b)
+    return [bisection_to_automorphism(bundle, b)
             for b in projectable[::step]]
 
 

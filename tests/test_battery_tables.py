@@ -137,7 +137,7 @@ def assert_correspondence_matches_oracle(bundle, auts, bisections=()):
     got = [outcome(verify_bisection_correspondence, bundle, at, aut) for aut in auts]
     assert got == [outcome(oracle_bisection_correspondence, bundle, at, aut) for aut in auts]
     for b in bisections:
-        assert (outcome(bisection_to_automorphism, bundle, at, b)
+        assert (outcome(bisection_to_automorphism, bundle, b)
                 == outcome(oracle_bisection_to_automorphism, bundle, at, b))
     return got
 

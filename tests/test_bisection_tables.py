@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
@@ -39,6 +40,7 @@ from groupoidal import (AtiyahGroupoid, Bisection, CechBase, Cocycle,
                         verify_gauge_group, z2_swap_action)
 import groupoidal.bisection as bisection_module
 import groupoidal.groupoid as groupoid_module
+import groupoidal.report as report_module
 from groupoidal.bisection import _Columns
 
 
@@ -279,8 +281,54 @@ def identity_check_count(g, bis):
     return count
 
 
+# The identity suite's column encodings: as built, bytes below 255 arrows with
+# pairs packed into one byte while their codes fit (byte); bytes with every
+# pair looked up in mul (per_pair); tuples whatever the number of arrows (wide).
+BUILT = {"BYTE_ARROWS": bisection_module.BYTE_ARROWS,
+         "PACKED_CODES": bisection_module.PACKED_CODES}
+ENCODINGS = {"byte": BUILT, "per_pair": {**BUILT, "PACKED_CODES": 0},
+             "wide": {**BUILT, "BYTE_ARROWS": 0}}
+
+
+@contextmanager
+def encoded(name):
+    """The identity suite on the encoding name, within the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, value in ENCODINGS[name].items():
+            mp.setattr(bisection_module, attr, value)
+        yield
+
+
+@pytest.fixture(params=list(ENCODINGS))
+def encoding(request):
+    """The identity suite on each encoding in turn."""
+    with encoded(request.param):
+        yield request.param
+
+
+def suite_outcome(g):
+    """The identity report as a dict, or the class and message of what the
+    suite raised."""
+    try:
+        return check_structure_identities(g).to_dict()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def encoded_outcome(g):
+    """check_structure_identities(g), or the class of what it raised, once
+    every encoding gives the same report, or the same class and message."""
+    seen = []
+    for name in ENCODINGS:
+        with encoded(name):
+            seen.append(suite_outcome(g))
+    assert seen == seen[:1] * len(seen)
+    return outcome(check_structure_identities, g)
+
+
 def assert_matches_oracle(g):
-    """Same bisections in the same order, and the same identity report.
+    """Same bisections in the same order, and the same identity report, in
+    every encoding.
 
     Where only the oracle refuses, by its product-of-fibres cap, the fast
     path's answers are checked on their own: the list is strictly increasing,
@@ -297,7 +345,7 @@ def assert_matches_oracle(g):
             assert [g.src[x] for x in a] == list(g.objects)
             assert sorted(g.tgt[x] for x in a) == list(g.objects)
         assert len(assigns) == bisection_count(g)
-        report = outcome(check_structure_identities, g)
+        report = encoded_outcome(g)
         if isinstance(report, type):
             assert report is CompositionError and not validate_groupoid(g).ok
         else:
@@ -312,7 +360,7 @@ def assert_matches_oracle(g):
         assert len(got) == bisection_count(g)
     bis = got
     expected = outcome(oracle_identities, g)
-    got = outcome(check_structure_identities, g)
+    got = encoded_outcome(g)
     if isinstance(expected, type):
         assert got is expected
     else:
@@ -341,15 +389,31 @@ def permutation_group(gens, d):
 
 
 CORRUPTIONS = ("mul", "inv", "unit", "drop", "stray")
+# faults the identity suite reads past on its own paths: an inv that does not
+# swap s and t, and a product a.h with t(a.h) != t(a) or h.x with s(h.x) != s(x)
+SHORTCUTS = ("inv-twist", "off-target", "off-source")
 
 
 def corrupt(g, kind, i, j):
     """g with one structure entry wrong: two mul values swapped, one inv or
     unit entry moved to another arrow, one composable pair dropped from mul,
-    or one stray mul entry on a non-composable pair (g is left whole when it
-    has no such pair)."""
+    or one stray mul entry on a non-composable pair; or one inv entry moved
+    to an arrow not from t(a) to s(a), or one product a.b moved to an arrow
+    whose target is not t(a) or whose source is not s(b).  g is left whole
+    when it has no such pair or arrow."""
     mul, inv, unit = dict(g.mul), list(g.inv), list(g.unit)
-    if kind == "mul":
+    if kind == "inv-twist":
+        a = i % g.n_arrows
+        off = [x for x in g.arrows if (g.src[x], g.tgt[x]) != (g.tgt[a], g.src[a])]
+        if off:
+            inv[a] = off[j % len(off)]
+    elif kind in ("off-target", "off-source"):
+        a, b = list(mul)[i % len(mul)]
+        off = [x for x in g.arrows if (g.tgt[x] != g.tgt[a] if kind == "off-target"
+                                       else g.src[x] != g.src[b])]
+        if off:
+            mul[a, b] = off[j % len(off)]
+    elif kind == "mul":
         keys = list(mul)
         k1, k2 = keys[i % len(keys)], keys[j % len(keys)]
         mul[k1], mul[k2] = mul[k2], mul[k1]
@@ -486,7 +550,7 @@ def test_commutant_work_does_not_follow_the_numbering():
         r_equivariant_commutant(g, cap=396_611)
 
 
-@given(groupoids, st.sampled_from([None, "mul", "inv", "unit"]),
+@given(groupoids, st.sampled_from((None, "mul", "inv", "unit") + SHORTCUTS),
        st.integers(0, 1000), st.integers(0, 1000))
 # 6^6 * 3^3 candidate sections exceed the oracle's cap; the search answers
 @example(product_groupoid(pair_groupoid(3), fibred_pair_groupoid([[0], [1, 2]])),
@@ -499,6 +563,36 @@ def test_generated_groupoids_match_oracle(g, kind, i, j):
     assert_matches_oracle(g)
 
 
+def chain_category(f, k, kf=5):
+    """The chain 0 -> 1 -> 2 as a category, not a groupoid: units 0, 1, 2, f:
+    0 -> 1 and k: 1 -> 2 at ids f and k (3 and 4 in some order), k.f = kf at
+    5, or missing from mul when kf is None, and inv the identity map.  Only
+    the unit bisection exists, so L, R and C read products with a unit, and
+    vi reads w.a and then (w.a).h, reaching k.f at h = f on its first side
+    and at h = k on its second, whichever comes first in arrow order."""
+    src, tgt = [0, 1, 2, None, None, 0], [0, 1, 2, None, None, 2]
+    src[f], tgt[f], src[k], tgt[k] = 0, 1, 1, 2
+    mul = {(0, 0): 0, (f, 0): f, (5, 0): 5, (1, 1): 1, (1, f): f, (k, 1): k,
+           (2, 2): 2, (2, k): k, (2, 5): 5, (k, f): kf}
+    return FiniteGroupoid(3, src, tgt, [0, 1, 2], range(6),
+                          {xy: c for xy, c in mul.items() if c is not None})
+
+
+# Tables whose first missing product the identity suite meets past L, R and
+# C, with the error the per-check loops raise: in block 1, where the inverse
+# bisection's L and R both miss one at the same arrow; in block 3, where
+# v:left-vs-mul and v:right-vs-mul both miss one at the same entry of mul;
+# and in vi, on either side.
+FIRST_MISSING = [
+    (FiniteGroupoid(2, [0, 1, 0], [0, 1, 1], [0, 1], [0, 0, 1],
+                    {(0, 0): 0, (1, 1): 0, (1, 2): 2, (2, 0): 0, (2, 1): 1}),
+     "non-composable pair: src=1 tgt=0"),
+    (FiniteGroupoid(2, [0, 1], [0, 1], [0, 1], [0, 0], {(0, 0): 0, (1, 1): 0}),
+     "non-composable pair: src=0 tgt=1"),
+    (chain_category(3, 4, None), "non-composable pair: src=1 tgt=1"),
+    (chain_category(4, 3, None), "non-composable pair: src=1 tgt=1")]
+
+
 def test_fixtures_match_oracle(z2_groupoid, pair3):
     elements = list(range(4))
     z4 = group_groupoid(elements, {(a, b): (a + b) % 4 for a in elements
@@ -506,41 +600,18 @@ def test_fixtures_match_oracle(z2_groupoid, pair3):
                         0, {a: (-a) % 4 for a in elements})
     for g in (z2_groupoid, pair3, z4, fibred_pair_groupoid([[0], [1, 2]])):
         assert assert_matches_oracle(g).ok
-        for kind in ("mul", "inv", "unit"):
+        for kind in ("mul", "inv", "unit") + SHORTCUTS:
             # each corruption is caught, so the failure path is compared too
-            report = assert_matches_oracle(corrupt(g, kind, 1, 2))
-            assert report is CompositionError or not report.ok, (g, kind)
-
-
-@pytest.fixture
-def wide(monkeypatch):
-    """The identity suite on tuple columns, whatever the number of arrows."""
-    monkeypatch.setattr(bisection_module, "BYTE_ARROWS", 0)
-    assert not _Columns(1).byte
-
-
-def test_generated_groupoids_match_oracle_wide(wide):
-    test_generated_groupoids_match_oracle()
-
-
-def test_fixtures_match_oracle_wide(wide, z2_groupoid, pair3):
-    test_fixtures_match_oracle(z2_groupoid, pair3)
-
-
-@pytest.fixture
-def per_pair(monkeypatch):
-    """The identity suite on byte columns, its C and c-v products looked up
-    pair by pair, whatever the size of the table."""
-    monkeypatch.setattr(bisection_module, "PACKED_CODES", 0)
-    assert _Columns(1).byte
-
-
-def test_generated_groupoids_match_oracle_per_pair(per_pair):
-    test_generated_groupoids_match_oracle()
-
-
-def test_fixtures_match_oracle_per_pair(per_pair, z2_groupoid, pair3):
-    test_fixtures_match_oracle(z2_groupoid, pair3)
+            bad = corrupt(g, kind, 1, 2)
+            report = assert_matches_oracle(bad)
+            # a group has no arrow off its one hom-set, and is left whole
+            assert report is CompositionError or not report.ok or bad == g, (g, kind)
+    for g, message in FIRST_MISSING:
+        assert assert_matches_oracle(g) is CompositionError
+        assert suite_outcome(g) == (CompositionError, message)
+    # the unit bisection of a category passes, and vi counts fibres s^-1(m)
+    # and t^-1(m) of different sizes
+    assert assert_matches_oracle(chain_category(3, 4)).ok
 
 
 def cyclic_group(n):
@@ -548,15 +619,6 @@ def cyclic_group(n):
     return group_groupoid(elements, {(a, b): (a + b) % n for a in elements
                                      for b in elements},
                           0, {a: (-a) % n for a in elements})
-
-
-def suite_outcome(g):
-    """The identity report as a dict, or the class and message of what the
-    suite raised."""
-    try:
-        return check_structure_identities(g).to_dict()
-    except Exception as exc:  # the class and message are what is compared
-        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("g, packed", [
@@ -658,18 +720,35 @@ def missing_products(g):
         yield FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
 
 
-@pytest.mark.parametrize("encoding", ["byte", "wide", "per_pair"])
+@pytest.mark.parametrize("encoding", ["byte", "wide", "per_pair"], indirect=True)
 @pytest.mark.parametrize("n", [3, 254, 255])
-def test_missing_products_raise_composition_error(request, encoding, n):
+def test_missing_products_raise_composition_error(encoding, n):
     # pair(3), and the boundary tables on either side of the bytes' limit
-    if encoding != "byte":
-        request.getfixturevalue(encoding)
     for g in missing_products(pair_groupoid(n) if n == 3 else boundary_groupoid(n)):
         if n == 3:
             assert outcome(oracle_identities, g) is CompositionError
         # never KeyError or IndexError, and never a report read off a mark
         with pytest.raises(CompositionError, match="non-composable pair"):
             check_structure_identities(g)
+
+
+@pytest.mark.parametrize("name", ["pair6", "s4-group", "z2xpair3"])
+def test_passing_tables_are_checked_on_whole_columns(monkeypatch, encoding, name):
+    # no product is composed pair by pair and no column is walked place by
+    # place while every check passes; z2 x pair(3) is pair(6) renumbered
+    g = {"pair6": lambda: pair_groupoid(6),
+         "s4-group": lambda: group_groupoid(*permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)], 4)),
+         "z2xpair3": lambda: product_groupoid(Z2, pair_groupoid(3))}[name]()
+
+    def refuse(*args):
+        raise AssertionError("the suite read a passing table pair by pair")
+    monkeypatch.setattr(FiniteGroupoid, "compose", refuse)
+    monkeypatch.setattr(bisection_module, "differ", refuse)
+    monkeypatch.setattr(report_module, "differ", refuse)
+    report = check_structure_identities(g)
+    assert report.ok
+    assert report.checks_run == {"pair6": 1_054_080, "s4-group": 74_976,
+                                 "z2xpair3": 1_054_080}[name]
 
 
 def test_packed_product_missing_from_mul_raises():
@@ -691,8 +770,9 @@ def test_packed_product_missing_from_mul_raises():
 def total_tables(draw):
     """A groupoid whose mul is then defined on every pair of arrows, the
     non-composable ones by drawn stray entries, with one or two products
-    moved to drawn arrows.  No product is ever missing, so the suite reads
-    on past products that leave their hom-set, and reports what fails."""
+    moved to drawn arrows, and maybe one fault of SHORTCUTS.  No product is
+    ever missing, so the suite reads on past products that leave their
+    hom-set, and past an inv that swaps no s and t, and reports what fails."""
     g = draw(st.sampled_from([pair_groupoid(3), fibred_pair_groupoid([[0], [1, 2]]),
                               fibred_pair_groupoid([[0, 1, 2], [3, 4]])]))
     arrows = st.sampled_from(g.arrows)
@@ -700,7 +780,10 @@ def total_tables(draw):
            for a in g.arrows for b in g.arrows}
     for key in draw(st.lists(st.sampled_from(list(g.mul)), min_size=1, max_size=2)):
         mul[key] = draw(arrows)
-    return FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
+    g = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.unit, g.inv, mul)
+    kind = draw(st.sampled_from((None,) + SHORTCUTS))
+    return g if kind is None else corrupt(g, kind, draw(st.integers(0, 1000)),
+                                          draw(st.integers(0, 1000)))
 
 
 def total_pair3():
@@ -718,14 +801,6 @@ def total_pair3():
           suppress_health_check=[HealthCheck.too_slow])
 def test_total_tables_match_oracle(g):
     assert_matches_oracle(g)
-
-
-def test_total_tables_match_oracle_wide(wide):
-    test_total_tables_match_oracle()
-
-
-def test_total_tables_match_oracle_per_pair(per_pair):
-    test_total_tables_match_oracle()
 
 
 def test_enumeration_matches_oracle_on_atiyah(three_point_bundle):
