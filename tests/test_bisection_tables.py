@@ -614,6 +614,41 @@ def test_fixtures_match_oracle(z2_groupoid, pair3):
     assert assert_matches_oracle(chain_category(3, 4)).ok
 
 
+@pytest.fixture
+def wide():
+    """The identity suite on tuple columns, whatever the number of arrows, as
+    the encoding whose report is compared with the oracle's."""
+    with encoded("wide"):
+        assert not _Columns(1).byte
+        yield
+
+
+def test_generated_groupoids_match_oracle_wide(wide):
+    test_generated_groupoids_match_oracle()
+
+
+def test_fixtures_match_oracle_wide(wide, z2_groupoid, pair3):
+    test_fixtures_match_oracle(z2_groupoid, pair3)
+
+
+@pytest.fixture
+def per_pair():
+    """The identity suite on byte columns, its C and c-v products looked up
+    pair by pair, whatever the size of the table, as the encoding whose
+    report is compared with the oracle's."""
+    with encoded("per_pair"):
+        assert _Columns(1).byte
+        yield
+
+
+def test_generated_groupoids_match_oracle_per_pair(per_pair):
+    test_generated_groupoids_match_oracle()
+
+
+def test_fixtures_match_oracle_per_pair(per_pair, z2_groupoid, pair3):
+    test_fixtures_match_oracle(z2_groupoid, pair3)
+
+
 def cyclic_group(n):
     elements = list(range(n))
     return group_groupoid(elements, {(a, b): (a + b) % n for a in elements
@@ -801,6 +836,14 @@ def total_pair3():
           suppress_health_check=[HealthCheck.too_slow])
 def test_total_tables_match_oracle(g):
     assert_matches_oracle(g)
+
+
+def test_total_tables_match_oracle_wide(wide):
+    test_total_tables_match_oracle()
+
+
+def test_total_tables_match_oracle_per_pair(per_pair):
+    test_total_tables_match_oracle()
 
 
 def test_enumeration_matches_oracle_on_atiyah(three_point_bundle):
