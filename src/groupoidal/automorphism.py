@@ -8,6 +8,7 @@ checks are the gluing relations and the correspondence with bisections of
 the symmetry groupoid.
 """
 
+from contextlib import suppress
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -19,18 +20,22 @@ from .bundle import FPoint, MomentMismatch, PPoint, bundle_from_json
 from .report import EnumerationBound, StructuralError, ValidationReport
 
 
+def _inverse_of(f):
+    """The inverse of the base map f; raises unless f is one to one."""
+    with suppress(TypeError):  # an unhashable value is no base point
+        f_inv = {v: k for k, v in f.items()}
+        if len(f_inv) == len(f):
+            return f_inv
+    raise StructuralError("base map is not a bijection")
+
+
 class BundleAutomorphism:
     """A base map with chart data, kept as given, read in canonical charts."""
 
     def __init__(self, bundle, f, gamma):
         self.bundle = bundle
         self.f = dict(f)
-        try:
-            self.f_inv = {v: k for k, v in self.f.items()}
-        except TypeError:  # an unhashable value is no base point
-            raise StructuralError("base map is not a bijection") from None
-        if len(self.f_inv) != len(self.f):
-            raise StructuralError("base map is not a bijection")
+        self.f_inv = _inverse_of(self.f)
         self.gamma = dict(gamma)
 
     def gamma_at(self, j, i, sigma):
@@ -77,15 +82,14 @@ class BundleAutomorphism:
 
     def compose(self, other):
         """self after other; at sigma, self(other.f(sigma)) . other(sigma)."""
-        mid = other.f
-        return _canonical(self.bundle, {s: self.f[mid[s]] for s in mid}, {
-            s: bisection_product(self._local[mid[s]], g)
-            for s, g in other._local.items()})
+        f = {s: self.f[t] for s, t in other.f.items()}
+        return _Canonical(self.bundle, f, _inverse_of(f), [
+            bisection_product(self._local[other.f[s]], g) for s, g in other._local.items()])
 
     def inverse(self):
-        """At f(sigma), the inverse of the bisection at sigma."""
-        return _canonical(self.bundle, self.f_inv, {
-            self.f[s]: bisection_inverse(g) for s, g in self._local.items()})
+        """At sigma, the inverse of the bisection at f^-1(sigma)."""
+        return _Canonical(self.bundle, self.f_inv, self.f, [
+            bisection_inverse(self._local[self.f_inv[s]]) for s in self.bundle.base.base])
 
     def action_key(self):
         """f and the bisections in base order.  They fix the action (sigma, a)
@@ -94,21 +98,18 @@ class BundleAutomorphism:
                 tuple(g.assign for g in self._local.values()))
 
 
-class _GaugeMap(BundleAutomorphism):
-    """A vertical map by its choice of bisections; _local and gamma built on read."""
+class _Canonical(BundleAutomorphism):
+    """Made by the library: f, f_inv and the bisections in canonical charts, in base order."""
 
-    def __init__(self, ident, choice):
-        self.bundle, self.f, self.f_inv, self._choice = ident.bundle, ident.f, ident.f_inv, choice
+    def __init__(self, bundle, f, f_inv, bisections):
+        self.bundle, self.f, self.f_inv, self._bisections = bundle, f, f_inv, bisections
 
-    _local = cached_property(lambda self: dict(zip(self.bundle.base.base, self._choice)))
-    gamma = cached_property(lambda self: _canonical(self.bundle, self.f, self._local).gamma)
+    _local = cached_property(lambda self: dict(zip(self.bundle.base.base, self._bisections)))
 
-
-def _canonical(bundle, f, local):
-    """The automorphism over f with local[sigma] in canonical charts."""
-    chart = bundle.base.canonical_chart
-    return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): g
-                                          for s, g in local.items()})
+    @cached_property
+    def gamma(self):
+        chart = self.bundle.base.canonical_chart
+        return {(chart(self.f[s]), chart(s), s): g for s, g in self._local.items()}
 
 
 def automorphism_from_json(doc, bundle=None):
@@ -126,8 +127,8 @@ def automorphism_from_json(doc, bundle=None):
 
 
 def identity_automorphism(bundle):
-    return _canonical(bundle, {s: s for s in bundle.base.base}, dict.fromkeys(
-        bundle.base.base, unit_bisection(bundle.groupoid)))
+    f = {s: s for s in bundle.base.base}
+    return _Canonical(bundle, f, f, [unit_bisection(bundle.groupoid)] * len(f))
 
 
 def validate_automorphism(bundle, aut):
@@ -195,7 +196,7 @@ def bisection_to_automorphism(bundle, b):
         if f.setdefault(fp.sigma, base[b(k) // nk]) != base[b(k) // nk]:
             raise StructuralError("bisection does not project over {}".format(fp.sigma))
         local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = b(k) % g.n_arrows
-    return _canonical(bundle, f, {s: Bisection(g, assign) for s, assign in local.items()})
+    return _Canonical(bundle, f, _inverse_of(f), [Bisection(g, a) for a in local.values()])
 
 
 def verify_bisection_correspondence(bundle, at, aut):
@@ -228,15 +229,14 @@ def enumerate_gauge_group(bundle, cap=1_000_000):
     its canonical chart.  The map sends the point (sigma, e_m) to the
     arrow gamma(m) of the bisection chosen at sigma, so distinct choices
     act differently and the list needs no deduplication.  All share one
-    identity f and f_inv, checked once, never written; gamma is built on read.
+    identity map as f and f_inv, which nothing writes.
     """
     bis = enumerate_bisections(bundle.groupoid, cap=cap)
-    n = len(bundle.base.base)
-    if len(bis) ** n > cap:
+    f = {s: s for s in bundle.base.base}
+    if len(bis) ** len(f) > cap:
         raise EnumerationBound(
-            "{}^{} candidate gauge maps exceed cap {}".format(len(bis), n, cap))
-    ident = BundleAutomorphism(bundle, {s: s for s in bundle.base.base}, {})
-    return [_GaugeMap(ident, choice) for choice in iproduct(bis, repeat=n)]
+            "{}^{} candidate gauge maps exceed cap {}".format(len(bis), len(f), cap))
+    return [_Canonical(bundle, f, f, choice) for choice in iproduct(bis, repeat=len(f))]
 
 
 def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):

@@ -7,6 +7,7 @@ bisection of the action structure is a map m -> g(m); its arrows are pairs
 """
 
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -135,7 +136,8 @@ class BisectionFamily:
                 return m
             jac = np.column_stack([central_difference(lambda x: self.shadow(sigma, x), m, e)
                                    for e in np.eye(len(m))])
-            m = m - np.linalg.solve(jac, r)
+            with suppress(np.linalg.LinAlgError):  # singular: m stays, so the steps run out
+                m = m - np.linalg.solve(jac, r)
         raise NumericFailure("shadow inversion did not converge")
 
 

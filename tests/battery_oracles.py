@@ -3,14 +3,21 @@ batteries, and the label-reading bisection correspondence, kept as test
 oracles.  Each walks namedtuple points and elements through the public
 structure maps and records every check one at a time, so its report fixes
 the check names, the witnesses and their order, and the exception it raises
-fixes the one the battery must raise."""
+fixes the one the battery must raise.
+
+The automorphisms the library makes (gauge maps, products, inverses, the
+identity and maps read off bisections) are kept here as they were first
+built: a full BundleAutomorphism whose chart data is written at once and
+whose bisections in canonical charts are read back through gamma_at."""
 
 from collections import Counter
 from itertools import product
 
 from groupoidal import (AdjointBundle, AtiyahGroupoid, Bisection,
                         BundleAutomorphism, StructuralError, ValidationReport,
-                        automorphism_to_bisection, validate_bisection)
+                        automorphism_to_bisection, bisection_inverse,
+                        bisection_product, enumerate_bisections,
+                        unit_bisection, validate_bisection)
 
 
 def oracle_principal_axioms(bundle):
@@ -109,9 +116,43 @@ def oracle_trident(bundle, at=None):
     return report
 
 
+def oracle_canonical(bundle, f, local):
+    """The automorphism over f with local[sigma] between canonical charts:
+    its gamma written at once, its _local read back through gamma_at."""
+    chart = bundle.base.canonical_chart
+    return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): g
+                                          for s, g in local.items()})
+
+
+def oracle_compose(a, b):
+    """a after b; at sigma, a(b.f(sigma)) . b(sigma)."""
+    mid = b.f
+    return oracle_canonical(a.bundle, {s: a.f[mid[s]] for s in mid}, {
+        s: bisection_product(a._local[mid[s]], g) for s, g in b._local.items()})
+
+
+def oracle_inverse(a):
+    """At f(sigma), the inverse of the bisection at sigma."""
+    return oracle_canonical(a.bundle, a.f_inv, {
+        a.f[s]: bisection_inverse(g) for s, g in a._local.items()})
+
+
+def oracle_identity(bundle):
+    return oracle_canonical(bundle, {s: s for s in bundle.base.base}, dict.fromkeys(
+        bundle.base.base, unit_bisection(bundle.groupoid)))
+
+
+def oracle_gauge_group(bundle):
+    """The gauge maps one at a time, in the library's order: one bisection
+    per base point, the last base point's varying fastest."""
+    base = bundle.base.base
+    for choice in product(enumerate_bisections(bundle.groupoid), repeat=len(base)):
+        yield oracle_canonical(bundle, {s: s for s in base}, dict(zip(base, choice)))
+
+
 def oracle_bisection_to_automorphism(bundle, at, b):
     """The automorphism read off the labels of the elements b places."""
-    g, chart = bundle.groupoid, bundle.base.canonical_chart
+    g = bundle.groupoid
     f, local = {}, {}
     for k, fp in enumerate(bundle.shadow_points):
         e = at.elements[b(k)]
@@ -119,8 +160,8 @@ def oracle_bisection_to_automorphism(bundle, at, b):
             raise StructuralError(
                 "bisection does not project over {}".format(fp.sigma))
         local.setdefault(fp.sigma, [None] * g.n_objects)[fp.obj] = e.arrow
-    return BundleAutomorphism(bundle, f, {(chart(f[s]), chart(s), s): Bisection(g, assign)
-                                          for s, assign in local.items()})
+    return oracle_canonical(bundle, f, {s: Bisection(g, assign)
+                                        for s, assign in local.items()})
 
 
 def oracle_bisection_correspondence(bundle, at, aut):

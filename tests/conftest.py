@@ -30,16 +30,17 @@ def three_point_bundle(z2_groupoid):
 
 @pytest.fixture(scope="session")
 def chain_bundle():
-    """A factory for chain bundles: base s0..s(k-1) covered by the charts
-    {s_i, s_(i+1)}, each overlap glued by a seeded choice of fibre
-    bisection.  No three charts meet, so any choice glues."""
+    """A factory for chain bundles: base s0..s(k-1) covered by the k - 1
+    charts {s_i, s_(i+1)}, the overlap {s_(i+1)} of charts i and i + 1
+    glued by a seeded choice of fibre bisection.  No three charts meet, so
+    any choice glues."""
     def build(g, k, seed=0):
         rng = random.Random(seed)
         bis = list(enumerate_bisections(g))
         base = ["s{}".format(i) for i in range(k)]
         cover = [[base[i], base[i + 1]] for i in range(k - 1)]
         entries = {(i, i + 1, base[i + 1]): rng.choice(bis)
-                   for i in range(k - 1)}
+                   for i in range(k - 2)}
         return build_bundle(CechBase(base, cover), Cocycle(g, entries), g)
     return build
 

@@ -124,6 +124,14 @@ def test_structure_map_guards(at):
                  if at.bundle.sitting_duck(p) != at.source(e))
     with pytest.raises(MomentMismatch):
         at.act_on_bundle(e, p_bad)
+    assert at.act_on_shadow(e, at.source(e)) == at.target(e)
+    f_bad = next(f for f in at.bundle.shadow_points if f != at.source(e))
+    with pytest.raises(MomentMismatch, match="^element source differs from the shadow point$"):
+        at.act_on_shadow(e, f_bad)
+    p1, p2 = next((p, q) for p in at.bundle.points for q in at.bundle.points
+                  if at.bundle.moment(p) != at.bundle.moment(q))
+    with pytest.raises(MomentMismatch, match="^moments differ$"):
+        at.division(p1, p2)
 
 
 def test_sequence_exact(three_point_bundle, at, adjoint):

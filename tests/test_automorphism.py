@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from groupoidal import (AtiyahGroupoid, BundleAutomorphism, EnumerationBound,
+from groupoidal import (AtiyahGroupoid, Bisection, BundleAutomorphism, EnumerationBound,
                         StructuralError, automorphism_to_bisection,
                         bisection_to_automorphism,
                         enumerate_bisections, enumerate_gauge_group,
@@ -112,6 +112,32 @@ def test_base_map_must_be_bijection(three_point_bundle):
     with pytest.raises(StructuralError):
         BundleAutomorphism(three_point_bundle,
                            {"a": "b", "b": "b", "c": "c"}, {})
+    # an unhashable value is no base point
+    with pytest.raises(StructuralError, match="^base map is not a bijection$"):
+        BundleAutomorphism(three_point_bundle, {"a": ["a"], "b": "b", "c": "c"}, {})
+
+
+def test_bisection_over_a_map_that_is_not_one_to_one(three_point_bundle, at):
+    # every shadow point sent to element 0, which sits over the pair (a, a)
+    b = Bisection(at.as_finite_groupoid(), [0] * len(three_point_bundle.shadow_points))
+    with pytest.raises(StructuralError, match="^base map is not a bijection$"):
+        bisection_to_automorphism(three_point_bundle, b)
+
+
+def test_gamma_at_needs_an_entry_at_sigma(three_point_bundle):
+    ident = identity_automorphism(three_point_bundle)
+    aut = BundleAutomorphism(three_point_bundle, ident.f,
+                             {k: g for k, g in ident.gamma.items() if k[2] != "b"})
+    assert aut.gamma_at(0, 0, "a") == ident.gamma_at(0, 0, "a")
+    with pytest.raises(StructuralError, match="^no chart data at b$"):
+        aut.gamma_at(1, 0, "b")
+
+
+def test_gauge_enumeration_refuses_past_its_cap(three_point_bundle):
+    # two fibre bisections at each of three points: 8 candidate maps
+    assert len(enumerate_gauge_group(three_point_bundle, cap=8)) == 8
+    with pytest.raises(EnumerationBound, match=r"^2\^3 candidate gauge maps exceed cap 7$"):
+        enumerate_gauge_group(three_point_bundle, cap=7)
 
 
 def test_bisection_correspondence(three_point_bundle, at, gauge):

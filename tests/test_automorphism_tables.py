@@ -9,16 +9,27 @@ key their chart data by hand, and the action key is the image of every
 bundle point.  The library must act as the oracle does on every point,
 give equal action keys exactly when the oracle's keys are equal, and never
 write into the chart data it was given.
+
+Every automorphism the library makes is also checked against the way such
+maps were first built (battery_oracles.oracle_canonical): a full
+BundleAutomorphism with its chart data written at once and read back
+through gamma_at.  The library's must equal it in f, f_inv, gamma and
+action key, and hold no chart data until it is read.
 """
 
 import itertools
+import math
+import random
 from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from battery_oracles import (oracle_bisection_to_automorphism, oracle_compose,
+                             oracle_gauge_group, oracle_identity, oracle_inverse)
 from groupoidal import (AtiyahGroupoid, BundleAutomorphism, FPoint, PPoint,
-                        StructuralError, bisection_inverse, bisection_product,
+                        StructuralError, automorphism_to_bisection,
+                        bisection_inverse, bisection_product,
                         bisection_to_automorphism, enumerate_bisections,
                         enumerate_gauge_group,
                         enumerate_projectable_bisections,
@@ -269,3 +280,89 @@ def test_gauge_maps_share_one_read_only_base_map(example, three_point_bundle,
         for other, other_ref in others:
             assert (aut.compose(other).action_key()
                     == ref.compose(other_ref).action_key())
+
+
+def fresh(aut):
+    """A map the library has just made holds no chart data yet."""
+    assert not {"gamma", "_local"} & set(vars(aut))
+    return aut
+
+
+def assert_equals_reference(aut, ref):
+    assert (aut.f, aut.f_inv) == (ref.f, ref.f_inv)
+    assert dict(aut.gamma) == ref.gamma  # gamma read first: it builds _local
+    assert aut.action_key() == ref.action_key()
+
+
+def projectable_sample(bundle, at, limit, seed=0):
+    """Projectable bisections of at: up to limit of them spread over the
+    whole list when it has at most 5,000 members, and limit more attached
+    to automorphisms over seeded random base permutations, their bisections
+    in canonical charts seeded random choices."""
+    base, chart = bundle.base.base, bundle.base.canonical_chart
+    bis = enumerate_bisections(bundle.groupoid)
+    spread = []
+    if math.factorial(len(base)) * len(bis) ** len(base) <= 5000:
+        projectable, _ = enumerate_projectable_bisections(bundle, at)
+        spread = projectable[::max(1, len(projectable) // limit)]
+    rng = random.Random(seed)
+    for _ in range(limit):
+        f = dict(zip(base, rng.sample(base, len(base))))
+        spread.append(automorphism_to_bisection(at, BundleAutomorphism(
+            bundle, f, {(chart(f[s]), chart(s), s): rng.choice(bis) for s in base})))
+    return spread
+
+
+def assert_library_maps_match_reference(bundle, documents=(), limit=6, seed=0):
+    """Every gauge map, the identity, maps read off projectable bisections,
+    and the products and inverses of a sample of these and of the given
+    documents equal the automorphisms built as they were first built, and
+    hold no chart data until it is read."""
+    gauge = enumerate_gauge_group(bundle)
+    n = len(gauge)
+    picked, operands = {0, 1, n // 2, n - 1}, []
+    for k, ref in enumerate(oracle_gauge_group(bundle)):
+        aut, gauge[k] = fresh(gauge[k]), None  # dropped once compared
+        assert_equals_reference(aut, ref)
+        if k in picked:
+            operands.append((aut, ref))
+    assert k == n - 1
+    ident = fresh(identity_automorphism(bundle))
+    assert_equals_reference(ident, oracle_identity(bundle))
+    at = AtiyahGroupoid(bundle)
+    for b in projectable_sample(bundle, at, limit, seed):
+        aut = fresh(bisection_to_automorphism(bundle, b))
+        ref = oracle_bisection_to_automorphism(bundle, at, b)
+        assert_equals_reference(aut, ref)
+        operands.append((aut, ref))
+    operands += [(ident, oracle_identity(bundle))] + [(d, d) for d in documents]
+    for a, ra in operands:
+        assert_equals_reference(fresh(a.inverse()), oracle_inverse(ra))
+        for b, rb in operands:
+            assert_equals_reference(fresh(a.compose(b)), oracle_compose(ra, rb))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_chain_bundle_maps_match_reference(request, chain_bundle, fibre, k):
+    bundle = chain_bundle(request.getfixturevalue(fibre), k, seed=k)
+    assert_library_maps_match_reference(bundle, seed=k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("fibre", ["z2_groupoid", "pair3"])
+def test_triple_overlap_maps_match_reference(request, triple_overlap_bundle,
+                                             fibre, n):
+    # maps over base permutations again, their chart data at the hub s0
+    # stored at one chart pair, not always the canonical one
+    bundle = triple_overlap_bundle(request.getfixturevalue(fibre), n, seed=n)
+    at = AtiyahGroupoid(bundle)
+    documents = [rechart(a, "s0", every_pair(a, "s0")[:1]) for a in (
+        bisection_to_automorphism(bundle, b)
+        for b in projectable_sample(bundle, at, 4, seed=n + 10))]
+    assert_library_maps_match_reference(bundle, documents, seed=n)
+
+
+def test_running_example_maps_match_reference(three_point_bundle):
+    assert_library_maps_match_reference(three_point_bundle,
+                                        reflections(three_point_bundle))

@@ -49,7 +49,7 @@ def test_shadow_is_homomorphism(pair3):
             assert bisection_product(b2, b1).shadow() == composed
 
 
-def test_invalid_sections_rejected(z2_groupoid):
+def test_invalid_sections_rejected(z2_groupoid, pair3):
     g = z2_groupoid
     # both values in the same source fibre but with colliding shadow
     e0, r0 = g.arrow_index(("e", 0)), g.arrow_index(("r", 1))
@@ -57,6 +57,7 @@ def test_invalid_sections_rejected(z2_groupoid):
     assert not validate_bisection(g, b)  # shadow hits 0 twice
     b2 = Bisection(g, [g.arrow_index(("e", 1)), g.arrow_index(("e", 1))])
     assert not validate_bisection(g, b2)  # not a section of s
+    assert not validate_bisection(g, unit_bisection(pair3))  # 3 values, 2 objects
 
 
 def test_wrong_length_rejected(z2_groupoid):

@@ -1189,7 +1189,7 @@ def chain_bundles(draw):
     base = ["s{}".format(i) for i in range(k)]
     cover = [[base[i], base[i + 1]] for i in range(k - 1)]
     entries = {(i, i + 1, base[i + 1]): draw(st.sampled_from(bis))
-               for i in range(k - 1)}
+               for i in range(k - 2)}
     return build_bundle(CechBase(base, cover), Cocycle(g, entries), g)
 
 

@@ -532,6 +532,23 @@ def test_transport_coordinate_rotation_on_so3(capsys, tmp_path):
     assert 3.7 < report["convergence_order"] < 4.3
 
 
+@pytest.mark.parametrize("scenario, angle", [("so2-single-chart", 0.0),
+                                             ("so2-two-chart", -0.5)])
+def test_transport_flat_connection_from_config(capsys, tmp_path, scenario, angle):
+    # the zero field transports nothing inside a chart; across the chart
+    # change at sigma = (0.5, 0) the arrow is clutched by exp(-0.5 J)
+    import numpy as np
+
+    from groupoidal.scenario import rot2
+
+    cfg = write(tmp_path, "cfg.json", {"scenario": scenario, "connection": "flat"})
+    code, out = run(capsys, ["transport", cfg, "--step", "0.05"])
+    assert code == 0
+    report = json.loads(out)
+    assert np.abs(np.array(report["endpoint"]) - rot2(angle)).max() < 1e-15
+    assert report["equivariance_residual"] == 0.0
+
+
 def test_transport_unknown_connection_is_input_error(capsys, tmp_path):
     cfg = write(tmp_path, "cfg.json", {"scenario": "so2-two-chart",
                                        "connection": "flatt"})
@@ -922,6 +939,18 @@ def test_package_exports_every_name():
     assert groupoidal.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         groupoidal.no_such_name
+
+
+def test_package_attribute_loads_its_module():
+    # groupoidal.<module> with no import of it: resolved on first use
+    import sys
+
+    import groupoidal
+
+    assert groupoidal.__getattr__("automorphism") is sys.modules["groupoidal.automorphism"]
+    loaded = loaded_after("import groupoidal; assert groupoidal.automorphism.__name__ "
+                          "== 'groupoidal.automorphism'")
+    assert "groupoidal.automorphism" in loaded
 
 
 def test_numeric_engine_loads_no_scipy():

@@ -16,7 +16,7 @@ from groupoidal.connection import (BasePath, LocalConnectionData,
                                    inverse_gauge, mc_right, parallel_transport,
                                    shadow_theta, tangent_conjugation,
                                    zero_connection)
-from groupoidal.report import StructuralError
+from groupoidal.report import NumericFailure, StructuralError
 from groupoidal.scenario import (BisectionFamily, J2, L_X, L_Y, L_Z,
                                  MatrixGroupScenario, rot2,
                                  rotation_dexp, smoothstep, so2_angle,
@@ -1167,6 +1167,41 @@ def test_newton_shadow_inverse(so3):
     m = np.array([0.4, -0.2, 0.7])
     mp = fam.shadow(s, m)
     assert np.linalg.norm(fam.shadow_inv(s, mp) - m) < 1e-10
+
+
+@pytest.mark.parametrize("mp", [[2.0, 0.0], [0.6, 0.0]])
+def test_shadow_inverse_off_the_shadow_is_numeric_failure(mp):
+    # m -> m / (1 + |m|^2) never reaches |m'| > 1/2: Newton runs out to
+    # where the central-difference Jacobian is exactly singular
+    fam = BisectionFamily(lambda s, m: np.eye(2) / (1.0 + m @ m), constant_in_m=False)
+    with pytest.raises(NumericFailure, match="^shadow inversion did not converge$"):
+        fam.shadow_inv(np.zeros(2), mp)
+
+
+def test_shadow_inverse_gives_up_after_fifty_steps():
+    # x -> (4/15) x ((x + 3)^2 + 1) is onto and g never vanishes, but its
+    # residual at m' = -1.6 is (4/15) F(x + 2), F(y) = y^3 - 2y + 2, whose
+    # Newton map has the superattracting cycle y = 0 <-> 1; the start
+    # solve(g(-1.6), -1.6) = -2.03 lies in its basin
+    fam = BisectionFamily(lambda s, m: np.array([[4.0 / 15.0 * ((m[0] + 3.0) ** 2 + 1.0)]]),
+                          constant_in_m=False)
+    calls = []
+    fam.shadow = lambda s, m: calls.append(m[0]) or BisectionFamily.shadow(fam, s, m)
+    with pytest.raises(NumericFailure, match="^shadow inversion did not converge$"):
+        fam.shadow_inv(np.zeros(2), [-1.6])
+    # each of the 50 steps reads the residual once and the Jacobian twice
+    assert len(calls) == 150
+    assert np.allclose(calls[-6::3], [-2.0, -1.0], atol=1e-6)
+
+
+def test_scenario_beta_diagonal_and_missing_family(so2):
+    s, m = np.array([0.5, 0.1]), np.array([0.3, -0.7])
+    for i in range(2):
+        fam = so2.beta(i, i)
+        assert fam.constant_in_m
+        assert np.array_equal(fam(s, m), np.eye(2))
+    with pytest.raises(StructuralError, match=r"^no cocycle family for \(0, 5\)$"):
+        so2.beta(0, 5)
 
 
 # --- covariant derivatives ---------------------------------------------------

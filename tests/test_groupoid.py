@@ -4,8 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from groupoidal import (CompositionError, FiniteGroupAction, FiniteGroupoid,
-                        StructuralError, fibred_pair_groupoid, group_groupoid,
-                        pair_groupoid, product_groupoid, validate_groupoid)
+                        StructuralError, ValidationReport, fibred_pair_groupoid,
+                        group_groupoid, pair_groupoid, product_groupoid,
+                        validate_groupoid)
 
 from test_bisection_tables import action, fibred, groups
 
@@ -245,6 +246,18 @@ def test_sparse_action_tables_rejected():
         FiniteGroupAction(["e", "r"], sparse_mult, "e", inverse, 2, act)
 
 
+def test_action_table_must_be_an_action():
+    mult = {("e", "e"): "e", ("e", "r"): "r", ("r", "e"): "r", ("r", "r"): "e"}
+    inverse = {"e": "e", "r": "r"}
+    moved = {("e", 0): 1, ("e", 1): 0, ("r", 0): 1, ("r", 1): 0}
+    with pytest.raises(StructuralError, match=r"^act\(e, m\) != m at m=0$"):
+        FiniteGroupAction(["e", "r"], mult, "e", inverse, 2, moved)
+    # r sends both points to 0, so r.(r.1) = 0 but (r.r).1 = e.1 = 1
+    collapsed = {("e", 0): 0, ("e", 1): 1, ("r", 0): 0, ("r", 1): 0}
+    with pytest.raises(StructuralError, match=r"^action not homomorphic at \('r', 'r', 1\)$"):
+        FiniteGroupAction(["e", "r"], mult, "e", inverse, 2, collapsed)
+
+
 def test_inverse_table_checked():
     mult = {("e", "e"): "e", ("e", "r"): "r", ("r", "e"): "r", ("r", "r"): "e"}
     act = {("e", 0): 0, ("e", 1): 1, ("r", 0): 1, ("r", 1): 0}
@@ -258,6 +271,12 @@ def test_inverse_table_checked():
 def test_json_round_trip(n):
     g = pair_groupoid(n)
     assert FiniteGroupoid.from_json(g.to_json()) == g
+
+
+def test_groupoid_is_not_equal_to_other_objects(z2_groupoid):
+    assert z2_groupoid != z2_groupoid.to_json()
+    assert z2_groupoid != "z2"
+    assert z2_groupoid.__eq__(None) is False
 
 
 def test_json_rejects_sparse_ids(z2_groupoid):
@@ -283,3 +302,12 @@ def test_validation_collects_all_violations(z2_groupoid):
     # both unit-src checks fail, and neither stops the other
     witnesses = {v.witness for v in report.violations if v.check == "iii:unit-src"}
     assert witnesses == {0, 1}
+
+
+def test_report_repr_names_its_verdict_and_violations():
+    report = ValidationReport()
+    report.record("x:holds", True, 1)
+    assert repr(report) == "ValidationReport(ok=True, violations=[])"
+    report.record("x:fails", False, (0, 1))
+    assert repr(report) == \
+        "ValidationReport(ok=False, violations=[Violation('x:fails', witness=(0, 1))])"

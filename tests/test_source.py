@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package, and every helper module
-the tests import, reads what it imports; and every package name that the
-benchmark wraps or reads exists."""
+the tests import, reads what it imports; the package reads every private
+name it defines; and every package name that the benchmark wraps or reads
+exists."""
 
 import ast
 import importlib
@@ -40,6 +41,61 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES + HELPERS, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def bound_names(node):
+    """The names a def, class, assignment or import statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+               if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_private_names(trees):
+    """The private names, by module and qualified name, that a module binds
+    at its top level, or a top-level class in its body, and that no module
+    of trees reads: no load of the name, no attribute of that name, no
+    import of it.  Reads are matched by name alone, so a read of a same-named
+    attribute anywhere counts."""
+    defined, read = [], set()
+    for label, tree in trees.items():
+        for node in tree.body:
+            defined += [(label, name) for name in bound_names(node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(label, node.name + "." + name) for sub in node.body
+                            for name in bound_names(sub)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted("{}:{}".format(label, name) for label, name in defined
+                  if is_private(name.split(".")[-1]) and name.split(".")[-1] not in read)
+
+
+def test_unread_private_names_are_found():
+    trees = {"m": ast.parse("import os as _os\nfrom k import _j\n_A, b = 1, 2\n_B = _j\n"
+                            "def _f():\n    return _A\n"
+                            "class _C:\n    _x = 1\n    def __init__(self):\n"
+                            "        self._y = self._x\n    def _m(self):\n        pass\n"),
+             "n": ast.parse("from m import _f\n")}
+    assert unread_private_names(trees) == ["m:_B", "m:_C", "m:_C._m", "m:_os"]
+
+
+def test_package_reads_every_private_name():
+    # a private helper, class or method that nothing calls is left behind
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+    assert "__init__.py" in trees
+    assert unread_private_names(trees) == []
 
 
 def test_benchmark_targets_exist():
