@@ -270,7 +270,7 @@ def check_structure_identities(g, cap=100000):
     key, column) for record_all, in the order of per-check loops; a product
     mul lacks raises CompositionError, the first those loops meet.
     """
-    assigns = [b.assign for b in enumerate_bisections(g, cap=cap)]
+    assigns = _search(g.source_fibres, g.tgt, cap)  # enumerate_bisections' search
     report = ValidationReport()
     if not assigns or not g.n_arrows:
         return report

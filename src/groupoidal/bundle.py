@@ -109,6 +109,8 @@ class PrincipaloidBundle:
     """The glued bundle with groupoid fibres, its shadow, and the actions."""
 
     def __init__(self, base, cocycle, groupoid, report=None):
+        if not groupoid.n_objects:
+            raise StructuralError("the fibre groupoid has no objects")
         report = validate_cocycle(base, cocycle) if report is None else report
         if not report.ok:
             raise StructuralError("invalid cocycle: {}".format(report.violations))

@@ -181,8 +181,8 @@ def _coordinate_rotation_connection(scenario):
     J = scenario.algebra[-1]
 
     def field(s, m, u):
-        return u[0] * J
-    field.stack = lambda S, U: U[:, 0, None, None] * J
+        return u[..., 0, None, None] * J
+    field.stack = lambda S, U: field(S, None, U)
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 

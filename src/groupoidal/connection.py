@@ -86,11 +86,9 @@ class LocalConnectionData:
 
 
 def zero_connection(scenario):
-    z = np.zeros((scenario.n, scenario.n))
-
     def field(s, m, u):
-        return z
-    field.stack = lambda S, U: np.zeros((len(S), scenario.n, scenario.n))
+        return np.zeros(np.shape(s)[:-1] + (scenario.n, scenario.n))
+    field.stack = lambda S, U: field(S, None, U)
     return LocalConnectionData(scenario, [field for _ in scenario.charts])
 
 
@@ -117,10 +115,10 @@ def construct_connection(scenario):
     glues because the law is affine with a shared inhomogeneous term.  The
     cocycle identity beta_jk beta_kj = 1 makes this the tangent-conjugation
     transport TC_{beta_jk}(mc(beta_kj)) of the Maurer-Cartan derivative.
-    When every beta_jk (k != j) is constant_in_m, A_j skips the shadow;
-    when every beta_jk also carries mc, A_j carries stack, so transport
-    takes the propagator path, and the weights there are the partition
-    functions called on the stack, masked by the open charts.
+    A_j takes a point or a stack and skips each chart k that holds none of
+    them or weighs them all 0, so w_k and beta_jk never see a single point
+    outside chart k.  When every beta_jk is constant_in_m, A_j skips the
+    shadow; when each also carries mc, A_j.stack is A_j on a stack.
     """
     partition = scenario.partition
     if partition is None or len(partition) != len(scenario.charts):
@@ -137,29 +135,21 @@ def construct_connection(scenario):
         families = [f for (a, _), f in scenario.cocycle.items() if a == j]
         constant = all(f.constant_in_m for f in families)
 
-        def A_j(sigma, m, u):
-            out = np.zeros((scenario.n, scenario.n))
-            for k in range(len(scenario.charts)):
-                if k == j or not scenario.charts[k].contains(sigma):
+        def A_j(sigma, m, u):  # at a point (d,) or at each row of a stack (N, d)
+            out = np.zeros(np.shape(sigma)[:-1] + (scenario.n, scenario.n))
+            for k, box in enumerate(scenario.charts):
+                inside = k != j and box.contains(sigma)
+                if not np.count_nonzero(inside):
                     continue
-                w = partition[k](sigma)
-                if w == 0.0:
+                w = np.where(inside, partition[k](sigma), 0.0)[..., None, None]
+                if not np.count_nonzero(w):
                     continue
                 m_k = m if constant else scenario.beta(k, j).shadow(sigma, m)
                 out -= w * mc_right(scenario, scenario.beta(j, k), m_k, sigma, u)
             return out
 
-        def stack(S, U):
-            out = np.zeros((len(S), scenario.n, scenario.n))
-            for k in range(len(scenario.charts)):
-                if k == j:
-                    continue
-                w = np.where(scenario.charts[k].contains(S), partition[k](S), 0.0)
-                out -= w[:, None, None] * scenario.beta(j, k).mc(S, U)
-            return out
-
         if constant and all(f.mc is not None for f in families):
-            A_j.stack = stack
+            A_j.stack = lambda S, U: A_j(S, None, U)
         return A_j
 
     return LocalConnectionData(scenario, [field(j) for j in
@@ -188,10 +178,10 @@ class BasePath:
     Segments are (chart, sigma(t), dsigma(t), t0, t1) with matching
     endpoints; each segment must stay inside its chart's open box, which
     transport checks at every RK4 node.  sigma and dsigma must be pure
-    functions of t.  Transport, on either path, calls them once per
-    block of RK4 nodes on a column of times (N, 1), and each must return
-    (N, d), or a constant (d,) that is broadcast; at a chart switch sigma
-    is also called at the segment's t0, a float.
+    functions of t.  Transport calls them on columns of times (N, 1), at
+    the segment's t0 before any step and once per block of RK4 nodes on
+    either path, and each must return (N, d), or a constant (d,) that is
+    broadcast; at a chart switch sigma is also called at t0, a float.
     """
 
     def __init__(self, segments):
@@ -205,15 +195,14 @@ class BasePath:
             raise StructuralError("a polyline needs at least one chart and one "
                                   "waypoint more than charts, not {} and {}"
                                   .format(len(charts), len(waypoints)))
+        pts = [np.asarray(w, dtype=float) for w in waypoints]
+        if pts[0].ndim != 1 or any(p.shape != pts[0].shape for p in pts):
+            raise StructuralError("polyline waypoints must be points of one dimension")
         segs = []
-        for k, chart in enumerate(charts):
-            p = np.asarray(waypoints[k], dtype=float)
-            d = np.asarray(waypoints[k + 1], dtype=float) - p
+        for chart, p, q in zip(charts, pts, pts[1:]):
+            d = q - p
             d.flags.writeable = False
-            segs.append((chart,
-                         (lambda p, d: lambda t: p + t * d)(p, d),
-                         (lambda d: lambda t: d)(d),
-                         0.0, 1.0))
+            segs.append((chart, lambda t, p=p, d=d: p + t * d, lambda t, d=d: d, 0.0, 1.0))
         return cls(segs)
 
 
@@ -243,12 +232,12 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
     da/dt = -A_i(sigma(t), a.m)(dsigma) a, with chart switches by left
     multiplication with the cocycle value.  Both paths read the path at the
     RK4 nodes a block at a time (see _path_blocks), which raises
-    StructuralError where a node leaves its segment's chart.  segment_routes
-    picks the path: a segment whose field carries stack takes the propagator
-    path (see _propagate), whose endpoints agree with the loop at roundoff,
-    not bitwise.  Every other segment takes the step-by-step loop (see
-    _rk4_loop), which calls the chart's field directly four times a step
-    and gives plain RK4's endpoints bit for bit.
+    StructuralError where a node leaves its segment's chart, as does, before any
+    step, a chart id not an int in range or a sigma or dsigma not of the boxes'
+    dimension.  A segment whose field carries stack takes the propagator path
+    (see _propagate), whose endpoints agree with the loop at roundoff; every other
+    takes the step-by-step loop (see _rk4_loop), which calls the chart's field
+    directly four times a step and gives plain RK4's endpoints bit for bit.
     The step must be finite and positive, and MAX_STEPS bounds the steps; overflow
     raises NumericFailure without numpy warnings.  Returns ((a, m), shadow endpoint).
     """
@@ -257,6 +246,14 @@ def parallel_transport(scenario, A, path, start, step=1e-3):
                               .format(step))
     if not path.segments:
         raise StructuralError("a transport path needs at least one segment")
+    for k, (i, sig, dsig, t0, _) in enumerate(path.segments):
+        if not (type(i) is int and 0 <= i < len(scenario.charts)):
+            raise StructuralError("segment {} names chart {!r}; chart ids are ints in "
+                                  "range({})".format(k, i, len(scenario.charts)))
+        d = len(scenario.charts[i].intervals)
+        if any(np.shape(f(np.array([[t0]])))[-1:] != (d,) for f in (sig, dsig)):
+            raise StructuralError("segment {} is not a path in the {}-dimensional base"
+                                  .format(k, d))
     counts = step_counts(path, step)
     if sum(counts) > MAX_STEPS:
         raise EnumerationBound("{:.3g} RK4 steps > {}".format(sum(counts), MAX_STEPS))

@@ -769,8 +769,10 @@ def test_missing_products_raise_composition_error(encoding, n):
 
 @pytest.mark.parametrize("name", ["pair6", "s4-group", "z2xpair3"])
 def test_passing_tables_are_checked_on_whole_columns(monkeypatch, encoding, name):
-    # no product is composed pair by pair and no column is walked place by
-    # place while every check passes; z2 x pair(3) is pair(6) renumbered
+    # no product is composed pair by pair, no column is walked place by
+    # place and no Bisection is built (the suite reads the assignments of
+    # enumerate_bisections' search) while every check passes; z2 x pair(3)
+    # is pair(6) renumbered
     g = {"pair6": lambda: pair_groupoid(6),
          "s4-group": lambda: group_groupoid(*permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)], 4)),
          "z2xpair3": lambda: product_groupoid(Z2, pair_groupoid(3))}[name]()
@@ -780,6 +782,7 @@ def test_passing_tables_are_checked_on_whole_columns(monkeypatch, encoding, name
     monkeypatch.setattr(FiniteGroupoid, "compose", refuse)
     monkeypatch.setattr(bisection_module, "differ", refuse)
     monkeypatch.setattr(report_module, "differ", refuse)
+    monkeypatch.setattr(bisection_module.Bisection, "__init__", refuse)
     report = check_structure_identities(g)
     assert report.ok
     assert report.checks_run == {"pair6": 1_054_080, "s4-group": 74_976,

@@ -5,10 +5,10 @@ import itertools
 import pytest
 
 from groupoidal import (Bisection, CechBase, Cocycle, DivisionError,
-                        MomentMismatch, PPoint, StructuralError,
-                        bundle_from_json, bundle_to_json, enumerate_bisections,
-                        unit_bisection, validate_cocycle,
-                        verify_principal_axioms)
+                        FiniteGroupoid, MomentMismatch, PPoint, StructuralError,
+                        build_bundle, bundle_from_json, bundle_to_json,
+                        enumerate_bisections, unit_bisection, validate_cocycle,
+                        validate_groupoid, verify_principal_axioms)
 from groupoidal.bisection import bisection_inverse, left_mult
 
 
@@ -152,3 +152,10 @@ def test_json_round_trip(three_point_bundle):
 def test_malformed_bundle_doc():
     with pytest.raises(StructuralError):
         bundle_from_json({"base": ["a"]})
+
+
+def test_empty_fibre_rejected():
+    g = FiniteGroupoid(0, [], [], [], [], {})
+    assert validate_groupoid(g).ok  # an empty groupoid, but no fibre of a bundle
+    with pytest.raises(StructuralError, match="no objects"):
+        build_bundle(CechBase(["a"], [["a"]]), Cocycle(g, {}), g)

@@ -445,6 +445,20 @@ def test_bundle_validates_fibre_first(capsys, broken_fibre_doc, mode):
     assert code == 1 and json.loads(out)["checks"][0]["violations"] == violations
 
 
+def test_empty_fibre_is_input_error(capsys, tmp_path):
+    # a fibre with no objects passed validate and three bundle modes, and
+    # atiyah and gauge failed, on a bundle with no points
+    doc = {"base": ["a", "b"], "cover": [["a", "b"]], "cocycle": [],
+           "groupoid": {"objects": 0, "arrows": [], "units": [], "inv": [], "mul": []}}
+    path = write(tmp_path, "empty.json", doc)
+    aut = write(tmp_path, "aut.json", {"bundle": doc, "f": {"a": "a", "b": "b"}, "gamma": []})
+    for argv in ([["bundle", path, "--report", mode]
+                  for mode in ("counts", "axioms", "atiyah", "trident", "gauge")]
+                 + [["validate", path], ["validate", aut]]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "input error: the fibre groupoid has no objects\n")
+
+
 @pytest.mark.parametrize("row", [[2, 3, 1], [3, 2, 0]])
 def test_fibre_missing_a_product_fails_before_the_bundle_is_built(
         capsys, tmp_path, three_point_bundle, row):

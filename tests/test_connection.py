@@ -671,6 +671,51 @@ def test_transport_needs_a_segment(so2):
                            (np.eye(2), np.array([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("waypoints, charts", [
+    ([[0.5, 0.0], [1.5, 0.0]], [-1]), ([[0.5, 0.0], [1.5, 0.0]], [5]),
+    ([[0.5, 0.0], [1.5, 0.0]], [True]), ([[0.5, 0.0], [1.5, 0.0]], [1.0]),
+    ([[0.5, 0.0], [1.5, 0.0]], [np.int64(1)]), ([[0.5, 0.0], [1.5, 0.0]], ["1"]),
+    ([[0.5, 0.0], [0.6, 0.0], [1.5, 0.0]], [1, 2]),
+    ([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]], [1]), ([[0.5], [0.6]], [1])],
+    ids=["chart-minus-one", "chart-5", "chart-true", "chart-float", "chart-numpy-int",
+         "chart-str", "second-segment", "three-coordinates", "one-coordinate"])
+def test_transport_refuses_paths_it_cannot_run(so2, waypoints, charts):
+    # refused with StructuralError before any step, on either path: no field
+    # is called and no stack is asked for.  Chart -1 ran in the last chart,
+    # and the others raised IndexError or ValueError
+    calls = []
+    loop = LocalConnectionData(so2, [lambda s, m, u: calls.append(s) or u[0] * J2] * 2)
+    stacked = construct_connection(so2)
+    for f in stacked.fields:
+        f.stack = lambda S, U: calls.append(S)
+    path = BasePath.polyline(waypoints, charts)
+    for A in (loop, stacked):
+        with pytest.raises(StructuralError, match="^segment (0|1) "):
+            parallel_transport(so2, A, path, (np.eye(2), np.array([1.0, 0.0])))
+    assert not calls
+
+
+@pytest.mark.parametrize("waypoints", [[[0.5, 0.0], [1.5]], [[0.5, 0.0], [1.5, 0.0, 0.0]],
+                                       [[[0.5, 0.0]], [[1.5, 0.0]]], [0.5, 1.5],
+                                       [[0.5, 0.0], [0.6, 0.0], [1.5, 0.0, 0.0]]],
+                         ids=["short", "long", "nested", "scalars", "mixed"])
+def test_polyline_waypoints_share_one_dimension(waypoints):
+    # [[0.5, 0.0], [1.5]] broadcast to a velocity (1.0, 1.5) and ran
+    with pytest.raises(StructuralError, match="points of one dimension"):
+        BasePath.polyline(waypoints, [0] * (len(waypoints) - 1))
+
+
+def test_transport_checks_each_segment_function(so2):
+    # a dsigma of the wrong dimension is refused like a sigma of one
+    start = (np.eye(2), np.array([1.0, 0.0]))
+    for sig, dsig in ((lambda t: np.zeros(3), lambda t: np.zeros(2)),
+                      (lambda t: np.zeros(2), lambda t: np.zeros(3))):
+        with pytest.raises(StructuralError, match="^segment 0 is not a path in the "
+                                                  "2-dimensional base$"):
+            parallel_transport(so2, zero_connection(so2),
+                               BasePath([(0, sig, dsig, 0.0, 1.0)]), start)
+
+
 def random_polyline(rng):
     """Four straight segments in charts 0, 1, 1, 0: the chart-1 leg runs
     out of the overlap 0.35 < x < 0.65 and back into it, both switches sit
@@ -897,6 +942,143 @@ def test_stacked_dexp_matches_single_calls(basis):
     n = len(X[0])
     assert np.abs(rotation_dexp(X.reshape(3, 3, n, n), Y.reshape(3, 3, n, n))
                   - want.reshape(3, 3, n, n)).max() <= 1e-15
+
+
+# --- one formula per field: the library-made fields against their two-formula form
+
+def two_formula_fields(sc):
+    """Reference for construct_connection: the field written twice, once at
+    a point and once for a stack, with the stack attached under the same
+    condition (every beta_jk constant in m and carrying mc)."""
+    def field(j):
+        families = [f for (a, _), f in sc.cocycle.items() if a == j]
+        constant = all(f.constant_in_m for f in families)
+
+        def A_j(sigma, m, u):
+            out = np.zeros((sc.n, sc.n))
+            for k in range(len(sc.charts)):
+                if k == j or not sc.charts[k].contains(sigma):
+                    continue
+                w = sc.partition[k](sigma)
+                if w == 0.0:
+                    continue
+                m_k = m if constant else sc.beta(k, j).shadow(sigma, m)
+                out -= w * mc_right(sc, sc.beta(j, k), m_k, sigma, u)
+            return out
+
+        def stack(S, U):
+            out = np.zeros((len(S), sc.n, sc.n))
+            for k in range(len(sc.charts)):
+                if k == j:
+                    continue
+                w = np.where(sc.charts[k].contains(S), sc.partition[k](S), 0.0)
+                out -= w[:, None, None] * sc.beta(j, k).mc(S, U)
+            return out
+
+        if constant and all(f.mc is not None for f in families):
+            A_j.stack = stack
+        return A_j
+    return LocalConnectionData(sc, [field(j) for j in range(len(sc.charts))])
+
+
+def so2_without_mc_scenario():
+    """so2-two-chart with the same cocycle as plain families, without mc: its
+    constructed field reads mc_right's central difference and carries no stack."""
+    sc = so2_two_chart_scenario()
+    sc.cocycle = {(0, 1): BisectionFamily(lambda s, m: rot2(so2_angle(s))),
+                  (1, 0): BisectionFamily(lambda s, m: rot2(-so2_angle(s)))}
+    return sc
+
+
+def guard_partition(sc):
+    """Make each partition function raise when called at a single point
+    outside its chart's open box; stacks may hold such points."""
+    def guarded(box, h):
+        def w(s):
+            if np.ndim(s) == 1 and not box.contains(s):
+                raise AssertionError("partition called at {} outside its chart".format(s))
+            return h(s)
+        return w
+    sc.partition = [guarded(box, h) for box, h in zip(sc.charts, sc.partition)]
+    return sc
+
+
+def wall_points(rng):
+    """Base points in and out of the overlap 0.3 < sigma_0 < 0.7, on its ends
+    and on the boxes' walls sigma_1 = +-1, and in the overlap where a weight
+    is exactly 0 or 1 (smoothstep underflows within 1e-3 of the overlap's
+    ends); with random velocities."""
+    xs = np.r_[rng.uniform(0.3, 0.7, 6), rng.uniform(-0.9, 0.3, 3),
+               rng.uniform(0.7, 1.9, 3), [0.3, 0.7, 0.3004, 0.6996, 0.5, 0.5]]
+    ys = np.r_[rng.uniform(-0.9, 0.9, 16), [1.0, -1.0]]
+    S = np.column_stack([xs, ys])
+    return S, rng.normal(size=S.shape)
+
+
+ONE_FORMULA = [so2_two_chart_scenario, so3_two_chart_scenario,
+               so2_m_dependent_scenario, so2_without_mc_scenario]
+
+
+@pytest.mark.parametrize("build", ONE_FORMULA, ids=lambda b: b.__name__)
+def test_one_formula_field_matches_two_formulas(build):
+    sc = guard_partition(build())
+    A, ref = construct_connection(sc), two_formula_fields(sc)
+    rng = np.random.default_rng(41)
+    S, U = wall_points(rng)
+    h1 = sc.partition[1]
+    assert {float(h1(S[14])), float(h1(S[15]))} == {0.0, 1.0}
+    for j, (f, g) in enumerate(zip(A.fields, ref.fields)):
+        for s, u in zip(S, U):
+            m = rng.normal(size=sc.n)
+            assert f(s, m, u).tobytes() == g(s, m, u).tobytes(), (j, s)
+        assert hasattr(f, "stack") == hasattr(g, "stack") == (build in ONE_FORMULA[:2])
+        if not hasattr(f, "stack"):
+            continue
+        for n in (1, 2, 513):
+            idx = rng.integers(len(S), size=n)
+            Sn, Un = S[idx] + (n == 513) * rng.normal(scale=0.01, size=(n, 2)), U[idx]
+            got, want = f.stack(Sn, Un), g.stack(Sn, Un)
+            assert got.shape == (n, sc.n, sc.n) and got.tobytes() == want.tobytes(), (j, n)
+
+
+@pytest.mark.parametrize("build", ONE_FORMULA, ids=lambda b: b.__name__)
+def test_one_formula_transport_matches_two_formulas(build):
+    # the propagator where the field carries stack, the RK4 loop on the same
+    # fields behind bare lambdas and on their gauge transforms
+    sc = guard_partition(build())
+    rng = np.random.default_rng(43)
+    path = random_polyline(rng)
+    a0 = sc.exp(random_algebra(sc, rng))
+    start = (a0, np.linalg.solve(a0, np.eye(sc.n)[0]))
+    gauge = BisectionFamily.exp_of(lambda s: (0.4 * s[0] + 0.1 * s[1]) * sc.algebra[0])
+    for step in (1.0 / 7, 1.0 / 300):
+        for A, ref in zip(declared_and_undeclared(construct_connection(sc)),
+                          declared_and_undeclared(two_formula_fields(sc))):
+            for data in ((A, ref), (gauge_transform_connection(sc, A, {0: gauge, 1: gauge}),
+                                    gauge_transform_connection(sc, ref, {0: gauge, 1: gauge}))):
+                (a, m), shadow = parallel_transport(sc, data[0], path, start, step=step)
+                (a_r, m_r), shadow_r = parallel_transport(sc, data[1], path, start, step=step)
+                assert a.tobytes() == a_r.tobytes() and shadow.tobytes() == shadow_r.tobytes()
+                assert np.array_equal(m, m_r)
+
+
+def test_one_formula_closed_form_fields():
+    # the zero and coordinate-rotation fields at a point and on stacks, to
+    # the bits of their two-formula form
+    for build in SHIPPED:
+        sc = build()
+        J = sc.algebra[-1]
+        rng = np.random.default_rng(47)
+        zero, rotation = zero_connection(sc), _coordinate_rotation_connection(sc)
+        for n in (1, 2, 513):
+            S, U = rng.uniform(-0.9, 0.9, size=(n, 2)), rng.normal(size=(n, 2))
+            for f, g in zip(zero.fields, rotation.fields):
+                assert f.stack(S, U).tobytes() == np.zeros((n, sc.n, sc.n)).tobytes()
+                assert g.stack(S, U).tobytes() == (U[:, 0, None, None] * J).tobytes()
+            for s, u in zip(S[:3], U[:3]):
+                for f, g in zip(zero.fields, rotation.fields):
+                    assert f(s, None, u).tobytes() == np.zeros((sc.n, sc.n)).tobytes()
+                    assert g(s, None, u).tobytes() == (u[0] * J).tobytes()
 
 
 def declared_and_undeclared(A):
