@@ -8,8 +8,9 @@ checks are the gluing relations and the correspondence with bisections of
 the symmetry groupoid.
 """
 
+from collections.abc import Sequence
 from contextlib import suppress
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .atiyah import AtElement, AtiyahGroupoid
@@ -222,26 +223,52 @@ def verify_bisection_correspondence(bundle, at, aut):
     return report
 
 
+class _GaugeMaps(Sequence):
+    """Bis^k as a read-only sequence in iproduct order, the last base point's
+    bisection varying fastest: map i reads the base-|Bis| digits of i.  Its
+    length is arithmetic, and each map is made when it is read."""
+
+    def __init__(self, bundle, bis):
+        self.bundle, self.bis, self.f = bundle, bis, {s: s for s in bundle.base.base}
+
+    def __len__(self):
+        return len(self.bis) ** len(self.f)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i, n = range(len(self))[i], len(self.bis)
+        return _Canonical(self.bundle, self.f, self.f, tuple(
+            self.bis[i // n ** p % n] for p in reversed(range(len(self.f)))))
+
+    def __iter__(self):
+        return (_Canonical(self.bundle, self.f, self.f, choice)
+                for choice in iproduct(self.bis, repeat=len(self.f)))
+
+
 def enumerate_gauge_group(bundle, cap=1_000_000):
     """All vertical automorphisms, by brute force over the free chart data.
 
     The gluing relations leave one free bisection per base point, read in
     its canonical chart.  The map sends the point (sigma, e_m) to the
     arrow gamma(m) of the bisection chosen at sigma, so distinct choices
-    act differently and the list needs no deduplication.  All share one
-    identity map as f and f_inv, which nothing writes.
+    act differently and the list needs no deduplication.  It is a read-only
+    sequence over Bis^k whose maps, made when read, share one identity map
+    as f and f_inv, which nothing writes.
     """
     bis = enumerate_bisections(bundle.groupoid, cap=cap)
-    f = {s: s for s in bundle.base.base}
-    if len(bis) ** len(f) > cap:
+    k = len(bundle.base.base)
+    if len(bis) ** k > cap:
         raise EnumerationBound(
-            "{}^{} candidate gauge maps exceed cap {}".format(len(bis), len(f), cap))
-    return [_Canonical(bundle, f, f, choice) for choice in iproduct(bis, repeat=len(f))]
+            "{}^{} candidate gauge maps exceed cap {}".format(len(bis), k, cap))
+    return _GaugeMaps(bundle, bis)
 
 
 def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
     """Closure, identity, inverses, and agreement with the vertical
-    bisections of at, the Atiyah groupoid; closure costs |gauge|^2 products."""
+    bisections of at, the Atiyah groupoid; closure costs |gauge|^2 products.
+    Their action keys, and the inverses', are read off the composed base maps
+    and memos of bisection_product and bisection_inverse on assignments."""
     if gauge is None:
         gauge = enumerate_gauge_group(bundle, cap=cap)
     if len(gauge) ** 2 > cap:
@@ -252,16 +279,19 @@ def verify_gauge_group(bundle, gauge=None, cap=1_000_000, at=None):
     fg, n, k = at.as_finite_groupoid(), bundle.groupoid.n_arrows, len(bundle.base.base)
     n_vertical = len(_search([[a for a in fibre if a // n // k == a // n % k]
                               for fibre in fg.source_fibres], fg.tgt, cap))
-    report = ValidationReport()
-    keys = {aut.action_key() for aut in gauge}
+    report, base, g = ValidationReport(), bundle.base.base, bundle.groupoid
+    product = cache(lambda x, y: bisection_product(Bisection(g, x), Bisection(g, y)).assign)
+    inverse = cache(lambda x: bisection_inverse(Bisection(g, x)).assign)
+    rows = [(a, {s: x.assign for s, x in a._local.items()}, a.action_key()) for a in gauge]
+    keys = {key for _, _, key in rows}
     ident = identity_automorphism(bundle)
     report.record("gauge:has-identity", ident.action_key() in keys)
-    for a in gauge:
-        report.record("gauge:inverse-closed",
-                      a.inverse().action_key() in keys, a.f)
-        for b in gauge:
-            report.record("gauge:product-closed",
-                          a.compose(b).action_key() in keys)
+    for a, la, _ in rows:
+        key = (tuple([a.f_inv[s] for s in base]), tuple([inverse(la[a.f_inv[s]]) for s in base]))
+        report.record("gauge:inverse-closed", key in keys, a.f)
+        for _, _, (fb, xb) in rows:  # at sigma: a at b.f(sigma) after b at sigma
+            key = (tuple([a.f[t] for t in fb]), tuple([product(la[t], x) for t, x in zip(fb, xb)]))
+            report.record("gauge:product-closed", key in keys)
     report.record("gauge:matches-vertical-bisections",
                   n_vertical == len(gauge),
                   detail="{} bisections vs {} gauge maps".format(

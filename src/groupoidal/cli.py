@@ -358,6 +358,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise StructuralError("cap must be >= 0, not {}".format(args.cap))
+        if not 0 < getattr(args, "tol", 1.0) < float("inf"):
+            raise StructuralError("tol must be finite and > 0, not {}".format(args.tol))
         return args.func(args)
     except EnumerationBound as exc:
         sys.stderr.write("cap exceeded: {}\n".format(exc))

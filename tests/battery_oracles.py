@@ -8,7 +8,9 @@ fixes the one the battery must raise.
 The automorphisms the library makes (gauge maps, products, inverses, the
 identity and maps read off bisections) are kept here as they were first
 built: a full BundleAutomorphism whose chart data is written at once and
-whose bisections in canonical charts are read back through gamma_at."""
+whose bisections in canonical charts are read back through gamma_at.  The
+gauge list is kept as it was first enumerated, one map built per choice,
+and the gauge battery as it was first closed, one map built per product."""
 
 from collections import Counter
 from itertools import product
@@ -17,7 +19,11 @@ from groupoidal import (AdjointBundle, AtiyahGroupoid, Bisection,
                         BundleAutomorphism, StructuralError, ValidationReport,
                         automorphism_to_bisection, bisection_inverse,
                         bisection_product, enumerate_bisections,
-                        unit_bisection, validate_bisection)
+                        identity_automorphism, unit_bisection,
+                        validate_bisection)
+from groupoidal.automorphism import _Canonical
+from groupoidal.bisection import _search
+from groupoidal.report import EnumerationBound
 
 
 def oracle_principal_axioms(bundle):
@@ -148,6 +154,40 @@ def oracle_gauge_group(bundle):
     base = bundle.base.base
     for choice in product(enumerate_bisections(bundle.groupoid), repeat=len(base)):
         yield oracle_canonical(bundle, {s: s for s in base}, dict(zip(base, choice)))
+
+
+def oracle_gauge_list(bundle):
+    """The gauge maps as a list, every one built at once, in the library's order."""
+    f = {s: s for s in bundle.base.base}
+    return [_Canonical(bundle, f, f, choice) for choice in
+            product(enumerate_bisections(bundle.groupoid), repeat=len(f))]
+
+
+def oracle_gauge_closure(bundle, gauge, cap=1_000_000, at=None):
+    """The gauge battery with one composed map and one inverse map built per
+    check, read through action_key."""
+    if len(gauge) ** 2 > cap:
+        raise EnumerationBound(
+            "{}^2 gauge products exceed cap {}".format(len(gauge), cap))
+    at = at or AtiyahGroupoid(bundle)
+    fg, n, k = at.as_finite_groupoid(), bundle.groupoid.n_arrows, len(bundle.base.base)
+    n_vertical = len(_search([[a for a in fibre if a // n // k == a // n % k]
+                              for fibre in fg.source_fibres], fg.tgt, cap))
+    report = ValidationReport()
+    keys = {aut.action_key() for aut in gauge}
+    report.record("gauge:has-identity",
+                  identity_automorphism(bundle).action_key() in keys)
+    for a in gauge:
+        report.record("gauge:inverse-closed",
+                      a.inverse().action_key() in keys, a.f)
+        for b in gauge:
+            report.record("gauge:product-closed",
+                          a.compose(b).action_key() in keys)
+    report.record("gauge:matches-vertical-bisections",
+                  n_vertical == len(gauge),
+                  detail="{} bisections vs {} gauge maps".format(
+                      n_vertical, len(gauge)))
+    return report
 
 
 def oracle_bisection_to_automorphism(bundle, at, b):

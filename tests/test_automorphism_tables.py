@@ -14,7 +14,10 @@ Every automorphism the library makes is also checked against the way such
 maps were first built (battery_oracles.oracle_canonical): a full
 BundleAutomorphism with its chart data written at once and read back
 through gamma_at.  The library's must equal it in f, f_inv, gamma and
-action key, and hold no chart data until it is read.
+action key, and hold no chart data until it is read.  The gauge list, made
+when read, must read as the list built at once, and the gauge battery, which
+reads action keys off memoized bisection products, must report what the
+closure that built one map per product reported.
 """
 
 import itertools
@@ -25,8 +28,10 @@ from types import MappingProxyType
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import groupoidal.automorphism as automorphism_module
 from battery_oracles import (oracle_bisection_to_automorphism, oracle_compose,
-                             oracle_gauge_group, oracle_identity, oracle_inverse)
+                             oracle_gauge_closure, oracle_gauge_group,
+                             oracle_gauge_list, oracle_identity, oracle_inverse)
 from groupoidal import (AtiyahGroupoid, BundleAutomorphism, FPoint, PPoint,
                         StructuralError, automorphism_to_bisection,
                         bisection_inverse, bisection_product,
@@ -167,7 +172,7 @@ def assert_matches_oracle(bundle, auts, sample=6):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 def test_generated_automorphisms_match_oracle(bundle):
-    gauge = enumerate_gauge_group(bundle)
+    gauge = list(enumerate_gauge_group(bundle))
     assert_matches_oracle(bundle, gauge + nonvertical(bundle))
 
 
@@ -201,7 +206,7 @@ def reflections(bundle):
 
 def test_running_example_reflection_matches_oracle(three_point_bundle):
     bundle = three_point_bundle
-    gauge = enumerate_gauge_group(bundle)
+    gauge = list(enumerate_gauge_group(bundle))
     refls = reflections(bundle)
     for aut in refls:
         assert validate_automorphism(bundle, aut).ok
@@ -251,7 +256,7 @@ def test_gauge_maps_share_one_read_only_base_map(example, three_point_bundle,
                                                  chain_bundle, pair3):
     bundle = (three_point_bundle if example == "running"
               else chain_bundle(pair3, 3, seed=3))
-    gauge = enumerate_gauge_group(bundle)
+    gauge = list(enumerate_gauge_group(bundle))  # the maps below are written to
     base, chart = bundle.base.base, bundle.base.canonical_chart
     f = gauge[0].f
     assert f == {s: s for s in base}
@@ -321,9 +326,8 @@ def assert_library_maps_match_reference(bundle, documents=(), limit=6, seed=0):
     gauge = enumerate_gauge_group(bundle)
     n = len(gauge)
     picked, operands = {0, 1, n // 2, n - 1}, []
-    for k, ref in enumerate(oracle_gauge_group(bundle)):
-        aut, gauge[k] = fresh(gauge[k]), None  # dropped once compared
-        assert_equals_reference(aut, ref)
+    for k, (aut, ref) in enumerate(zip(gauge, oracle_gauge_group(bundle), strict=True)):
+        assert_equals_reference(fresh(aut), ref)  # each map made when read
         if k in picked:
             operands.append((aut, ref))
     assert k == n - 1
@@ -366,3 +370,121 @@ def test_triple_overlap_maps_match_reference(request, triple_overlap_bundle,
 def test_running_example_maps_match_reference(three_point_bundle):
     assert_library_maps_match_reference(three_point_bundle,
                                         reflections(three_point_bundle))
+
+
+def gauge_bundle(request, chain_bundle, triple_overlap_bundle, kind, fibre, n):
+    g = request.getfixturevalue(fibre)
+    return (chain_bundle(g, n, seed=n) if kind == "chain"
+            else triple_overlap_bundle(g, n, seed=n))
+
+
+GAUGE_BUNDLES = [("chain", "z2_groupoid", n) for n in (2, 3, 4, 5, 6)] \
+    + [("chain", "pair3", n) for n in (2, 3, 4)] \
+    + [("triple", "z2_groupoid", n) for n in (3, 4, 5)] \
+    + [("triple", "pair3", n) for n in (3, 4)]
+
+
+def assert_sequence_matches_list(gauge, eager, seed=0):
+    """Order, length, indices either side of zero, IndexError past either end,
+    and slices with steps of 1, 3 and 37 either way, read by action key."""
+    n = len(eager)
+    assert len(gauge) == n
+    keys = [a.action_key() for a in eager]
+    assert [a.action_key() for a in gauge] == keys
+    rng = random.Random(seed)
+    indices = set(range(-n, n)) if n <= 64 else \
+        {0, 1, n // 2, n - 1, -1, -n, -(n // 3)} | set(rng.sample(range(-n, n), 40))
+    for i in indices:
+        assert gauge[i].action_key() == keys[i]
+    for i in (n, -n - 1, n + 7, -n - 7, 2 ** 80, -(2 ** 80)):
+        with pytest.raises(IndexError):
+            gauge[i]
+    ends = (None, 0, 2, -3, n // 2, n + 5, -n - 5)
+    for step in (1, -1, 3, -3, 37, -37):
+        for start, stop in itertools.product(ends, repeat=2):
+            part = gauge[start:stop:step]
+            assert type(part) is list
+            assert [a.action_key() for a in part] == keys[start:stop:step]
+
+
+@pytest.mark.parametrize("kind,fibre,n", GAUGE_BUNDLES)
+def test_gauge_sequence_matches_eager_list(request, chain_bundle, triple_overlap_bundle,
+                                           kind, fibre, n):
+    bundle = gauge_bundle(request, chain_bundle, triple_overlap_bundle, kind, fibre, n)
+    assert_sequence_matches_list(enumerate_gauge_group(bundle), oracle_gauge_list(bundle),
+                                 seed=n)
+
+
+@given(chain_bundles())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_generated_gauge_list_and_battery_match_oracles(bundle):
+    assert_sequence_matches_list(enumerate_gauge_group(bundle), oracle_gauge_list(bundle))
+    assert_battery_matches_closure(bundle)
+
+
+def assert_battery_matches_closure(bundle):
+    """The battery's report equals the per-product closure's on the library's
+    list and on edited lists: one map dropped, one duplicated, non-vertical
+    maps added, a seeded half of the maps (not a group, so which of a.b and
+    b.a is formed moves failures between rows), and no map at all."""
+    gauge, at = enumerate_gauge_group(bundle), AtiyahGroupoid(bundle)
+    eager = list(gauge)
+    edited = [gauge, eager[:len(eager) // 2] + eager[len(eager) // 2 + 1:],
+              eager[:2] + eager[1:], eager + nonvertical(bundle, 3),
+              random.Random(len(eager)).sample(eager, len(eager) // 2), []]
+    for maps in edited:
+        expected = oracle_gauge_closure(bundle, maps, at=at).to_dict()
+        assert verify_gauge_group(bundle, maps, at=at).to_dict() == expected
+        assert verify_gauge_group(bundle, maps).to_dict() == expected
+        if maps is gauge:
+            assert verify_gauge_group(bundle).to_dict() == expected
+
+
+# the per-product closure takes about a second on 216 maps, so one such bundle
+@pytest.mark.parametrize("kind,fibre,n", [("chain", "z2_groupoid", n) for n in (2, 3, 4, 5)]
+                         + [("chain", "pair3", 2), ("triple", "pair3", 3)]
+                         + [("triple", "z2_groupoid", n) for n in (3, 4, 5)])
+def test_gauge_battery_matches_per_pair_closure(request, chain_bundle, triple_overlap_bundle,
+                                                kind, fibre, n):
+    assert_battery_matches_closure(
+        gauge_bundle(request, chain_bundle, triple_overlap_bundle, kind, fibre, n))
+
+
+def test_gauge_battery_matches_per_pair_closure_on_documents(three_point_bundle):
+    # the running example's reflections, maps read at chart pairs they do not store
+    bundle = three_point_bundle
+    gauge = list(enumerate_gauge_group(bundle))
+    refls = reflections(bundle)
+    for maps in (gauge + refls, refls + gauge[::2], refls):
+        assert verify_gauge_group(bundle, maps).to_dict() == \
+            oracle_gauge_closure(bundle, maps).to_dict()
+
+
+@pytest.mark.parametrize("fibre,k", [("z2_groupoid", 8), ("pair3", 3)])
+def test_gauge_battery_work_is_counted(request, monkeypatch, chain_bundle, fibre, k):
+    # counts, not timings: the list's length builds no map, and the battery
+    # builds each map once when it reads it, not one per product, and
+    # composes each pair of fibre bisections at most once
+    bundle = chain_bundle(request.getfixturevalue(fibre), k, seed=k)
+    n_bis = len(enumerate_bisections(bundle.groupoid))
+    calls = {"maps": 0, "products": 0, "inverses": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(automorphism_module._Canonical, "__init__",
+                        counted("maps", automorphism_module._Canonical.__init__))
+    monkeypatch.setattr(automorphism_module, "bisection_product",
+                        counted("products", bisection_product))
+    monkeypatch.setattr(automorphism_module, "bisection_inverse",
+                        counted("inverses", bisection_inverse))
+    gauge = enumerate_gauge_group(bundle)
+    assert len(gauge) == n_bis ** k and calls["maps"] == 0
+    report = verify_gauge_group(bundle, gauge)
+    assert report.ok and report.checks_run == len(gauge) ** 2 + len(gauge) + 2
+    assert calls["maps"] <= len(gauge) + 1
+    assert calls["products"] <= n_bis ** 2 and calls["inverses"] <= n_bis

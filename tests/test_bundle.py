@@ -1,15 +1,17 @@
 """Clutching construction, canonical forms, and the principal axioms."""
 
 import itertools
+import random
 
 import pytest
 
 from groupoidal import (Bisection, CechBase, Cocycle, DivisionError,
                         FiniteGroupoid, MomentMismatch, PPoint, StructuralError,
-                        build_bundle, bundle_from_json, bundle_to_json,
-                        enumerate_bisections, unit_bisection, validate_cocycle,
-                        validate_groupoid, verify_principal_axioms)
-from groupoidal.bisection import bisection_inverse, left_mult
+                        ValidationReport, build_bundle, bundle_from_json,
+                        bundle_to_json, enumerate_bisections, pair_groupoid,
+                        unit_bisection, validate_cocycle, validate_groupoid,
+                        verify_principal_axioms)
+from groupoidal.bisection import bisection_inverse, bisection_product, left_mult
 
 
 def test_base_shape():
@@ -79,6 +81,53 @@ def test_broken_cocycle_value_on_triple_overlap(request, triple_overlap_bundle,
     # every ordering of the three charts at the hub breaks, and nothing else
     assert sorted(v.witness for v in report.violations) == \
         [ijk + ("s0",) for ijk in itertools.permutations(range(3))]
+
+
+def oracle_cocycle_report(base, c):
+    """validate_cocycle over every ordered pair and triple of charts."""
+    report = ValidationReport()
+    unit = unit_bisection(c.groupoid)
+    charts = range(base.n_charts)
+    for key in c.entries:
+        i, j, sigma = key
+        if i in charts and j in charts and sigma not in base.cover[i] & base.cover[j]:
+            report.add("cocycle:domain", key, "sigma off chart i or chart j")
+    for key in ((i, i, sigma) for i in charts for sigma in base.cover[i]):
+        if key in c.entries:
+            report.record("cocycle:diag", c.entries[key] == unit, key)
+    for i, j in itertools.product(charts, repeat=2):
+        for sigma in base.overlap(i, j) if i != j else ():
+            prod = bisection_product(c.beta(i, j, sigma), c.beta(j, i, sigma))
+            report.record("cocycle:inverse", prod == unit, (i, j, sigma))
+    for i, j, k in itertools.product(charts, repeat=3):
+        triple = base.cover[i] & base.cover[j] & base.cover[k]
+        for sigma in triple if len({i, j, k}) == 3 else ():
+            lhs = bisection_product(c.beta(i, j, sigma), c.beta(j, k, sigma))
+            report.record("cocycle:triple", lhs == c.beta(i, k, sigma), (i, j, k, sigma))
+    return report
+
+
+def test_cocycle_report_matches_all_chart_loops(z2_groupoid):
+    # seeded covers of 1-6 points by 1-6 charts, values on every overlap
+    # (units, or seeded choices that break conditions), and stray entries
+    rng = random.Random(5)
+    for _ in range(300):
+        g = rng.choice([z2_groupoid, pair_groupoid(3)])
+        bis, unit = enumerate_bisections(g), unit_bisection(g)
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        base = ["p{}".format(i) for i in range(n)]
+        cover = [set(rng.sample(base, rng.randint(1, n))) for _ in range(m)]
+        for sigma in base:
+            if not any(sigma in chart for chart in cover):
+                rng.choice(cover).add(sigma)
+        p_unit = rng.choice([0.9, 1.0])
+        entries = {(i, j, sigma): unit if rng.random() < p_unit else rng.choice(bis)
+                   for i, j in itertools.product(range(m), repeat=2)
+                   for sigma in sorted(cover[i] & cover[j])}
+        for _ in range(rng.randint(0, 2)):
+            entries[(rng.randrange(m + 1), rng.randrange(m), rng.choice(base))] = rng.choice(bis)
+        cech, c = CechBase(base, cover), Cocycle(g, entries)
+        assert validate_cocycle(cech, c).to_dict() == oracle_cocycle_report(cech, c).to_dict()
 
 
 def test_canonical_point_gluing(three_point_bundle):

@@ -759,6 +759,26 @@ def test_transport_step_must_be_finite_and_positive(capsys, step):
         float(step))
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "inf", "-inf", "nan"])
+def test_transport_tol_must_be_finite_and_positive(capsys, tol):
+    # a nan tolerance ran the transport and printed "tol": NaN, which is not JSON
+    assert main(["transport", "so2-two-chart", "--tol=" + tol]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: tol must be finite and > 0, not {}\n".format(float(tol)))
+
+
+@pytest.mark.parametrize("cap", ["-1", "-1000000"])
+@pytest.mark.parametrize("command", ["check-identities", "bundle"])
+def test_cap_must_not_be_negative(capsys, tmp_path, bundle_doc, command, cap):
+    doc = (write(tmp_path, "pair3.json", pair_groupoid(3).to_json())
+           if command == "check-identities" else bundle_doc)
+    assert main([command, doc, "--cap=" + cap]) == 2
+    assert capsys.readouterr() == ("", "input error: cap must be >= 0, not {}\n".format(cap))
+    # a cap of 0 is a cap: the first candidate exceeds it
+    assert main([command, doc, "--cap=0"] + (["--report", "gauge"] if command == "bundle"
+                                              else [])) == 3
+
+
 def test_fd_step_flag_removed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["transport", "so2-single-chart", "--fd-step", "1e-4"])
